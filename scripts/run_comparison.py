@@ -17,8 +17,14 @@ from pathlib import Path
 from wxhier import nn
 from wxhier.dataset import SplitSpec, load_manifest, stratified_split
 from wxhier.evaluate import compare_models, evaluate_hierarchical_tensors, format_percent
-from wxhier.hierarchy import HierTrainConfig, leaf_labels, load_image_tensors, train_hierarchical
-from wxhier.preprocess import compute_stats, normalize
+from wxhier.hierarchy import (
+    HierTrainConfig,
+    leaf_labels,
+    load_image_tensors,
+    load_standardized,
+    train_hierarchical,
+)
+from wxhier.preprocess import normalize
 from wxhier.taxonomy import LEAF_CLASSES, default_taxonomy
 
 
@@ -28,10 +34,7 @@ def train_flat(arch, split, hw, args, root):
         spec = nn.softmax_flat_spec(shape, len(LEAF_CLASSES))
     else:
         spec = nn.basic_cnn_spec(shape, len(LEAF_CLASSES), scale=args.scale)
-    x_raw = load_image_tensors(split.train, hw, root)
-    stats = compute_stats(x_raw)
-    x_train = normalize(x_raw, stats)
-    x_test = normalize(load_image_tensors(split.test, hw, root), stats)
+    x_train, x_test, _ = load_standardized(split.train, hw, root, split.test)
     cfg = nn.TrainConfig(epochs=args.epochs, seed=args.seed)
     params, _ = nn.train(spec, x_train, leaf_labels(split.train), cfg)
     return nn.evaluate_accuracy(spec, params, x_test, leaf_labels(split.test))

@@ -42,6 +42,7 @@ from .hierarchy import (
     leaf_labels,
     load_hierarchical,
     load_image_tensors,
+    load_standardized,
     predict_hierarchical,
     save_hierarchical,
     train_hierarchical,
@@ -71,8 +72,6 @@ DEFAULTS = {
     "batch_size": 32,
     "dropout": 0.25,
     "input_size": 32,
-    "jobs": 1,
-    "strict": False,
     "per_class": DEFAULT_PER_CLASS,
     "image_size": DEFAULT_SIZE,
 }
@@ -100,8 +99,6 @@ class RunConfig:
     batch_size: int
     dropout: float
     input_size: int
-    jobs: int
-    strict: bool
     per_class: int
     image_size: int
 
@@ -118,8 +115,6 @@ class RunConfig:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.input_size < 4:
             raise ConfigError(f"input size must be >= 4, got {self.input_size}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.per_class < 1 or self.image_size < 8:
             raise ConfigError("per-class count must be >= 1 and image size >= 8")
 
@@ -143,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--taxonomy", type=Path, help="taxonomy config (default built-in)")
         p.add_argument(
             "--root", type=Path, help="base for relative image paths (default: manifest dir)"
-        )
-        p.add_argument("--jobs", type=int, help="worker cap; all built-in paths are single-worker")
-        p.add_argument(
-            "--strict",
-            action=argparse.BooleanOptionalAction,
-            help="force sequential bit-exact reductions (built-in paths already are)",
         )
 
     p = sub.add_parser("split", help="stratified train/val/test manifests")
@@ -259,8 +248,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         batch_size=int(picked["batch_size"]),
         dropout=float(picked["dropout"]),
         input_size=int(picked["input_size"]),
-        jobs=int(picked["jobs"]),
-        strict=bool(picked["strict"]),
         per_class=int(picked["per_class"]),
         image_size=int(picked["image_size"]),
     )
@@ -334,7 +321,7 @@ def cmd_preprocess(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _train_flat(cfg: RunConfig, train_entries, val_entries, root) -> int:
+def _train_flat(cfg: RunConfig, tc: nn.TrainConfig, train_entries, val_entries, root) -> int:
     input_shape = (cfg.input_size, cfg.input_size, 3)
     n_out = len(LEAF_CLASSES)
     if cfg.arch == "softmax-flat":
@@ -343,24 +330,11 @@ def _train_flat(cfg: RunConfig, train_entries, val_entries, root) -> int:
         spec = nn.basic_cnn_spec(input_shape, n_out, scale=cfg.scale, dropout=cfg.dropout)
     else:
         spec = nn.vgg_style_spec(input_shape, n_out, cfg.width_scale, cfg.depth_scale)
-    x_raw = load_image_tensors(train_entries, (cfg.input_size, cfg.input_size), root)
-    stats = compute_stats(x_raw)
-    x_train = normalize(x_raw, stats)
-    y_train = leaf_labels(train_entries)
-    x_val = y_val = None
-    if val_entries:
-        x_val = normalize(
-            load_image_tensors(val_entries, (cfg.input_size, cfg.input_size), root), stats
-        )
-        y_val = leaf_labels(val_entries)
-    tc = nn.TrainConfig(
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
+    x_train, x_val, stats = load_standardized(
+        train_entries, (cfg.input_size, cfg.input_size), root, val_entries
     )
-    params, history = nn.train(spec, x_train, y_train, tc, x_val, y_val)
+    y_val = leaf_labels(val_entries) if val_entries else None
+    params, history = nn.train(spec, x_train, leaf_labels(train_entries), tc, x_val, y_val)
     out = _outdir(cfg)
     nn.save_model(out / "model.wxm1", spec, params, stats, list(LEAF_CLASSES))
     (out / "history.csv").write_text(nn.history_to_csv(history))
@@ -375,10 +349,6 @@ def cmd_train(cfg: RunConfig, args) -> int:
     val_entries = []
     if args.val_manifest is not None:
         val_entries = load_manifest(args.val_manifest.read_bytes())
-    if cfg.arch != "hierarchical":
-        return _train_flat(cfg, train_entries, val_entries, root)
-
-    taxonomy = _taxonomy_for(cfg)
     hcfg = HierTrainConfig(
         input_hw=(cfg.input_size, cfg.input_size),
         scale=cfg.scale,
@@ -389,6 +359,10 @@ def cmd_train(cfg: RunConfig, args) -> int:
         dropout=cfg.dropout,
         seed=cfg.seed,
     )
+    if cfg.arch != "hierarchical":
+        return _train_flat(cfg, hcfg.train_config(0), train_entries, val_entries, root)
+
+    taxonomy = _taxonomy_for(cfg)
     model, histories = train_hierarchical(train_entries, taxonomy, hcfg, val_entries, root)
     out = _outdir(cfg)
     bundle_dir = out / "bundle"

@@ -43,6 +43,7 @@ from .nn import (
 from .nn.train import EpochStats
 from .taxonomy import (
     COARSE_GROUPS,
+    GROUP_INDEX,
     LEAF_CLASSES,
     LEAF_INDEX,
     Taxonomy,
@@ -57,6 +58,8 @@ SAFETY_MODEL_CLASSES = ("Safe", "PotentiallyHazardous")
 
 # bundle roles in pinned order; also the hash and training order
 MODEL_ROLES = ("primary", "sub_rainy", "sub_dusty", "sub_cold_fine", "sub_cold_safety")
+# coarse group -> role of its leaf sub-model (roles 1..3 follow COARSE_GROUPS)
+GROUP_ROLES = dict(zip(COARSE_GROUPS, MODEL_ROLES[1:4]))
 
 BUNDLE_VERSION = 1
 
@@ -75,6 +78,12 @@ class SubModel:
             )
 
 
+def role_classes(taxonomy: Taxonomy) -> dict[str, tuple[str, ...]]:
+    """Output class names of each bundle role, in ``MODEL_ROLES`` order."""
+    groups = {GROUP_ROLES[g]: tuple(leaves_of(g, taxonomy)) for g in COARSE_GROUPS}
+    return {"primary": COARSE_GROUPS, **groups, "sub_cold_safety": SAFETY_MODEL_CLASSES}
+
+
 @dataclass(frozen=True)
 class HierarchicalModel:
     primary: SubModel
@@ -86,25 +95,13 @@ class HierarchicalModel:
     stats: NormalizationStats
 
     def __post_init__(self):
-        if self.primary.classes != COARSE_GROUPS:
-            raise ValidationError(f"primary classes must be {COARSE_GROUPS}")
-        for group, sub in (
-            ("Rainy", self.sub_rainy),
-            ("Dusty", self.sub_dusty),
-            ("Cold", self.sub_cold_fine),
-        ):
-            want = tuple(leaves_of(group, self.taxonomy))
-            if sub.classes != want:
-                raise ValidationError(f"{group} sub-model classes {sub.classes} != {want}")
-        if self.sub_cold_safety.classes != SAFETY_MODEL_CLASSES:
-            raise ValidationError(f"cold-safety classes must be {SAFETY_MODEL_CLASSES}")
+        for role, want in role_classes(self.taxonomy).items():
+            got = getattr(self, role).classes
+            if got != want:
+                raise ValidationError(f"{role} model classes {got} != {want}")
 
     def sub_for_group(self, group: str) -> SubModel:
-        return {
-            "Rainy": self.sub_rainy,
-            "Dusty": self.sub_dusty,
-            "Cold": self.sub_cold_fine,
-        }[group]
+        return getattr(self, GROUP_ROLES[group])
 
     @property
     def input_hw(self) -> tuple[int, int]:
@@ -241,6 +238,27 @@ def load_image_tensors(
     return out
 
 
+def load_standardized(
+    train_entries: list[ManifestEntry],
+    out_hw: tuple[int, int],
+    root: str | Path = ".",
+    other_entries: list[ManifestEntry] | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, NormalizationStats]:
+    """Load the training images and standardize them with their own stats.
+
+    ``other_entries`` (a validation or test set) are standardized with the
+    same stats; their tensor is None when there are none.
+    """
+    x_raw = load_image_tensors(train_entries, out_hw, root)
+    stats = compute_stats(x_raw)
+    x_train = normalize(x_raw, stats)
+    del x_raw
+    x_other = None
+    if other_entries:
+        x_other = normalize(load_image_tensors(other_entries, out_hw, root), stats)
+    return x_train, x_other, stats
+
+
 def leaf_labels(entries: list[ManifestEntry]) -> np.ndarray:
     return np.array([LEAF_INDEX[e.leaf] for e in entries], dtype=np.int64)
 
@@ -272,14 +290,7 @@ def train_hierarchical(
     check_all_leaves_present(train_entries)
     val_entries = val_entries or []
 
-    x_train_raw = load_image_tensors(train_entries, cfg.input_hw, root)
-    stats = compute_stats(x_train_raw)
-    x_train = normalize(x_train_raw, stats)
-    del x_train_raw
-    x_val = None
-    if val_entries:
-        x_val = normalize(load_image_tensors(val_entries, cfg.input_hw, root), stats)
-
+    x_train, x_val, stats = load_standardized(train_entries, cfg.input_hw, root, val_entries)
     input_shape = (cfg.input_hw[0], cfg.input_hw[1], 3)
 
     def fit(role_index: int, n_out: int, x, y, xv, yv):
@@ -290,20 +301,18 @@ def train_hierarchical(
     histories: dict[str, list[EpochStats]] = {}
 
     # primary: group labels over the full set
-    group_index = {g: i for i, g in enumerate(COARSE_GROUPS)}
     y_group = np.array(
-        [group_index[group_of(e.leaf, taxonomy)] for e in train_entries], dtype=np.int64
+        [GROUP_INDEX[group_of(e.leaf, taxonomy)] for e in train_entries], dtype=np.int64
     )
     yv_group = np.array(
-        [group_index[group_of(e.leaf, taxonomy)] for e in val_entries], dtype=np.int64
+        [GROUP_INDEX[group_of(e.leaf, taxonomy)] for e in val_entries], dtype=np.int64
     )
     spec_p, params_p, histories["primary"] = fit(
         0, len(COARSE_GROUPS), x_train, y_group, x_val, yv_group if val_entries else None
     )
-    primary = SubModel(spec_p, params_p, COARSE_GROUPS)
+    subs = {"primary": SubModel(spec_p, params_p, COARSE_GROUPS)}
 
     # per-group sub-models with within-group leaf labels
-    subs: dict[str, SubModel] = {}
     for role_index, group in enumerate(COARSE_GROUPS, start=1):
         classes = tuple(leaves_of(group, taxonomy))
         class_pos = {leaf: i for i, leaf in enumerate(classes)}
@@ -314,17 +323,13 @@ def train_hierarchical(
         vrows = np.array(
             [i for i, e in enumerate(val_entries) if e.leaf in class_pos], dtype=np.intp
         )
-        xv_sub = x_val[vrows] if (x_val is not None and vrows.size) else None
-        yv_sub = (
-            np.array([class_pos[val_entries[i].leaf] for i in vrows], dtype=np.int64)
-            if vrows.size
-            else None
-        )
+        xv_sub = x_val[vrows] if vrows.size else None
+        yv_sub = np.array([class_pos[val_entries[i].leaf] for i in vrows], dtype=np.int64)
         role = MODEL_ROLES[role_index]
         spec_s, params_s, histories[role] = fit(
-            role_index, len(classes), x_train[rows], y_sub, xv_sub, yv_sub
+            role_index, len(classes), x_train[rows], y_sub, xv_sub, yv_sub if vrows.size else None
         )
-        subs[group] = SubModel(spec_s, params_s, classes)
+        subs[role] = SubModel(spec_s, params_s, classes)
 
     # cold safety head: cold images with a representable safety level
     def safety_rows(entries):
@@ -349,15 +354,12 @@ def train_hierarchical(
         len(SAFETY_MODEL_CLASSES),
         x_train[srows],
         y_safety,
-        x_val[svrows] if (x_val is not None and svrows.size) else None,
+        x_val[svrows] if svrows.size else None,
         yv_safety if svrows.size else None,
     )
 
     model = HierarchicalModel(
-        primary=primary,
-        sub_rainy=subs["Rainy"],
-        sub_dusty=subs["Dusty"],
-        sub_cold_fine=subs["Cold"],
+        **subs,
         sub_cold_safety=SubModel(spec_cs, params_cs, SAFETY_MODEL_CLASSES),
         taxonomy=taxonomy,
         stats=stats,
@@ -381,28 +383,11 @@ def init_hierarchical(
         spec = basic_cnn_spec(input_shape, len(classes), scale=scale)
         return SubModel(spec, init_params(spec, rng), classes)
 
-    return HierarchicalModel(
-        primary=make(COARSE_GROUPS),
-        sub_rainy=make(tuple(leaves_of("Rainy", taxonomy))),
-        sub_dusty=make(tuple(leaves_of("Dusty", taxonomy))),
-        sub_cold_fine=make(tuple(leaves_of("Cold", taxonomy))),
-        sub_cold_safety=make(SAFETY_MODEL_CLASSES),
-        taxonomy=taxonomy,
-        stats=stats,
-    )
+    subs = {role: make(classes) for role, classes in role_classes(taxonomy).items()}
+    return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats)
 
 
 # ------------------------------------------------------------------- bundles
-
-def _role_sub(model: HierarchicalModel, role: str) -> SubModel:
-    return {
-        "primary": model.primary,
-        "sub_rainy": model.sub_rainy,
-        "sub_dusty": model.sub_dusty,
-        "sub_cold_fine": model.sub_cold_fine,
-        "sub_cold_safety": model.sub_cold_safety,
-    }[role]
-
 
 def save_hierarchical(model: HierarchicalModel, dirpath: str | Path) -> None:
     """Write the bundle directory: five model files, taxonomy, stats, manifest."""
@@ -411,7 +396,7 @@ def save_hierarchical(model: HierarchicalModel, dirpath: str | Path) -> None:
     hasher = hashlib.sha256()
     files: dict[str, str] = {}
     for role in MODEL_ROLES:
-        sub = _role_sub(model, role)
+        sub = getattr(model, role)
         fname = f"{role}.wxm1"
         save_model(dirpath / fname, sub.spec, sub.params, model.stats, list(sub.classes))
         files[role] = fname
@@ -479,12 +464,4 @@ def load_hierarchical(dirpath: str | Path, verify_hash: bool = True) -> Hierarch
         if labels is None:
             raise FormatError(f"{role} model file lacks its class-name list")
         subs[role] = SubModel(spec, params, tuple(labels))
-    return HierarchicalModel(
-        primary=subs["primary"],
-        sub_rainy=subs["sub_rainy"],
-        sub_dusty=subs["sub_dusty"],
-        sub_cold_fine=subs["sub_cold_fine"],
-        sub_cold_safety=subs["sub_cold_safety"],
-        taxonomy=taxonomy,
-        stats=stats,
-    )
+    return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats)

@@ -22,7 +22,6 @@ from .model import (
     ModelSpec,
     ReLU,
     Softmax,
-    shape_infer,
 )
 
 # filters per block for each named scale
@@ -45,9 +44,7 @@ def count_hidden_layers(spec: ModelSpec) -> int:
 def softmax_flat_spec(input_shape: tuple[int, int, int], n_out: int) -> ModelSpec:
     """Flat softmax regression over raw pixels: the weak baseline."""
     layers: tuple[LayerSpec, ...] = (Flatten(), Dense(n_out), Softmax())
-    spec = ModelSpec(input_shape, layers, n_out)
-    shape_infer(spec)
-    return spec
+    return ModelSpec(input_shape, layers, n_out)
 
 
 def basic_cnn_spec(
@@ -71,9 +68,7 @@ def basic_cnn_spec(
             Dropout(rate=dropout),
         ]
     layers += [Flatten(), Dense(n_out), Softmax()]
-    spec = ModelSpec(tuple(input_shape), tuple(layers), n_out)
-    shape_infer(spec)
-    return spec
+    return ModelSpec(tuple(input_shape), tuple(layers), n_out)
 
 
 def vgg_style_spec(
@@ -102,9 +97,7 @@ def vgg_style_spec(
         layers.append(AvgPool(window=2, stride=2))
     hidden = max(1, round(_VGG_DENSE * width_scale))
     layers += [Flatten(), Dense(hidden), ReLU(), Dense(hidden), ReLU(), Dense(n_out), Softmax()]
-    spec = ModelSpec(tuple(input_shape), tuple(layers), n_out)
-    shape_infer(spec)
-    return spec
+    return ModelSpec(tuple(input_shape), tuple(layers), n_out)
 
 
 def conv_layer_count(spec: ModelSpec) -> int:

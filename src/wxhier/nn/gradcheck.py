@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, Params, TRAINABLE_KEYS, backward_from_logits, forward_pass
+from .model import ModelSpec, Params, ReLU, backward_from_logits, clone_params, forward_pass
 from .train import cross_entropy, one_hot_matrix
 
 
@@ -75,13 +75,13 @@ def gradient_check(
     if fd_dtype is None:
         fd_params, fd_x, fd_targets = params, x, targets
     else:
-        fd_params = [{k: v.astype(fd_dtype) for k, v in entry.items()} for entry in params]
+        fd_params = clone_params(params, fd_dtype)
         fd_x = x.astype(fd_dtype)
         fd_targets = targets.astype(fd_dtype)
 
     per_param: dict[str, float] = {}
     for i, layer in enumerate(spec.layers):
-        for key in TRAINABLE_KEYS.get(type(layer), ()):
+        for key in layer.trainable:
             arr = fd_params[i][key]
             analytic = grads[i][key]
             worst = 0.0
@@ -114,7 +114,7 @@ def relu_margin(
     rng = np.random.default_rng(dropout_seed)
     _, caches = forward_pass(spec, params, x, mode=mode, rng=rng, update_running=False)
     margin = np.inf
-    for kind, cache in caches:
-        if kind == "relu":
+    for layer, cache in zip(spec.layers, caches):
+        if isinstance(layer, ReLU):
             margin = min(margin, float(np.abs(cache).min()))
     return margin

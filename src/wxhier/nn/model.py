@@ -1,15 +1,21 @@
 """Model descriptions: a strict chain of layer specs plus parameter arrays.
 
-A ``ModelSpec`` is data, not behavior; ``shape_infer`` statically checks
-the chain, ``init_params`` allocates parameter arrays for it, and
-``forward_pass`` / ``backward_from_logits`` execute it.  Parameters are a
-list aligned with the layers; each element is a dict of named arrays
-(empty for parameterless layers).
+Each layer spec class is the one definition of its layer type: its
+serialized ``kind``, its output shape, its parameter shapes in
+serialization order, its trainable keys, its initialization and the
+kernels of its forward and backward steps.  ``shape_infer``,
+``init_params``, ``forward_pass`` and ``backward_from_logits`` are plain
+loops over the chain.  Parameters are a list aligned with the layers;
+each element is a dict of named arrays (empty for parameterless layers).
+
+Layer steps look kernels up as ``L.<kernel>`` at call time, so a kernel
+replaced on the ``layers`` module is the one that runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,8 +25,50 @@ from . import layers as L
 Shape = tuple[int, ...]
 
 
+def _need_rank(shape: Shape, rank: int, what: str) -> None:
+    if len(shape) != rank:
+        want = "a (H, W, C)" if rank == 3 else "a flat"
+        raise ShapeError(f"{what} needs {want} input, got {shape}")
+
+
+class LayerSpec:
+    """Base of every layer spec; the defaults describe a parameterless layer.
+
+    ``forward`` returns the output and the cache its ``backward`` reads;
+    ``backward`` returns the input gradient and the trainable gradients.
+    """
+
+    kind: ClassVar[str]
+    trainable: ClassVar[tuple[str, ...]] = ()
+
+    def out_shape(self, shape: Shape) -> Shape:
+        return shape
+
+    def param_shapes(self, shape: Shape) -> dict[str, Shape]:
+        """Parameter shapes for input ``shape``, in serialization order."""
+        return {}
+
+    def init(self, shape: Shape, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
+        return {}
+
+
+class _WeightBias(LayerSpec):
+    """A layer with He-initialized weights ``w`` and zero biases ``b``."""
+
+    trainable = ("w", "b")
+
+    def init(self, shape, rng, dtype):
+        w_shape, b_shape = self.param_shapes(shape).values()
+        std = np.sqrt(2.0 / np.prod(w_shape[:-1]))
+        return {
+            "w": (rng.standard_normal(w_shape) * std).astype(dtype),
+            "b": np.zeros(b_shape, dtype=dtype),
+        }
+
+
 @dataclass(frozen=True)
-class Conv:
+class Conv(_WeightBias):
+    kind = "conv"
     filters: int
     kernel: int
     stride: int = 1
@@ -30,20 +78,75 @@ class Conv:
         if self.filters < 1 or self.kernel < 1 or self.stride < 1 or self.padding < 0:
             raise ShapeError(f"bad conv spec {self}")
 
+    def out_shape(self, shape):
+        _need_rank(shape, 3, "conv")
+        oh, ow = L.conv_output_hw(shape[0], shape[1], self.kernel, self.stride, self.padding)
+        return (oh, ow, self.filters)
+
+    def param_shapes(self, shape):
+        return {"w": (self.kernel, self.kernel, shape[2], self.filters), "b": (self.filters,)}
+
+    def forward(self, x, entry, mode, rng, update_running):
+        return L.conv2d_forward(x, entry["w"], entry["b"], self.stride, self.padding), x
+
+    def backward(self, grad, entry, x):
+        grad, gw, gb = L.conv2d_backward(x, entry["w"], grad, self.stride, self.padding)
+        return grad, {"w": gw, "b": gb}
+
 
 @dataclass(frozen=True)
-class BatchNorm:
+class BatchNorm(LayerSpec):
+    kind = "batchnorm"
+    trainable = ("gamma", "beta")
     epsilon: float = 1e-5
     momentum: float = 0.1
 
+    def __post_init__(self):
+        if not self.epsilon > 0 or not 0.0 <= self.momentum <= 1.0:
+            raise ConfigError(f"batchnorm needs epsilon > 0 and momentum in [0, 1]: {self}")
+
+    def out_shape(self, shape):
+        _need_rank(shape, 3, "batchnorm")
+        return shape
+
+    def param_shapes(self, shape):
+        c = (shape[2],)
+        return {"gamma": c, "beta": c, "running_mean": c, "running_var": c}
+
+    def init(self, shape, rng, dtype):
+        c = shape[2]
+        return {
+            "gamma": np.ones(c, dtype=dtype),
+            "beta": np.zeros(c, dtype=dtype),
+            "running_mean": np.zeros(c, dtype=dtype),
+            "running_var": np.ones(c, dtype=dtype),
+        }
+
+    def forward(self, x, entry, mode, rng, update_running):
+        return L.batchnorm_forward(
+            x, entry["gamma"], entry["beta"], entry["running_mean"], entry["running_var"],
+            self.epsilon, self.momentum, mode, update_running,
+        )
+
+    def backward(self, grad, entry, cache):
+        grad, ggamma, gbeta = L.batchnorm_backward(grad, cache)
+        return grad, {"gamma": ggamma, "beta": gbeta}
+
 
 @dataclass(frozen=True)
-class ReLU:
-    pass
+class ReLU(LayerSpec):
+    kind = "relu"
+
+    def forward(self, x, entry, mode, rng, update_running):
+        return L.relu_forward(x)
+
+    def backward(self, grad, entry, x):
+        return L.relu_backward(grad, x), {}
 
 
 @dataclass(frozen=True)
-class AvgPool:
+class AvgPool(LayerSpec):
+    kind = "avgpool"
     window: int
     stride: int
 
@@ -51,52 +154,102 @@ class AvgPool:
         if self.window < 1 or self.stride < 1:
             raise ShapeError(f"bad pool spec {self}")
 
+    def out_shape(self, shape):
+        _need_rank(shape, 3, "avgpool")
+        if shape[0] < self.window or shape[1] < self.window:
+            raise ShapeError(f"pool window {self.window} does not fit {shape}")
+        oh = (shape[0] - self.window) // self.stride + 1
+        ow = (shape[1] - self.window) // self.stride + 1
+        return (oh, ow, shape[2])
+
+    def forward(self, x, entry, mode, rng, update_running):
+        return L.avgpool_forward(x, self.window, self.stride), x.shape
+
+    def backward(self, grad, entry, x_shape):
+        return L.avgpool_backward(grad, x_shape, self.window, self.stride), {}
+
 
 @dataclass(frozen=True)
-class Dropout:
+class Dropout(LayerSpec):
+    kind = "dropout"
     rate: float
 
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate must lie in [0, 1), got {self.rate}")
 
+    def forward(self, x, entry, mode, rng, update_running):
+        return L.dropout_forward(x, self.rate, mode, rng)
+
+    def backward(self, grad, entry, keep):
+        return L.dropout_backward(grad, keep, self.rate), {}
+
 
 @dataclass(frozen=True)
-class Flatten:
-    pass
+class Flatten(LayerSpec):
+    kind = "flatten"
+
+    def out_shape(self, shape):
+        _need_rank(shape, 3, "flatten")
+        return (shape[0] * shape[1] * shape[2],)
+
+    def forward(self, x, entry, mode, rng, update_running):
+        return L.flatten_forward(x)
+
+    def backward(self, grad, entry, x_shape):
+        return L.flatten_backward(grad, x_shape), {}
 
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(_WeightBias):
+    kind = "dense"
     units: int
 
     def __post_init__(self):
         if self.units < 1:
             raise ShapeError(f"dense units must be >= 1, got {self.units}")
 
+    def out_shape(self, shape):
+        _need_rank(shape, 1, "dense")
+        return (self.units,)
+
+    def param_shapes(self, shape):
+        return {"w": (shape[0], self.units), "b": (self.units,)}
+
+    def forward(self, x, entry, mode, rng, update_running):
+        return L.dense_forward(x, entry["w"], entry["b"]), x
+
+    def backward(self, grad, entry, x):
+        grad, gw, gb = L.dense_backward(x, entry["w"], grad)
+        return grad, {"w": gw, "b": gb}
+
 
 @dataclass(frozen=True)
-class Softmax:
-    pass
+class Softmax(LayerSpec):
+    kind = "softmax"
+
+    def out_shape(self, shape):
+        _need_rank(shape, 1, "softmax")
+        return shape
+
+    def forward(self, x, entry, mode, rng, update_running):
+        out = L.softmax_forward(x)
+        return out, out
+
+    def backward(self, grad, entry, probs):
+        return L.softmax_backward(probs, grad), {}
 
 
-LayerSpec = Conv | BatchNorm | ReLU | AvgPool | Dropout | Flatten | Dense | Softmax
-
-# Parameter array names per layer type, in serialization order.
-PARAM_KEYS: dict[type, tuple[str, ...]] = {
-    Conv: ("w", "b"),
-    BatchNorm: ("gamma", "beta", "running_mean", "running_var"),
-    Dense: ("w", "b"),
-}
-TRAINABLE_KEYS: dict[type, tuple[str, ...]] = {
-    Conv: ("w", "b"),
-    BatchNorm: ("gamma", "beta"),
-    Dense: ("w", "b"),
-}
+# Every layer type, for lookup by serialized kind.
+LAYER_TYPES: tuple[type[LayerSpec], ...] = (
+    Conv, BatchNorm, ReLU, AvgPool, Dropout, Flatten, Dense, Softmax
+)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A layer chain whose shapes are checked when it is built."""
+
     input_shape: Shape  # (H, W, C)
     layers: tuple[LayerSpec, ...]
     n_out: int
@@ -104,7 +257,7 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        if len(self.input_shape) != 3:
+        if len(self.input_shape) != 3 or min(self.input_shape) < 1:
             raise ShapeError(f"input shape must be (H, W, C), got {self.input_shape}")
         if len(self.layers) < 2 or not (
             isinstance(self.layers[-2], Dense)
@@ -112,6 +265,7 @@ class ModelSpec:
             and isinstance(self.layers[-1], Softmax)
         ):
             raise ShapeError("model must end with Dense(n_out) then Softmax")
+        shape_infer(self)
 
 
 def shape_infer(spec: ModelSpec) -> list[Shape]:
@@ -119,39 +273,14 @@ def shape_infer(spec: ModelSpec) -> list[Shape]:
     shape: Shape = spec.input_shape
     shapes: list[Shape] = []
     for layer in spec.layers:
-        if isinstance(layer, Conv):
-            if len(shape) != 3:
-                raise ShapeError(f"conv needs a (H, W, C) input, got {shape}")
-            oh, ow = L.conv_output_hw(shape[0], shape[1], layer.kernel, layer.stride, layer.padding)
-            shape = (oh, ow, layer.filters)
-        elif isinstance(layer, BatchNorm):
-            if len(shape) != 3:
-                raise ShapeError(f"batchnorm needs a (H, W, C) input, got {shape}")
-        elif isinstance(layer, (ReLU, Dropout)):
-            pass
-        elif isinstance(layer, AvgPool):
-            if len(shape) != 3:
-                raise ShapeError(f"avgpool needs a (H, W, C) input, got {shape}")
-            if shape[0] < layer.window or shape[1] < layer.window:
-                raise ShapeError(f"pool window {layer.window} does not fit {shape}")
-            oh = (shape[0] - layer.window) // layer.stride + 1
-            ow = (shape[1] - layer.window) // layer.stride + 1
-            shape = (oh, ow, shape[2])
-        elif isinstance(layer, Flatten):
-            if len(shape) != 3:
-                raise ShapeError(f"flatten needs a (H, W, C) input, got {shape}")
-            shape = (shape[0] * shape[1] * shape[2],)
-        elif isinstance(layer, Dense):
-            if len(shape) != 1:
-                raise ShapeError(f"dense needs a flat input, got {shape}")
-            shape = (layer.units,)
-        elif isinstance(layer, Softmax):
-            if len(shape) != 1:
-                raise ShapeError(f"softmax needs a flat input, got {shape}")
-        else:
-            raise ShapeError(f"unknown layer {layer!r}")
+        shape = layer.out_shape(shape)
         shapes.append(shape)
     return shapes
+
+
+def input_shapes(spec: ModelSpec) -> list[Shape]:
+    """Input shape of every layer (sample shapes, without the batch dim)."""
+    return [spec.input_shape, *shape_infer(spec)[:-1]]
 
 
 Params = list[dict[str, np.ndarray]]
@@ -159,32 +288,9 @@ Params = list[dict[str, np.ndarray]]
 
 def init_params(spec: ModelSpec, rng: np.random.Generator, dtype=np.float32) -> Params:
     """He-initialized parameters; draw order follows the layer order."""
-    shapes = shape_infer(spec)
-    params: Params = []
-    shape = spec.input_shape
-    for layer, out_shape in zip(spec.layers, shapes):
-        entry: dict[str, np.ndarray] = {}
-        if isinstance(layer, Conv):
-            fan_in = layer.kernel * layer.kernel * shape[2]
-            std = np.sqrt(2.0 / fan_in)
-            entry["w"] = (
-                rng.standard_normal((layer.kernel, layer.kernel, shape[2], layer.filters)) * std
-            ).astype(dtype)
-            entry["b"] = np.zeros(layer.filters, dtype=dtype)
-        elif isinstance(layer, BatchNorm):
-            c = shape[2]
-            entry["gamma"] = np.ones(c, dtype=dtype)
-            entry["beta"] = np.zeros(c, dtype=dtype)
-            entry["running_mean"] = np.zeros(c, dtype=dtype)
-            entry["running_var"] = np.ones(c, dtype=dtype)
-        elif isinstance(layer, Dense):
-            fan_in = shape[0]
-            std = np.sqrt(2.0 / fan_in)
-            entry["w"] = (rng.standard_normal((fan_in, layer.units)) * std).astype(dtype)
-            entry["b"] = np.zeros(layer.units, dtype=dtype)
-        params.append(entry)
-        shape = out_shape
-    return params
+    return [
+        layer.init(shape, rng, dtype) for layer, shape in zip(spec.layers, input_shapes(spec))
+    ]
 
 
 def clone_params(params: Params, dtype=None) -> Params:
@@ -208,49 +314,16 @@ def forward_pass(
     caches: list = []
     out = x
     for layer, entry in zip(spec.layers, params):
-        if isinstance(layer, Conv):
-            caches.append(("conv", out))
-            out = L.conv2d_forward(out, entry["w"], entry["b"], layer.stride, layer.padding)
-        elif isinstance(layer, BatchNorm):
-            out, cache = L.batchnorm_forward(
-                out,
-                entry["gamma"],
-                entry["beta"],
-                entry["running_mean"],
-                entry["running_var"],
-                layer.epsilon,
-                layer.momentum,
-                mode,
-                update_running,
-            )
-            caches.append(("batchnorm", cache))
-        elif isinstance(layer, ReLU):
-            out, cache = L.relu_forward(out)
-            caches.append(("relu", cache))
-        elif isinstance(layer, AvgPool):
-            caches.append(("avgpool", out.shape))
-            out = L.avgpool_forward(out, layer.window, layer.stride)
-        elif isinstance(layer, Dropout):
-            out, keep = L.dropout_forward(out, layer.rate, mode, rng)
-            caches.append(("dropout", keep))
-        elif isinstance(layer, Flatten):
-            out, cache = L.flatten_forward(out)
-            caches.append(("flatten", cache))
-        elif isinstance(layer, Dense):
-            caches.append(("dense", out))
-            out = L.dense_forward(out, entry["w"], entry["b"])
-        elif isinstance(layer, Softmax):
-            out = L.softmax_forward(out)
-            caches.append(("softmax", out))
+        out, cache = layer.forward(out, entry, mode, rng, update_running)
+        caches.append(cache)
     return out, caches
 
 
 def zero_grads(spec: ModelSpec, params: Params) -> Params:
-    grads: Params = []
-    for layer, entry in zip(spec.layers, params):
-        keys = TRAINABLE_KEYS.get(type(layer), ())
-        grads.append({k: np.zeros_like(entry[k]) for k in keys})
-    return grads
+    return [
+        {k: np.zeros_like(entry[k]) for k in layer.trainable}
+        for layer, entry in zip(spec.layers, params)
+    ]
 
 
 def backward_from_logits(
@@ -261,34 +334,10 @@ def backward_from_logits(
     The closing Softmax is skipped: its gradient is fused into the
     cross-entropy term that produces ``grad_logits``.
     """
-    grads = zero_grads(spec, params)
+    grads: Params = [{} for _ in spec.layers]
     grad = grad_logits
     for i in range(len(spec.layers) - 2, -1, -1):
-        layer = spec.layers[i]
-        kind, cache = caches[i]
-        entry = params[i]
-        if isinstance(layer, Conv):
-            grad, gw, gb = L.conv2d_backward(cache, entry["w"], grad, layer.stride, layer.padding)
-            grads[i]["w"] = gw
-            grads[i]["b"] = gb
-        elif isinstance(layer, BatchNorm):
-            grad, ggamma, gbeta = L.batchnorm_backward(grad, cache)
-            grads[i]["gamma"] = ggamma
-            grads[i]["beta"] = gbeta
-        elif isinstance(layer, ReLU):
-            grad = L.relu_backward(grad, cache)
-        elif isinstance(layer, AvgPool):
-            grad = L.avgpool_backward(grad, cache, layer.window, layer.stride)
-        elif isinstance(layer, Dropout):
-            grad = L.dropout_backward(grad, cache, layer.rate)
-        elif isinstance(layer, Flatten):
-            grad = L.flatten_backward(grad, cache)
-        elif isinstance(layer, Dense):
-            grad, gw, gb = L.dense_backward(cache, entry["w"], grad)
-            grads[i]["w"] = gw
-            grads[i]["b"] = gb
-        elif isinstance(layer, Softmax):
-            grad = L.softmax_backward(cache, grad)
+        grad, grads[i] = spec.layers[i].backward(grad, params[i], caches[i])
     return grad, grads
 
 

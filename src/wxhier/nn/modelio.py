@@ -8,22 +8,28 @@ Layout:
     header       UTF-8 JSON: input_shape, n_out, layer list, optional
                  normalization stats, optional output label names
     blobs        one tensor container per parameter array, in layer
-                 order and, within a layer, in the declared key order
-                 (conv: w, b; batchnorm: gamma, beta, running_mean,
-                 running_var; dense: w, b)
+                 order and, within a layer, in the order of the layer
+                 class's ``param_shapes`` (conv and dense: w, b;
+                 batchnorm: gamma, beta, running_mean, running_var)
 
-Tensor payloads are float32, matching the training dtype.
+Tensor payloads are float32, matching the training dtype.  The layer
+classes in ``model`` define each ``kind`` and its parameter shapes; this
+module only maps kinds to classes through ``LAYER_TYPES``.  Every decode
+fault, including a header that describes an impossible model and
+non-finite parameters, surfaces as ``FormatError``.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import FormatError, VersionError
+from ..errors import ConfigError, DegenerateError, FormatError, ShapeError, VersionError
 from ..preprocess import NormalizationStats
 from ..tensorio import tensor_from_bytes, tensor_to_bytes
 from . import model as M
@@ -31,31 +37,29 @@ from . import model as M
 MAGIC = b"WXM1"
 VERSION = 1
 
-_LAYER_KINDS: dict[str, type] = {
-    "conv": M.Conv,
-    "batchnorm": M.BatchNorm,
-    "relu": M.ReLU,
-    "avgpool": M.AvgPool,
-    "dropout": M.Dropout,
-    "flatten": M.Flatten,
-    "dense": M.Dense,
-    "softmax": M.Softmax,
-}
-_KIND_NAMES = {cls: name for name, cls in _LAYER_KINDS.items()}
+_LAYER_KINDS: dict[str, type[M.LayerSpec]] = {cls.kind: cls for cls in M.LAYER_TYPES}
+# JSON value types accepted for each annotated layer field type
+_FIELD_TYPES = {"int": (int,), "float": (int, float)}
 
 
 def layer_to_dict(layer: M.LayerSpec) -> dict:
-    d = {"kind": _KIND_NAMES[type(layer)]}
+    d = {"kind": layer.kind}
     d.update(vars(layer))
     return d
 
 
 def layer_from_dict(d: dict) -> M.LayerSpec:
+    if not isinstance(d, dict):
+        raise FormatError(f"layer entry must be a JSON object, got {d!r}")
     d = dict(d)
     kind = d.pop("kind", None)
-    cls = _LAYER_KINDS.get(kind)
+    cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise FormatError(f"unknown layer kind {kind!r}")
+    for f in fields(cls):
+        value = d.get(f.name, 0)
+        if type(value) not in _FIELD_TYPES[f.type] or not math.isfinite(value):
+            raise FormatError(f"layer {kind!r} field {f.name!r} must be a finite {f.type}")
     try:
         return cls(**d)
     except TypeError as exc:
@@ -71,14 +75,24 @@ def spec_to_dict(spec: M.ModelSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> M.ModelSpec:
+    """Build and shape-check a spec; any fault in ``d`` is a ``FormatError``."""
     try:
+        if not isinstance(d["layers"], list):
+            raise FormatError("model header field 'layers' must be a list")
+        _check_ints("input_shape", d["input_shape"])
+        _check_ints("n_out", [d["n_out"]])
         return M.ModelSpec(
-            tuple(d["input_shape"]),
-            tuple(layer_from_dict(ld) for ld in d["layers"]),
-            d["n_out"],
+            tuple(d["input_shape"]), tuple(layer_from_dict(ld) for ld in d["layers"]), d["n_out"]
         )
     except KeyError as exc:
         raise FormatError(f"model header missing field {exc}") from None
+    except (ShapeError, ConfigError) as exc:
+        raise FormatError(f"model header describes no valid model: {exc}") from None
+
+
+def _check_ints(what: str, values) -> None:
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise FormatError(f"model header field {what!r} must hold integers, got {values!r}")
 
 
 def model_to_bytes(
@@ -100,8 +114,8 @@ def model_to_bytes(
     buf.write(np.uint32(VERSION).tobytes())
     buf.write(np.uint32(len(header_bytes)).tobytes())
     buf.write(header_bytes)
-    for layer, entry in zip(spec.layers, params):
-        for key in M.PARAM_KEYS.get(type(layer), ()):
+    for layer, entry, shape in zip(spec.layers, params, M.input_shapes(spec)):
+        for key in layer.param_shapes(shape):
             buf.write(tensor_to_bytes(entry[key].astype(np.float32)))
     return buf.getvalue()
 
@@ -123,46 +137,47 @@ def model_from_bytes(
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad model header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError("model header must be a JSON object")
 
     spec = spec_from_dict(header)
     offset = 12 + header_len
     params: M.Params = []
-    for layer in spec.layers:
+    for layer, shape in zip(spec.layers, M.input_shapes(spec)):
         entry: dict[str, np.ndarray] = {}
-        for key in M.PARAM_KEYS.get(type(layer), ()):
+        for key, want in layer.param_shapes(shape).items():
             arr, offset = tensor_from_bytes(data, offset)
+            if arr.shape != want:
+                raise FormatError(f"{layer.kind} {key} shape {arr.shape} != spec's {want}")
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{layer.kind} {key} holds non-finite values")
             entry[key] = arr
         params.append(entry)
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after parameters")
+    return spec, params, _stats_from_header(header), _labels_from_header(header)
 
-    _check_param_shapes(spec, params)
 
-    stats = None
-    if header.get("stats") is not None:
-        s = header["stats"]
-        stats = NormalizationStats(s["mean"], s["std"], s["sample_count"])
+def _stats_from_header(header: dict) -> NormalizationStats | None:
+    s = header.get("stats")
+    if s is None:
+        return None
+    try:
+        stats = NormalizationStats(float(s["mean"]), float(s["std"]), int(s["sample_count"]))
+    except (KeyError, TypeError, ValueError, OverflowError, DegenerateError) as exc:
+        raise FormatError(f"bad normalization stats in model header: {exc}") from None
+    if not np.isfinite([stats.mean, stats.std]).all():
+        raise FormatError(f"non-finite normalization stats in model header: {s}")
+    return stats
+
+
+def _labels_from_header(header: dict) -> list[str] | None:
     labels = header.get("labels")
-    return spec, params, stats, labels
-
-
-def _check_param_shapes(spec: M.ModelSpec, params: M.Params) -> None:
-    shapes = M.shape_infer(spec)
-    shape = spec.input_shape
-    for layer, entry, out_shape in zip(spec.layers, params, shapes):
-        if isinstance(layer, M.Conv):
-            want = (layer.kernel, layer.kernel, shape[2], layer.filters)
-            if entry["w"].shape != want or entry["b"].shape != (layer.filters,):
-                raise FormatError(f"conv parameter shapes do not match the spec: {want}")
-        elif isinstance(layer, M.BatchNorm):
-            c = shape[2]
-            if any(entry[k].shape != (c,) for k in M.PARAM_KEYS[M.BatchNorm]):
-                raise FormatError(f"batchnorm parameter shapes do not match channel count {c}")
-        elif isinstance(layer, M.Dense):
-            want = (shape[0], layer.units)
-            if entry["w"].shape != want or entry["b"].shape != (layer.units,):
-                raise FormatError(f"dense parameter shapes do not match the spec: {want}")
-        shape = out_shape
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(name, str) for name in labels)
+    ):
+        raise FormatError(f"model header labels must be a list of names, got {labels!r}")
+    return labels
 
 
 def save_model(

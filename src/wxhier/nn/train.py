@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .model import ModelSpec, Params, TRAINABLE_KEYS, backward_from_logits, forward_pass, init_params
+from .model import ModelSpec, Params, backward_from_logits, forward_pass, init_params, zero_grads
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,6 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.nda
     return loss, grad_logits
 
 
-def _init_velocity(spec: ModelSpec, params: Params) -> Params:
-    vel: Params = []
-    for layer, entry in zip(spec.layers, params):
-        keys = TRAINABLE_KEYS.get(type(layer), ())
-        vel.append({k: np.zeros_like(entry[k]) for k in keys})
-    return vel
-
-
-def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
-    return float((probs.argmax(axis=1) == labels).sum()) / labels.shape[0]
-
-
 def evaluate_accuracy(
     spec: ModelSpec, params: Params, x: np.ndarray, labels: np.ndarray, batch_size: int = 256
 ) -> float:
@@ -118,7 +106,7 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     params = init if init is not None else init_params(spec, rng)
-    velocity = _init_velocity(spec, params)
+    velocity = zero_grads(spec, params)
     n = x_train.shape[0]
 
     history: list[EpochStats] = []

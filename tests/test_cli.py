@@ -2,11 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from wxhier import nn
 from wxhier.cli import main
 from wxhier.dataset import load_manifest
 from wxhier.hierarchy import bundle_content_hash
+from wxhier.preprocess import NormalizationStats
 from wxhier.taxonomy import LEAF_CLASSES
 
 
@@ -49,7 +52,7 @@ def test_split_documented_example(tmp_path):
 def test_split_rerun_byte_identical(small_data, tmp_path):
     for sub in ("a", "b"):
         assert run("split", "--manifest", small_data / "manifest.csv",
-                   "--output-dir", tmp_path / sub, "--seed", 4, "--strict") == 0
+                   "--output-dir", tmp_path / sub, "--seed", 4) == 0
     for name in ("train.csv", "val.csv", "test.csv", "split_summary.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -204,6 +207,18 @@ def test_compare_four_rows(small_bundle, small_data, tmp_path, capsys):
     assert len(lines) == 5
     assert lines[1].startswith("hier,")
     assert lines[1] == lines[3].replace("hier2", "hier")
+
+
+def test_compare_corrupt_model_exits_4(small_data, tmp_path, capsys):
+    spec = nn.softmax_flat_spec((16, 16, 3), len(LEAF_CLASSES))
+    params = nn.init_params(spec, np.random.default_rng(0))
+    params[1]["w"][0, 0] = np.nan
+    bad = tmp_path / "nan.wxm1"
+    nn.save_model(bad, spec, params, NormalizationStats(127.5, 64.0, 2), list(LEAF_CLASSES))
+    rc = run("compare", "--manifest", small_data / "manifest.csv", "--root", small_data,
+             "--output-dir", tmp_path, f"a={bad}", f"b={bad}")
+    assert rc == 4
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_compare_requires_two_models(small_data, tmp_path):

@@ -1,5 +1,6 @@
 """Model container: header layout, blob order, corruption detection."""
 
+import hashlib
 import json
 import struct
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from wxhier.errors import FormatError, VersionError
+from wxhier.hierarchy import bundle_content_hash, init_hierarchical, save_hierarchical
 from wxhier.nn import (
+    basic_cnn_spec,
     init_params,
     load_model,
     model_from_bytes,
@@ -18,6 +21,7 @@ from wxhier.nn import (
 )
 from wxhier.nn.modelio import MAGIC, VERSION
 from wxhier.preprocess import NormalizationStats
+from wxhier.taxonomy import default_taxonomy
 
 
 def make_model(seed=0):
@@ -107,16 +111,71 @@ def test_blob_shape_mismatch_detected():
         model_from_bytes(model_to_bytes(spec, params_small))
 
 
-def test_unknown_layer_kind_rejected():
-    spec, params = make_model()
-    blob = model_to_bytes(spec, params)
+def patch_header(blob, edit):
     (header_len,) = struct.unpack_from("<I", blob, 8)
-    header = json.loads(blob[12 : 12 + header_len])
-    header["layers"][0]["kind"] = "maxpool"
+    header = edit(json.loads(blob[12 : 12 + header_len]))
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    patched = blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :]
+    return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :]
+
+
+def set_field(path, value):
+    def edit(header):
+        *parents, last = path
+        node = header
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return header
+
+    return edit
+
+
+def test_unknown_layer_kind_rejected():
+    # every header that decodes to no valid model is a FormatError
+    spec, params = make_model()
+    stats = NormalizationStats(mean=1.0, std=2.0, sample_count=10)
+    blob = model_to_bytes(spec, params, stats, ["a", "b", "c", "d", "e"])
+    edits = [
+        set_field(("layers", 0, "kind"), "maxpool"),
+        set_field(("layers", 0, "kind"), ["flatten"]),
+        lambda header: [header],
+        set_field(("layers",), 5),
+        set_field(("layers", 0), "flatten"),
+        set_field(("n_out",), 4),
+        set_field(("input_shape",), [4, 4]),
+        set_field(("input_shape",), [4, 4, 3.0]),
+        set_field(("layers", 1, "units"), 5.0),
+        lambda header: {**header, "layers": [{"kind": "dropout", "rate": 2}, *header["layers"]]},
+        set_field(("stats", "std"), 0),
+        set_field(("stats", "mean"), float("nan")),
+        set_field(("stats",), [1.0, 2.0, 10]),
+        set_field(("labels",), "abcde"),
+    ]
+    for edit in edits:
+        with pytest.raises(FormatError):
+            model_from_bytes(patch_header(blob, edit))
+    nan_params = [dict(p) for p in params]
+    nan_params[1]["w"] = params[1]["w"].copy()
+    nan_params[1]["w"][0, 0] = np.nan
     with pytest.raises(FormatError):
-        model_from_bytes(patched)
+        model_from_bytes(model_to_bytes(spec, nan_params))
+    cnn = basic_cnn_spec((8, 8, 3), 3)
+    cnn_blob = model_to_bytes(cnn, init_params(cnn, np.random.default_rng(0)))
+    with pytest.raises(FormatError):
+        model_from_bytes(patch_header(cnn_blob, set_field(("layers", 1, "epsilon"), -1.0)))
+
+
+def test_format_bytes_pinned(tmp_path):
+    # digests of the version-1 model and bundle bytes; a change here is a format change
+    spec = basic_cnn_spec((16, 16, 3), 3)
+    blob = model_to_bytes(spec, init_params(spec, np.random.default_rng(0)))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "8e42c865fc41f7ed3f6f5e77623082257c5dc970dd23eb4babe711f162cb9309"
+    )
+    save_hierarchical(init_hierarchical(default_taxonomy(), seed=0), tmp_path)
+    assert bundle_content_hash(tmp_path) == (
+        "8e96ae8f0d86ca31fd26c4483df1c247cd13026069c75e59a4b477bb4533ab0b"
+    )
 
 
 def test_file_round_trip(tmp_path):
