@@ -33,6 +33,7 @@ from .errors import (
     LabelRangeError,
     MissingClassError,
     ParseError,
+    ShapeError,
     ValidationError,
     WxhierError,
 )
@@ -491,6 +492,7 @@ _DATA_ERRORS = (
     LabelRangeError,
     EmptyMatrixError,
     DimensionError,
+    ShapeError,
 )
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ManifestEntry
-from .errors import FormatError, MissingClassError, ValidationError, VersionError
+from .errors import DegenerateError, FormatError, MissingClassError, ValidationError, VersionError
 from .imageio import ImageU8, bgr_to_rgb, decode_ppm, to_tensor
 from .preprocess import (
     NormalizationStats,
@@ -123,6 +123,8 @@ class HierPrediction:
 
 def _probs(sub: SubModel, x: np.ndarray) -> np.ndarray:
     out, _ = forward_pass(sub.spec, sub.params, x, mode="infer")
+    if not np.isfinite(out).all():  # never route by argmax over NaN
+        raise DegenerateError(f"model over {sub.classes} gave non-finite probabilities")
     return out
 
 

@@ -163,12 +163,9 @@ def _stats_from_header(header: dict) -> NormalizationStats | None:
     if s is None:
         return None
     try:
-        stats = NormalizationStats(float(s["mean"]), float(s["std"]), int(s["sample_count"]))
+        return NormalizationStats(float(s["mean"]), float(s["std"]), int(s["sample_count"]))
     except (KeyError, TypeError, ValueError, OverflowError, DegenerateError) as exc:
         raise FormatError(f"bad normalization stats in model header: {exc}") from None
-    if not np.isfinite([stats.mean, stats.std]).all():
-        raise FormatError(f"non-finite normalization stats in model header: {s}")
-    return stats
 
 
 def _labels_from_header(header: dict) -> list[str] | None:

@@ -3,9 +3,10 @@
 The resampler is separable (horizontal pass then vertical pass) with
 pixel-center alignment, clamp-to-edge sampling and per-output-pixel weight
 renormalization, so constant images stay exactly constant and a same-size
-resize is the identity.  Standardization subtracts the training-set mean
-and divides by its standard deviation; the two scalars are persisted so
-inference uses the exact training statistics.
+resize is the identity.  Each pass builds the weights of every output
+pixel at once, then adds each pixel's taps in source order.  Standardization
+subtracts the training-set mean and divides by its standard deviation; the
+two scalars are persisted so inference uses the exact training statistics.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -39,24 +41,25 @@ def lanczos_kernel(x, a: int = DEFAULT_WINDOW):
     return out
 
 
-def _resample_matrix(n_src: int, n_dst: int, a: int) -> np.ndarray:
-    """(n_dst, n_src) weight matrix for one separable pass.
+def _resample(x: np.ndarray, n_dst: int, a: int) -> np.ndarray:
+    """One separable pass: resample the n_src rows of x to n_dst rows.
 
-    Rows hold the renormalized kernel taps for one output pixel; taps that
-    fall outside the source are clamped to the nearest edge pixel, which
-    accumulates their weight onto that edge.
+    Each output row adds its 2a renormalized, edge-clamped kernel taps in source order,
+    never fused or regrouped as in a BLAS product, so its bits match on every machine.
     """
-    scale = n_src / n_dst
-    weights = np.zeros((n_dst, n_src), dtype=np.float64)
-    for dst in range(n_dst):
-        src = (dst + 0.5) * scale - 0.5
-        lo = math.floor(src) - a + 1
-        taps = np.arange(lo, lo + 2 * a)
-        w = lanczos_kernel(src - taps, a)
-        total = w.sum()
-        idx = np.clip(taps, 0, n_src - 1)
-        np.add.at(weights[dst], idx, w / total)
-    return weights
+    src = (np.arange(n_dst) + 0.5) * (len(x) / n_dst) - 0.5
+    taps = np.floor(src).astype(np.int64)[:, None] + np.arange(1 - a, a + 1)
+    w = lanczos_kernel(src[:, None] - taps, a)
+    w /= w.sum(axis=1, keepdims=True)
+    taps = np.clip(taps, 0, len(x) - 1)
+    for k in range(1, 2 * a):  # taps clamped onto one edge row pool their weight
+        edge = taps[:, k] == taps[:, k - 1]
+        w[edge, k] += w[edge, k - 1]
+        w[edge, k - 1] = 0.0
+    out = x[taps[:, 0]] * w[:, :1]
+    for k in range(1, 2 * a):
+        out += x[taps[:, k]] * w[:, k : k + 1]
+    return out
 
 
 def resize_lanczos(img: np.ndarray, out_h: int, out_w: int, a: int = DEFAULT_WINDOW) -> np.ndarray:
@@ -69,12 +72,13 @@ def resize_lanczos(img: np.ndarray, out_h: int, out_w: int, a: int = DEFAULT_WIN
     img = np.asarray(img)
     if img.ndim != 3:
         raise DimensionError(f"expected (H, W, C) tensor, got shape {img.shape}")
-    h, w = img.shape[0], img.shape[1]
+    h, w, c = img.shape
     data = img.astype(np.float64)
     if w != out_w:
-        data = np.einsum("ow,hwc->hoc", _resample_matrix(w, out_w, a), data)
+        data = _resample(data.transpose(1, 0, 2).reshape(w, h * c), out_w, a)
+        data = data.reshape(out_w, h, c).transpose(1, 0, 2)
     if h != out_h:
-        data = np.einsum("oh,hwc->owc", _resample_matrix(h, out_h, a), data)
+        data = _resample(data.reshape(h, out_w * c), out_h, a).reshape(out_h, out_w, c)
     return np.clip(data, 0.0, 255.0).astype(np.float32)
 
 
@@ -87,8 +91,8 @@ class NormalizationStats:
     sample_count: int
 
     def __post_init__(self):
-        if not self.std > 0:
-            raise DegenerateError(f"std must be positive, got {self.std}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.std) and self.std > 0):
+            raise DegenerateError(f"need finite mean, positive std; got {self.mean}, {self.std}")
         if self.sample_count < 2:
             raise DegenerateError(f"need at least 2 samples, got {self.sample_count}")
 
@@ -168,18 +172,14 @@ def stats_to_json(s: NormalizationStats) -> str:
 def stats_from_json(text: str | bytes) -> NormalizationStats:
     try:
         doc = json.loads(text)
-        return NormalizationStats(
-            mean=float(doc["mean"]), std=float(doc["std"]), sample_count=int(doc["sample_count"])
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        return NormalizationStats(float(doc["mean"]), float(doc["std"]), int(doc["sample_count"]))
+    except (KeyError, TypeError, ValueError, OverflowError, DegenerateError) as exc:
         raise FormatError(f"bad stats document: {exc}") from None
 
 
 def save_stats(path, s: NormalizationStats) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(stats_to_json(s) + "\n")
+    Path(path).write_text(stats_to_json(s) + "\n", encoding="utf-8")
 
 
 def load_stats(path) -> NormalizationStats:
-    with open(path, "r", encoding="utf-8") as fh:
-        return stats_from_json(fh.read())
+    return stats_from_json(Path(path).read_bytes())

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from wxhier import nn
+from wxhier import cli, nn
 from wxhier.cli import main
 from wxhier.dataset import load_manifest
-from wxhier.hierarchy import bundle_content_hash
+from wxhier.errors import ShapeError
+from wxhier.hierarchy import bundle_content_hash, load_hierarchical
 from wxhier.preprocess import NormalizationStats
 from wxhier.taxonomy import LEAF_CLASSES
 
@@ -164,6 +165,29 @@ def test_predict_all_failures_exit_4(small_bundle, tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert all("error" in json.loads(l) for l in lines)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_predict_non_finite_probabilities_exit_4(small_bundle, small_data, monkeypatch, capsys):
+    def poisoned(path):
+        model = load_hierarchical(path)
+        [layer for layer in model.primary.params if "b" in layer][-1]["b"][:] = np.inf
+        return model
+
+    monkeypatch.setattr(cli, "load_hierarchical", poisoned)
+    image = next(small_data.rglob("*.ppm"))
+    assert run("predict", "--bundle", small_bundle, image) == 4
+    (line,) = capsys.readouterr().out.strip().splitlines()
+    assert "DegenerateError" in json.loads(line)["error"]
+
+
+def test_shape_error_exits_4(tmp_path, monkeypatch, capsys):
+    def broken(cfg, args):
+        raise ShapeError("conv expects 3 input channels, got 4")
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", broken)
+    assert run("synth", "--output-dir", tmp_path) == 4
+    assert "data error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- evaluate

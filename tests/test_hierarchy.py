@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from wxhier.errors import FormatError, MissingClassError, ValidationError, VersionError
+from wxhier.errors import (
+    DegenerateError,
+    FormatError,
+    MissingClassError,
+    ValidationError,
+    VersionError,
+)
 from wxhier.hierarchy import (
     MODEL_ROLES,
     SAFETY_MODEL_CLASSES,
@@ -219,6 +225,38 @@ def test_bundle_version_rejected(random_model, tmp_path):
     manifest.write_text(json.dumps(doc))
     with pytest.raises(VersionError):
         load_hierarchical(tmp_path / "bundle")
+
+
+@pytest.mark.parametrize(
+    "stats_text",
+    [
+        pytest.param('{"mean": NaN, "std": 1.0, "sample_count": 2}', id="nan-mean"),
+        pytest.param('{"mean": 0.0, "std": 0, "sample_count": 2}', id="zero-std"),
+    ],
+)
+def test_bundle_bad_stats_rejected_even_with_matching_hash(random_model, tmp_path, stats_text):
+    bundle = tmp_path / "bundle"
+    save_hierarchical(random_model, bundle)
+    (bundle / "stats.json").write_text(stats_text)
+    manifest = bundle / "bundle.json"
+    doc = json.loads(manifest.read_text())
+    doc["content_hash"] = bundle_content_hash(bundle)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="stats"):
+        load_hierarchical(bundle)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("role", MODEL_ROLES)
+def test_non_finite_probabilities_rejected(flat_model, tmp_path, role):
+    save_hierarchical(flat_model, tmp_path / "bundle")
+    model = load_hierarchical(tmp_path / "bundle")
+    x = random_inputs(64, seed=2)
+    assert {p.group for p in predict_batch(model, x)} == set(COARSE_GROUPS)
+    dense = [layer for layer in getattr(model, role).params if "b" in layer][-1]
+    dense["b"][0] = np.inf
+    with pytest.raises(DegenerateError, match="non-finite"):
+        predict_batch(model, x)
 
 
 def test_bundle_missing_manifest(random_model, tmp_path):

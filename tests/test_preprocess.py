@@ -23,7 +23,7 @@ from wxhier.preprocess import (
     save_stats,
     stats_from_json,
     stats_to_json,
-    _resample_matrix,
+    _resample,
 )
 
 
@@ -107,6 +107,11 @@ def _resize_oracle(img: np.ndarray, out_h: int, out_w: int, a: int) -> np.ndarra
     return np.clip(out, 0.0, 255.0)
 
 
+def _resample_matrix(n_src: int, n_dst: int, a: int) -> np.ndarray:
+    """(n_dst, n_src) weight matrix of one pass: the pass applied to the identity."""
+    return _resample(np.eye(n_src), n_dst, a)
+
+
 def test_identity_resize_reproduces_input():
     rng = np.random.default_rng(0)
     img = rng.uniform(0, 255, size=(9, 7, 3)).astype(np.float32)
@@ -162,6 +167,87 @@ def test_resize_rejects_bad_args():
         resize_lanczos(np.zeros((4, 4)), 2, 2)
 
 
+# --------------------------------------------- bit parity with the reference
+
+def _loop_resample_matrix(n_src: int, n_dst: int, a: int) -> np.ndarray:
+    """Weight matrix built one output pixel at a time, as the dense reference did."""
+    scale = n_src / n_dst
+    weights = np.zeros((n_dst, n_src), dtype=np.float64)
+    for dst in range(n_dst):
+        src = (dst + 0.5) * scale - 0.5
+        lo = math.floor(src) - a + 1
+        taps = np.arange(lo, lo + 2 * a)
+        w = lanczos_kernel(src - taps, a)
+        idx = np.clip(taps, 0, n_src - 1)
+        np.add.at(weights[dst], idx, w / w.sum())
+    return weights
+
+
+def _einsum_resize(img: np.ndarray, out_h: int, out_w: int, a: int = DEFAULT_WINDOW):
+    """Dense reference resize: each pass contracts the full weight matrix."""
+    h, w = img.shape[0], img.shape[1]
+    data = img.astype(np.float64)
+    if w != out_w:
+        data = np.einsum("ow,hwc->hoc", _loop_resample_matrix(w, out_w, a), data)
+    if h != out_h:
+        data = np.einsum("oh,hwc->owc", _loop_resample_matrix(h, out_h, a), data)
+    return np.clip(data, 0.0, 255.0).astype(np.float32)
+
+
+def test_resample_weights_match_loop_reference_bit_for_bit():
+    for n_src in (1, 2, 3, 5, 8, 17, 32, 64, 100, 101, 150, 333):
+        for n_dst in (1, 2, 7, 32, 100, 101, 224):
+            for a in (1, 2, 3, 4):
+                assert np.array_equal(
+                    _resample_matrix(n_src, n_dst, a), _loop_resample_matrix(n_src, n_dst, a)
+                ), (n_src, n_dst, a)
+
+
+def test_each_pass_matches_dense_reference_in_float64():
+    """Both passes equal the reference's float64 contraction exactly, not only
+    after rounding to float32, so no output can flip its last bit."""
+    rng = np.random.default_rng(7)
+    for h, w, c in ((64, 120, 3), (150, 200, 3), (1, 50, 3), (50, 1, 4), (37, 53, 2)):
+        img = rng.integers(0, 256, size=(h, w, c)).astype(np.float64)
+        for n in (1, 32, 100, 2 * w + 1):
+            for a in (2, 3):
+                ref = np.einsum("ow,hwc->hoc", _loop_resample_matrix(w, n, a), img)
+                got = _resample(img.transpose(1, 0, 2).reshape(w, h * c), n, a)
+                assert np.array_equal(got, ref.transpose(1, 0, 2).reshape(n, h * c))
+                ref2 = np.einsum("oh,hwc->owc", _loop_resample_matrix(h, n, a), ref)
+                assert np.array_equal(_resample(ref.reshape(h, n * c), n, a), ref2.reshape(n, -1))
+
+
+def test_resize_matches_dense_reference_bit_for_bit():
+    """The training and serving inputs are pinned to the bit, not to a tolerance.
+
+    Single-channel inputs are left out: for them the reference's einsum sums
+    the horizontal pass in a vectorized order of its own, not column order.
+    """
+    rng = np.random.default_rng(2024)
+
+    def pixels(h, w, c=3):
+        return rng.integers(0, 256, size=(h, w, c)).astype(np.float32)
+
+    serve = [pixels(h, w) for h, w in ((64, 64), (64, 120), (128, 128), (150, 200), (200, 200))]
+    cases = [(img, 100, 100) for img in serve]
+    cases += [
+        (pixels(64, 64), 32, 32),
+        (pixels(1, 50), 100, 100),
+        (pixels(50, 1), 100, 100),
+        (pixels(1, 1), 3, 5),
+        (pixels(90, 120).transpose(1, 0, 2), 100, 100),
+        (pixels(200, 150)[::2, ::3], 100, 100),
+        (pixels(40, 60, 4), 100, 100),
+        (pixels(40, 60, 2), 17, 23),
+        (rng.uniform(0, 255, size=(37, 53, 3)), 100, 64),
+    ]
+    for img, oh, ow in cases:
+        out = resize_lanczos(img, oh, ow)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, _einsum_resize(img, oh, ow)), (img.shape, oh, ow)
+
+
 # ---------------------------------------------------------- standardization
 
 @given(
@@ -204,6 +290,9 @@ def test_stats_validation():
         NormalizationStats(mean=0.0, std=0.0, sample_count=10)
     with pytest.raises(DegenerateError):
         NormalizationStats(mean=0.0, std=1.0, sample_count=1)
+    for mean, std in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(DegenerateError):
+            NormalizationStats(mean=mean, std=std, sample_count=10)
     with pytest.raises(DegenerateError):
         compute_stats([np.full((4, 4, 3), 9.0)])  # zero variance
     with pytest.raises(DegenerateError):
@@ -253,6 +342,34 @@ def test_stats_json_rejects_garbage():
         stats_from_json("{not json")
     with pytest.raises(FormatError):
         stats_from_json('{"mean": 1.0}')
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param('{"mean": NaN, "std": 1.0, "sample_count": 2}', id="nan-mean"),
+        pytest.param('{"mean": -Infinity, "std": 1.0, "sample_count": 2}', id="inf-mean"),
+        pytest.param('{"mean": 1e999, "std": 1.0, "sample_count": 2}', id="overflow-mean"),
+        pytest.param('{"mean": 1.0, "std": Infinity, "sample_count": 2}', id="inf-std"),
+        pytest.param('{"mean": 1.0, "std": NaN, "sample_count": 2}', id="nan-std"),
+        pytest.param('{"mean": 1.0, "std": 0, "sample_count": 2}', id="zero-std"),
+        pytest.param('{"mean": 1.0, "std": -1.0, "sample_count": 2}', id="negative-std"),
+        pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": 1}', id="one-sample"),
+        pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": Infinity}', id="inf-count"),
+        pytest.param('{"mean": "x", "std": 1.0, "sample_count": 2}', id="string-mean"),
+        pytest.param("[1, 2, 3]", id="not-an-object"),
+        pytest.param(b'\xff\xfe{"mean"', id="bad-utf"),
+    ],
+)
+def test_stats_json_rejects_bad_values_as_format_error(doc):
+    with pytest.raises(FormatError):
+        stats_from_json(doc)
+
+
+def test_load_stats_rejects_undecodable_bytes(tmp_path):
+    (tmp_path / "s.json").write_bytes(b'{"mean": \xff}')
+    with pytest.raises(FormatError):
+        load_stats(tmp_path / "s.json")
 
 
 # -------------------------------------------------------------- pipeline
