@@ -1,9 +1,15 @@
 """Command-line pipeline: split, stats, preprocess, train, predict, evaluate,
 compare, synth.
 
-Option precedence is flags > config file (--config, JSON object keyed by
-the long option names with underscores) > built-in defaults.  The default
-output directory honors the WXHIER_OUTPUT_DIR environment variable.
+Each option is defined once, as an argparse flag with its default and a
+``type`` that converts and range-checks the value.  ``--config FILE``
+names a JSON object keyed by the long option names with underscores
+(``test_fraction``).  Its entries are inserted as flags right after the
+subcommand, so they pass the same checks and a flag given on the command
+line wins.  A key that only other subcommands take is ignored, so one file
+can serve several of them; a key that no subcommand takes is an error.
+Precedence is flag > config file > ``$WXHIER_OUTPUT_DIR`` (for
+``--output-dir``) > built-in default.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O failure, 4 data
 problem (malformed/missing content), 5 internal error.
@@ -15,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,20 +28,7 @@ import numpy as np
 from . import evaluate as ev
 from . import nn
 from .dataset import SplitSpec, load_manifest, manifest_to_csv, stratified_split, distribution_csv
-from .errors import (
-    ConfigError,
-    DegenerateError,
-    DimensionError,
-    EmptyManifestError,
-    EmptyMatrixError,
-    FormatError,
-    LabelRangeError,
-    MissingClassError,
-    ParseError,
-    ShapeError,
-    ValidationError,
-    WxhierError,
-)
+from .errors import ConfigError, FormatError, ShapeError, ValidationError, WxhierError
 from .hierarchy import (
     HierTrainConfig,
     bundle_content_hash,
@@ -56,133 +48,132 @@ from .tensorio import write_tensor
 
 ENV_OUTPUT_DIR = "WXHIER_OUTPUT_DIR"
 
-DEFAULTS = {
-    "output_dir": None,  # env var, then "."
-    "taxonomy": None,
-    "root": None,  # manifest's parent directory
-    "test_fraction": 0.30,
-    "val_fraction": 0.20,
-    "seed": 0,
-    "arch": "hierarchical",
-    "scale": "micro",
-    "width_scale": 1.0,
-    "depth_scale": 1.0,
-    "epochs": 25,
-    "learning_rate": 0.01,
-    "momentum": 0.9,
-    "batch_size": 32,
-    "dropout": 0.25,
-    "input_size": 32,
-    "per_class": DEFAULT_PER_CLASS,
-    "image_size": DEFAULT_SIZE,
-}
-
 ARCHES = ("hierarchical", "softmax-flat", "basic-cnn", "vgg-style")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    manifest: Path | None
-    taxonomy: Path | None
-    output_dir: Path
-    root: Path | None
-    test_fraction: float
-    val_fraction: float
-    seed: int
-    arch: str
-    scale: str
-    width_scale: float
-    depth_scale: float
-    epochs: int
-    learning_rate: float
-    momentum: float
-    batch_size: int
-    dropout: float
-    input_size: int
-    per_class: int
-    image_size: int
+def _checked(convert, rule: str, ok=lambda value: True):
+    """An argparse ``type``: ``convert`` the text, then require ``ok(value)``.
 
-    def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0 or not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("split fractions must lie strictly between 0 and 1")
-        if self.arch not in ARCHES:
-            raise ConfigError(f"arch must be one of {ARCHES}, got {self.arch!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch size must be >= 1")
-        if self.learning_rate <= 0 or not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("learning rate must be > 0 and momentum within [0, 1)")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must lie in [0, 1)")
-        if self.input_size < 4:
-            raise ConfigError(f"input size must be >= 4, got {self.input_size}")
-        if self.per_class < 1 or self.image_size < 8:
-            raise ConfigError("per-class count must be >= 1 and image size >= 8")
+    Both faults raise ConfigError, which argparse lets through (it rewrites
+    only ArgumentTypeError, TypeError and ValueError), so ``main`` reports
+    them as configuration errors.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise ConfigError(f"{rule}, got {text!r}") from None
+        if not ok(value):
+            raise ConfigError(f"{rule}, got {text!r}")
+        return value
+
+    return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _one_of(flag: str, names: tuple[str, ...]) -> dict:
+    """The ``type`` and ``metavar`` of a flag that takes one of ``names``."""
+    rule = f"{flag} must be one of {', '.join(names)}"
+    return {"type": _checked(str, rule, names.__contains__), "metavar": "{" + ",".join(names) + "}"}
+
+
+def _fraction(flag: str):
+    return _checked(float, f"{flag} must lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0)
+
+
+def _below_one(flag: str):
+    return _checked(float, f"{flag} must lie in [0, 1)", lambda v: 0.0 <= v < 1.0)
+
+
+def _at_least(flag: str, low: int):
+    return _checked(int, f"{flag} must be an integer >= {low}", lambda v: v >= low)
+
+
+_SEED = _checked(int, "--seed must be an integer")
+_INPUT_SIZE = _at_least("--input-size", 4)
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
+    """The parser, and the config keys each subcommand takes."""
     parser = argparse.ArgumentParser(
         prog="wxhier",
         description="Hierarchical weather-image classifier pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    keys: dict[str, set[str]] = {}
+    shared = {
+        "--manifest": {"type": Path, "required": True, "help": "dataset manifest CSV"},
+        "--output-dir": {
+            "type": Path,
+            "default": os.environ.get(ENV_OUTPUT_DIR, "."),
+            "help": f"artifact directory; ${ENV_OUTPUT_DIR} sets the default",
+        },
+        "--taxonomy": {"type": Path, "help": "taxonomy config (default built-in)"},
+        "--root": {"type": Path, "help": "base for relative image paths (default: manifest dir)"},
+    }
 
-    def common(p: argparse.ArgumentParser, manifest: bool = True):
-        if manifest:
-            p.add_argument("--manifest", type=Path, help="dataset manifest CSV")
+    def command(name: str, help: str, *common: str):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", type=Path, help="JSON config file (flags override it)")
-        p.add_argument(
-            "--output-dir",
-            type=Path,
-            help=f"artifact directory (default ${ENV_OUTPUT_DIR} or '.')",
-        )
-        p.add_argument("--taxonomy", type=Path, help="taxonomy config (default built-in)")
-        p.add_argument(
-            "--root", type=Path, help="base for relative image paths (default: manifest dir)"
-        )
+        keys[name] = set()
 
-    p = sub.add_parser("split", help="stratified train/val/test manifests")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--test-fraction", type=float)
-    p.add_argument("--val-fraction", type=float, help="fraction of the train pool used for val")
+        def flag(option: str, help: str = "", **kw):
+            if kw.get("default") is not None:
+                help = f"{help} (default %(default)s)".lstrip()
+            keys[name].add(p.add_argument(option, help=help, **kw).dest)
 
-    p = sub.add_parser("stats", help="compute normalization statistics over a manifest")
-    common(p)
-    p.add_argument("--input-size", type=int, help="square resize applied before the statistics")
+        for option in common:
+            flag(option, **shared[option])
+        return p, flag
 
-    p = sub.add_parser("preprocess", help="resize + standardize a manifest into one tensor file")
-    common(p)
-    p.add_argument("--stats", type=Path, help="stats JSON (default: compute from this manifest)")
-    p.add_argument("--input-size", type=int)
+    p, flag = command(
+        "split", "stratified train/val/test manifests", "--manifest", "--output-dir", "--taxonomy"
+    )
+    flag("--seed", type=_SEED, default=0)
+    flag("--test-fraction", type=_fraction("--test-fraction"), default=0.30)
+    flag("--val-fraction", type=_fraction("--val-fraction"), default=0.20,
+         help="fraction of the train pool used for val")
 
-    p = sub.add_parser("train", help="train a model or the hierarchical bundle")
-    common(p)
-    p.add_argument("--val-manifest", type=Path, help="held-out manifest for per-epoch accuracy")
-    p.add_argument("--arch", choices=ARCHES)
-    p.add_argument("--scale", choices=("micro", "paper"), help="basic-cnn block preset")
-    p.add_argument("--width-scale", type=float, help="vgg-style channel multiplier (>= 1/8)")
-    p.add_argument("--depth-scale", type=float, help="vgg-style stage-depth multiplier (>= 1/8)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--input-size", type=int)
-    p.add_argument("--seed", type=int)
+    p, flag = command("stats", "compute normalization statistics over a manifest",
+                      "--manifest", "--output-dir", "--root")
+    flag("--input-size", type=_INPUT_SIZE, default=32,
+         help="square resize applied before the statistics")
 
-    p = sub.add_parser("predict", help="classify images with a trained bundle")
-    common(p, manifest=False)
-    p.add_argument("--bundle", type=Path, required=True, help="bundle directory from train")
-    p.add_argument("--channel-order", choices=("RGB", "BGR"), default="RGB")
+    p, flag = command("preprocess", "resize + standardize a manifest into one tensor file",
+                      "--manifest", "--output-dir", "--root")
+    flag("--stats", type=Path, help="stats JSON (default: compute from this manifest)")
+    flag("--input-size", type=_INPUT_SIZE, default=32)
+
+    p, flag = command("train", "train a model or the hierarchical bundle",
+                      "--manifest", "--output-dir", "--taxonomy", "--root")
+    flag("--val-manifest", type=Path, help="held-out manifest for per-epoch accuracy")
+    flag("--arch", default="hierarchical", **_one_of("--arch", ARCHES))
+    flag("--scale", default="micro", help="basic-cnn block preset",
+         **_one_of("--scale", ("micro", "paper")))
+    flag("--width-scale", type=_checked(float, "--width-scale must be a number"), default=1.0,
+         help="vgg-style channel multiplier (>= 1/8)")
+    flag("--depth-scale", type=_checked(float, "--depth-scale must be a number"), default=1.0,
+         help="vgg-style stage-depth multiplier (>= 1/8)")
+    flag("--epochs", type=_at_least("--epochs", 1), default=25)
+    flag("--learning-rate", type=_checked(float, "--learning-rate must be > 0", lambda v: v > 0),
+         default=0.01)
+    flag("--momentum", type=_below_one("--momentum"), default=0.9)
+    flag("--batch-size", type=_at_least("--batch-size", 1), default=32)
+    flag("--dropout", type=_below_one("--dropout"), default=0.25)
+    flag("--input-size", type=_INPUT_SIZE, default=32)
+    flag("--seed", type=_SEED, default=0)
+
+    p, flag = command("predict", "classify images with a trained bundle")
+    flag("--bundle", type=Path, required=True, help="bundle directory from train")
+    flag("--channel-order", default="RGB", **_one_of("--channel-order", ("RGB", "BGR")))
     p.add_argument("images", nargs="+", type=Path)
 
-    p = sub.add_parser("evaluate", help="score a bundle against a test manifest")
-    common(p)
-    p.add_argument("--bundle", type=Path, required=True)
+    p, flag = command("evaluate", "score a bundle against a test manifest",
+                      "--manifest", "--output-dir", "--root")
+    flag("--bundle", type=Path, required=True)
 
-    p = sub.add_parser("compare", help="accuracy table over several trained models")
-    common(p)
+    p, flag = command("compare", "accuracy table over several trained models",
+                      "--manifest", "--output-dir", "--root")
     p.add_argument(
         "models",
         nargs="+",
@@ -190,129 +181,98 @@ def build_parser() -> argparse.ArgumentParser:
         help="model entries; PATH is a bundle directory or a flat .wxm1 file",
     )
 
-    p = sub.add_parser("synth", help="generate the procedural dataset")
-    common(p, manifest=False)
-    p.add_argument("--per-class", type=int)
-    p.add_argument("--image-size", type=int, help="generated image side length")
-    p.add_argument("--seed", type=int, help=f"generator seed (default {DEFAULT_SEED})")
+    p, flag = command("synth", "generate the procedural dataset", "--output-dir")
+    flag("--per-class", type=_at_least("--per-class", 1), default=DEFAULT_PER_CLASS)
+    flag("--image-size", type=_at_least("--image-size", 8), default=DEFAULT_SIZE,
+         help="generated image side length")
+    flag("--seed", type=_SEED, default=DEFAULT_SEED, help="generator seed")
 
-    return parser
+    return parser, keys
 
 
-def _load_config_file(path: Path | None) -> dict:
+def _with_config(argv: list[str], keys: dict[str, set[str]]) -> list[str]:
+    """``argv`` with the ``--config`` file's entries as flags after the subcommand."""
+    if not argv or argv[0] not in keys:
+        return argv
+    command, rest = argv[0], argv[1:]
+    pre = argparse.ArgumentParser(prog=f"wxhier {command}", add_help=False)
+    pre.add_argument("--config", type=Path)
+    path = pre.parse_known_args(rest)[0].config
     if path is None:
-        return {}
+        return argv
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_bytes())
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(doc) - set(DEFAULTS)
+    unknown = set(doc) - set().union(*keys.values())
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-    return doc
+    flags = []
+    for key, value in doc.items():
+        if key not in keys[command]:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ConfigError(f"{path}: {key} must be a string or a number, got {value!r}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return [command, *flags, *rest]
 
 
-def _pick(args: argparse.Namespace, filecfg: dict, key: str):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in filecfg:
-        return filecfg[key]
-    return DEFAULTS[key]
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    filecfg = _load_config_file(getattr(args, "config", None))
-    out = _pick(args, filecfg, "output_dir")
-    if out is None:
-        out = os.environ.get(ENV_OUTPUT_DIR, ".")
-    picked = {key: _pick(args, filecfg, key) for key in DEFAULTS if key not in ("output_dir",)}
-    seed = picked["seed"] if picked["seed"] is not None else 0
-    return RunConfig(
-        subcommand=args.command,
-        manifest=getattr(args, "manifest", None),
-        taxonomy=Path(picked["taxonomy"]) if picked["taxonomy"] else None,
-        output_dir=Path(out),
-        root=Path(picked["root"]) if picked["root"] else None,
-        test_fraction=float(picked["test_fraction"]),
-        val_fraction=float(picked["val_fraction"]),
-        seed=int(seed),
-        arch=str(picked["arch"]),
-        scale=str(picked["scale"]),
-        width_scale=float(picked["width_scale"]),
-        depth_scale=float(picked["depth_scale"]),
-        epochs=int(picked["epochs"]),
-        learning_rate=float(picked["learning_rate"]),
-        momentum=float(picked["momentum"]),
-        batch_size=int(picked["batch_size"]),
-        dropout=float(picked["dropout"]),
-        input_size=int(picked["input_size"]),
-        per_class=int(picked["per_class"]),
-        image_size=int(picked["image_size"]),
-    )
-
-
-def _taxonomy_for(cfg: RunConfig):
-    if cfg.taxonomy is None:
+def _taxonomy_for(args):
+    if args.taxonomy is None:
         return default_taxonomy()
-    return load_taxonomy(cfg.taxonomy.read_bytes())
+    return load_taxonomy(args.taxonomy.read_bytes())
 
 
-def _entries_and_root(cfg: RunConfig, manifest: Path | None = None):
-    manifest = manifest if manifest is not None else cfg.manifest
-    if manifest is None:
-        raise ConfigError("this command needs --manifest")
-    entries = load_manifest(manifest.read_bytes())
-    root = cfg.root if cfg.root is not None else manifest.parent
+def _entries_and_root(args):
+    entries = load_manifest(args.manifest.read_bytes())
+    root = args.root if args.root is not None else args.manifest.parent
     return entries, root
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.output_dir
+def _outdir(args) -> Path:
+    args.output_dir.mkdir(parents=True, exist_ok=True)
+    return args.output_dir
 
 
 # ---------------------------------------------------------------- commands
 
-def cmd_split(cfg: RunConfig, args) -> int:
-    entries, _ = _entries_and_root(cfg)
-    taxonomy = _taxonomy_for(cfg)
-    split = stratified_split(
-        entries,
-        SplitSpec(
-            test_fraction=cfg.test_fraction, val_fraction_of_train=cfg.val_fraction, seed=cfg.seed
-        ),
+def cmd_split(args) -> int:
+    entries = load_manifest(args.manifest.read_bytes())
+    taxonomy = _taxonomy_for(args)
+    spec = SplitSpec(
+        test_fraction=args.test_fraction, val_fraction_of_train=args.val_fraction, seed=args.seed
     )
-    out = _outdir(cfg)
+    split = stratified_split(entries, spec)
+    out = _outdir(args)
     parts = {"train": split.train, "val": split.val, "test": split.test}
     for name, part in parts.items():
         (out / f"{name}.csv").write_text(manifest_to_csv(part))
     (out / "split_summary.csv").write_text(distribution_csv(parts, taxonomy))
     print(
         f"split {len(entries)} entries -> train {len(split.train)}, "
-        f"val {len(split.val)}, test {len(split.test)} (seed {cfg.seed})"
+        f"val {len(split.val)}, test {len(split.test)} (seed {args.seed})"
     )
     return 0
 
 
-def cmd_stats(cfg: RunConfig, args) -> int:
-    entries, root = _entries_and_root(cfg)
-    x = load_image_tensors(entries, (cfg.input_size, cfg.input_size), root)
+def cmd_stats(args) -> int:
+    entries, root = _entries_and_root(args)
+    x = load_image_tensors(entries, (args.input_size, args.input_size), root)
     stats = compute_stats(x)
-    out = _outdir(cfg)
+    out = _outdir(args)
     save_stats(out / "stats.json", stats)
     print(f"stats over {len(entries)} images: mean {stats.mean:.6f}, std {stats.std:.6f}")
     return 0
 
 
-def cmd_preprocess(cfg: RunConfig, args) -> int:
-    entries, root = _entries_and_root(cfg)
-    x = load_image_tensors(entries, (cfg.input_size, cfg.input_size), root)
+def cmd_preprocess(args) -> int:
+    entries, root = _entries_and_root(args)
+    x = load_image_tensors(entries, (args.input_size, args.input_size), root)
     stats = load_stats(args.stats) if args.stats else compute_stats(x)
     x = normalize(x, stats)
-    out = _outdir(cfg)
+    out = _outdir(args)
     write_tensor(out / "tensors.wxt1", x)
     save_stats(out / "stats.json", stats)
     lines = ["index,path,label"]
@@ -322,50 +282,54 @@ def cmd_preprocess(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _train_flat(cfg: RunConfig, tc: nn.TrainConfig, train_entries, val_entries, root) -> int:
-    input_shape = (cfg.input_size, cfg.input_size, 3)
+def _train_flat(args, tc: nn.TrainConfig, train_entries, val_entries, root) -> int:
+    input_shape = (args.input_size, args.input_size, 3)
     n_out = len(LEAF_CLASSES)
-    if cfg.arch == "softmax-flat":
-        spec = nn.softmax_flat_spec(input_shape, n_out)
-    elif cfg.arch == "basic-cnn":
-        spec = nn.basic_cnn_spec(input_shape, n_out, scale=cfg.scale, dropout=cfg.dropout)
-    else:
-        spec = nn.vgg_style_spec(input_shape, n_out, cfg.width_scale, cfg.depth_scale)
+    try:
+        if args.arch == "softmax-flat":
+            spec = nn.softmax_flat_spec(input_shape, n_out)
+        elif args.arch == "basic-cnn":
+            spec = nn.basic_cnn_spec(input_shape, n_out, scale=args.scale, dropout=args.dropout)
+        else:
+            spec = nn.vgg_style_spec(input_shape, n_out, args.width_scale, args.depth_scale)
+    except ShapeError as exc:
+        msg = f"--input-size {args.input_size} does not fit {args.arch}: {exc}"
+        raise ConfigError(msg) from None
     x_train, x_val, stats = load_standardized(
-        train_entries, (cfg.input_size, cfg.input_size), root, val_entries
+        train_entries, (args.input_size, args.input_size), root, val_entries
     )
     y_val = leaf_labels(val_entries) if val_entries else None
     params, history = nn.train(spec, x_train, leaf_labels(train_entries), tc, x_val, y_val)
-    out = _outdir(cfg)
+    out = _outdir(args)
     nn.save_model(out / "model.wxm1", spec, params, stats, list(LEAF_CLASSES))
     (out / "history.csv").write_text(nn.history_to_csv(history))
     final_val = history[-1].val_acc
-    print(f"saved {cfg.arch} model to {out / 'model.wxm1'}")
+    print(f"saved {args.arch} model to {out / 'model.wxm1'}")
     print(f"final validation accuracy: {'n/a' if final_val is None else f'{final_val:.4f}'}")
     return 0
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
-    train_entries, root = _entries_and_root(cfg)
+def cmd_train(args) -> int:
+    train_entries, root = _entries_and_root(args)
     val_entries = []
     if args.val_manifest is not None:
         val_entries = load_manifest(args.val_manifest.read_bytes())
     hcfg = HierTrainConfig(
-        input_hw=(cfg.input_size, cfg.input_size),
-        scale=cfg.scale,
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        batch_size=cfg.batch_size,
-        dropout=cfg.dropout,
-        seed=cfg.seed,
+        input_hw=(args.input_size, args.input_size),
+        scale=args.scale,
+        epochs=args.epochs,
+        learning_rate=args.learning_rate,
+        momentum=args.momentum,
+        batch_size=args.batch_size,
+        dropout=args.dropout,
+        seed=args.seed,
     )
-    if cfg.arch != "hierarchical":
-        return _train_flat(cfg, hcfg.train_config(0), train_entries, val_entries, root)
+    if args.arch != "hierarchical":
+        return _train_flat(args, hcfg.train_config(0), train_entries, val_entries, root)
 
-    taxonomy = _taxonomy_for(cfg)
+    taxonomy = _taxonomy_for(args)
     model, histories = train_hierarchical(train_entries, taxonomy, hcfg, val_entries, root)
-    out = _outdir(cfg)
+    out = _outdir(args)
     bundle_dir = out / "bundle"
     save_hierarchical(model, bundle_dir)
     for role, history in histories.items():
@@ -377,7 +341,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_predict(cfg: RunConfig, args) -> int:
+def cmd_predict(args) -> int:
     model = load_hierarchical(args.bundle)
     successes = 0
     for path in args.images:
@@ -403,11 +367,11 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     return 0 if successes else 4
 
 
-def cmd_evaluate(cfg: RunConfig, args) -> int:
+def cmd_evaluate(args) -> int:
     model = load_hierarchical(args.bundle)
-    entries, root = _entries_and_root(cfg)
+    entries, root = _entries_and_root(args)
     report = ev.evaluate_hierarchical(model, entries, root)
-    out = _outdir(cfg)
+    out = _outdir(args)
     bundle_hash = bundle_content_hash(args.bundle)
     (out / "report.json").write_text(ev.hier_report_json(report, bundle_hash))
     (out / "confusion_primary.csv").write_text(ev.confusion_to_csv(report.primary))
@@ -437,7 +401,7 @@ def _flat_leaf_accuracy(model_path: Path, entries, root) -> float:
     return nn.evaluate_accuracy(spec, params, x, y)
 
 
-def cmd_compare(cfg: RunConfig, args) -> int:
+def cmd_compare(args) -> int:
     pairs = []
     for item in args.models:
         name, sep, path = item.partition("=")
@@ -446,7 +410,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         pairs.append((name, Path(path)))
     if len(pairs) < 2:
         raise ConfigError("compare needs at least two models")
-    entries, root = _entries_and_root(cfg)
+    entries, root = _entries_and_root(args)
     rows = []
     for name, path in pairs:
         if path.is_dir():
@@ -456,18 +420,17 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         else:
             rows.append((name, _flat_leaf_accuracy(path, entries, root)))
     table = ev.compare_models(rows)
-    out = _outdir(cfg)
+    out = _outdir(args)
     (out / "comparison.csv").write_text(table)
     print(table, end="")
     return 0
 
 
-def cmd_synth(cfg: RunConfig, args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
+def cmd_synth(args) -> int:
     manifest = generate_dataset(
-        _outdir(cfg), per_class=cfg.per_class, size=cfg.image_size, seed=seed
+        _outdir(args), per_class=args.per_class, size=args.image_size, seed=args.seed
     )
-    print(f"wrote {len(LEAF_CLASSES) * cfg.per_class} images; manifest: {manifest}")
+    print(f"wrote {len(LEAF_CLASSES) * args.per_class} images; manifest: {manifest}")
     return 0
 
 
@@ -482,36 +445,21 @@ _COMMANDS = {
     "synth": cmd_synth,
 }
 
-_DATA_ERRORS = (
-    ParseError,
-    ValidationError,
-    FormatError,
-    MissingClassError,
-    EmptyManifestError,
-    DegenerateError,
-    LabelRangeError,
-    EmptyMatrixError,
-    DimensionError,
-    ShapeError,
-)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, keys = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = parser.parse_args(_with_config(argv, keys))
+        return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse usage errors and --help
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"wxhier: configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"wxhier: I/O error: {exc}", file=sys.stderr)
         return 3
-    except _DATA_ERRORS as exc:
+    except WxhierError as exc:  # every other package error is a data problem
         print(f"wxhier: data error: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 5

@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ManifestEntry
-from .errors import DegenerateError, FormatError, MissingClassError, ValidationError, VersionError
+from .errors import (
+    ConfigError,
+    DegenerateError,
+    FormatError,
+    MissingClassError,
+    ShapeError,
+    ValidationError,
+    VersionError,
+)
 from .imageio import ImageU8, bgr_to_rgb, decode_ppm, to_tensor
 from .preprocess import (
     NormalizationStats,
@@ -289,18 +297,29 @@ def train_hierarchical(
     NormalizationStats, computed on the resized training tensors, is
     shared by all five.
     """
+    classes = role_classes(taxonomy)
+    input_shape = (cfg.input_hw[0], cfg.input_hw[1], 3)
+    try:  # before any image is decoded
+        specs = {
+            role: basic_cnn_spec(input_shape, len(names), scale=cfg.scale, dropout=cfg.dropout)
+            for role, names in classes.items()
+        }
+    except ShapeError as exc:
+        raise ConfigError(
+            f"input size {cfg.input_hw[0]}x{cfg.input_hw[1]} does not fit the "
+            f"{cfg.scale!r} preset: {exc}"
+        ) from None
     check_all_leaves_present(train_entries)
     val_entries = val_entries or []
 
     x_train, x_val, stats = load_standardized(train_entries, cfg.input_hw, root, val_entries)
-    input_shape = (cfg.input_hw[0], cfg.input_hw[1], 3)
-
-    def fit(role_index: int, n_out: int, x, y, xv, yv):
-        spec = basic_cnn_spec(input_shape, n_out, scale=cfg.scale, dropout=cfg.dropout)
-        params, history = train(spec, x, y, cfg.train_config(role_index), xv, yv)
-        return spec, params, history
-
+    subs: dict[str, SubModel] = {}
     histories: dict[str, list[EpochStats]] = {}
+
+    def fit(role: str, x, y, xv, yv) -> None:
+        tc = cfg.train_config(MODEL_ROLES.index(role))
+        params, histories[role] = train(specs[role], x, y, tc, xv, yv)
+        subs[role] = SubModel(specs[role], params, classes[role])
 
     # primary: group labels over the full set
     y_group = np.array(
@@ -309,15 +328,11 @@ def train_hierarchical(
     yv_group = np.array(
         [GROUP_INDEX[group_of(e.leaf, taxonomy)] for e in val_entries], dtype=np.int64
     )
-    spec_p, params_p, histories["primary"] = fit(
-        0, len(COARSE_GROUPS), x_train, y_group, x_val, yv_group if val_entries else None
-    )
-    subs = {"primary": SubModel(spec_p, params_p, COARSE_GROUPS)}
+    fit("primary", x_train, y_group, x_val, yv_group if val_entries else None)
 
     # per-group sub-models with within-group leaf labels
-    for role_index, group in enumerate(COARSE_GROUPS, start=1):
-        classes = tuple(leaves_of(group, taxonomy))
-        class_pos = {leaf: i for i, leaf in enumerate(classes)}
+    for role in GROUP_ROLES.values():
+        class_pos = {leaf: i for i, leaf in enumerate(classes[role])}
         rows = np.array(
             [i for i, e in enumerate(train_entries) if e.leaf in class_pos], dtype=np.intp
         )
@@ -327,11 +342,7 @@ def train_hierarchical(
         )
         xv_sub = x_val[vrows] if vrows.size else None
         yv_sub = np.array([class_pos[val_entries[i].leaf] for i in vrows], dtype=np.int64)
-        role = MODEL_ROLES[role_index]
-        spec_s, params_s, histories[role] = fit(
-            role_index, len(classes), x_train[rows], y_sub, xv_sub, yv_sub if vrows.size else None
-        )
-        subs[role] = SubModel(spec_s, params_s, classes)
+        fit(role, x_train[rows], y_sub, xv_sub, yv_sub if vrows.size else None)
 
     # cold safety head: cold images with a representable safety level
     def safety_rows(entries):
@@ -351,22 +362,14 @@ def train_hierarchical(
     if absent:
         raise MissingClassError(f"no cold training images with safety: {', '.join(absent)}")
     svrows, yv_safety = safety_rows(val_entries)
-    spec_cs, params_cs, histories["sub_cold_safety"] = fit(
-        4,
-        len(SAFETY_MODEL_CLASSES),
+    fit(
+        "sub_cold_safety",
         x_train[srows],
         y_safety,
         x_val[svrows] if svrows.size else None,
         yv_safety if svrows.size else None,
     )
-
-    model = HierarchicalModel(
-        **subs,
-        sub_cold_safety=SubModel(spec_cs, params_cs, SAFETY_MODEL_CLASSES),
-        taxonomy=taxonomy,
-        stats=stats,
-    )
-    return model, histories
+    return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats), histories
 
 
 def init_hierarchical(
@@ -435,19 +438,22 @@ def _read_bundle_manifest(dirpath: Path) -> dict:
     if not mpath.is_file():
         raise FormatError(f"{dirpath}: no bundle.json manifest")
     try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(mpath.read_bytes())
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
         raise FormatError(f"{mpath}: bad JSON: {exc}") from None
-    if manifest.get("format") != "wxhier-bundle":
+    if not isinstance(manifest, dict) or manifest.get("format") != "wxhier-bundle":
         raise FormatError(f"{mpath}: not a model bundle manifest")
     if manifest.get("version") != BUNDLE_VERSION:
         raise VersionError(f"{mpath}: unsupported bundle version {manifest.get('version')!r}")
     missing = [k for k in ("models", "taxonomy", "stats", "content_hash") if k not in manifest]
     if missing:
         raise FormatError(f"{mpath}: manifest missing keys: {', '.join(missing)}")
-    roles = set(manifest["models"])
-    if roles != set(MODEL_ROLES):
-        raise FormatError(f"{mpath}: model roles {sorted(roles)} != {sorted(MODEL_ROLES)}")
+    models = manifest["models"]
+    if not isinstance(models, dict) or set(models) != set(MODEL_ROLES):
+        raise FormatError(f"{mpath}: models must map the roles {', '.join(MODEL_ROLES)}")
+    names = [*models.values(), manifest["taxonomy"], manifest["stats"]]
+    if not all(isinstance(name, str) and "\0" not in name for name in names):
+        raise FormatError(f"{mpath}: file names must be strings without NUL")
     return manifest
 
 

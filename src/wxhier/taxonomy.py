@@ -8,8 +8,7 @@ runs and serialized files.
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ParseError, ValidationError
@@ -35,38 +34,6 @@ SAFETY_LEVELS: tuple[str, ...] = ("Safe", "PotentiallyHazardous", "Dangerous")
 LEAF_INDEX: dict[str, int] = {name: i for i, name in enumerate(LEAF_CLASSES)}
 GROUP_INDEX: dict[str, int] = {name: i for i, name in enumerate(COARSE_GROUPS)}
 SAFETY_INDEX: dict[str, int] = {name: i for i, name in enumerate(SAFETY_LEVELS)}
-
-_DEFAULT_GROUPS = {
-    "rain": "Rainy",
-    "hail": "Rainy",
-    "lightning": "Rainy",
-    "rainbow": "Rainy",
-    "sandstorm": "Dusty",
-    "fog_smog": "Dusty",
-    "dew": "Cold",
-    "frost": "Cold",
-    "glaze": "Cold",
-    "rime": "Cold",
-    "snow": "Cold",
-}
-
-# The safety assignment below is configuration, not ground truth: only the
-# cold-weather Safe/PotentiallyHazardous distinction is externally fixed.
-_DEFAULT_SAFETY = {
-    "dew": "Safe",
-    "rainbow": "Safe",
-    "fog_smog": "Safe",
-    "rain": "Safe",
-    "snow": "Safe",
-    "frost": "PotentiallyHazardous",
-    "rime": "PotentiallyHazardous",
-    "hail": "PotentiallyHazardous",
-    "glaze": "Dangerous",
-    "lightning": "Dangerous",
-    "sandstorm": "Dangerous",
-}
-
-DEFAULT_VERSION = "default-v1"
 
 
 @dataclass(frozen=True)
@@ -97,8 +64,13 @@ def _check_total_map(mapping: dict[str, str], targets: tuple[str, ...], section:
 
 
 def default_taxonomy() -> Taxonomy:
-    """The shipped mapping: Rainy={rain,hail,lightning,rainbow}, Dusty={sandstorm,fog_smog}, Cold=rest."""
-    return Taxonomy(dict(_DEFAULT_GROUPS), dict(_DEFAULT_SAFETY), DEFAULT_VERSION)
+    """The mapping in the packaged ``data/default_taxonomy.cfg``.
+
+    Its safety levels are configuration, not ground truth: only the
+    cold-weather Safe/PotentiallyHazardous distinction is externally fixed.
+    """
+    packaged = resources.files("wxhier.data").joinpath("default_taxonomy.cfg")
+    return load_taxonomy(packaged.read_bytes())
 
 
 def group_of(leaf: str, t: Taxonomy) -> str:
@@ -170,8 +142,3 @@ def load_taxonomy(file_bytes: bytes | str) -> Taxonomy:
     groups = dict(parser["groups"])
     safety = dict(parser["safety"])
     return Taxonomy(groups, safety, version)
-
-
-def load_default_config_text() -> str:
-    """Text of the config file shipped inside the package."""
-    return resources.files("wxhier.data").joinpath("default_taxonomy.cfg").read_text("utf-8")

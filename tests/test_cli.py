@@ -1,15 +1,16 @@
 """Command-line surface: exit codes, artifacts, precedence, isolation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from wxhier import cli, nn
+from wxhier import cli, hierarchy, nn
 from wxhier.cli import main
 from wxhier.dataset import load_manifest
 from wxhier.errors import ShapeError
-from wxhier.hierarchy import bundle_content_hash, load_hierarchical
+from wxhier.hierarchy import bundle_content_hash, load_hierarchical, load_image_tensors
 from wxhier.preprocess import NormalizationStats
 from wxhier.taxonomy import LEAF_CLASSES
 
@@ -182,7 +183,7 @@ def test_predict_non_finite_probabilities_exit_4(small_bundle, small_data, monke
 
 
 def test_shape_error_exits_4(tmp_path, monkeypatch, capsys):
-    def broken(cfg, args):
+    def broken(args):
         raise ShapeError("conv expects 3 input channels, got 4")
 
     monkeypatch.setitem(cli._COMMANDS, "synth", broken)
@@ -302,3 +303,174 @@ def test_hierarchical_bundle_has_five_models(small_bundle):
         "primary.wxm1", "sub_cold_fine.wxm1", "sub_cold_safety.wxm1",
         "sub_dusty.wxm1", "sub_rainy.wxm1",
     ]
+
+
+# ---------------------------------------------------------- option layer
+
+def _config(tmp_path, doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("split", "test_fraction", 0.0),
+        ("split", "test_fraction", 1.5),
+        ("split", "val_fraction", 1.0),
+        ("split", "seed", "x"),
+        ("train", "arch", "bogus"),
+        ("train", "scale", "huge"),
+        ("train", "epochs", 0),
+        ("train", "batch_size", 0),
+        ("train", "learning_rate", 0.0),
+        ("train", "momentum", 1.0),
+        ("train", "momentum", -0.1),
+        ("train", "dropout", 1.0),
+        ("train", "input_size", 3),
+        ("stats", "input_size", 3),
+        ("synth", "per_class", 0),
+        ("synth", "image_size", 7),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_option_value_is_config_error(tmp_path, capsys, command, key, value, source):
+    # the manifest does not exist, so a value that slipped through would exit 3
+    argv = [command, "--output-dir", tmp_path / "out"]
+    if command != "synth":
+        argv += ["--manifest", tmp_path / "missing.csv"]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        argv += ["--config", _config(tmp_path, {key: value})]
+    assert run(*argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(b"{seed: 1}", id="not-json"),
+        pytest.param(b'{"seed": "\xff"}', id="bad-utf8"),
+        pytest.param(b"[1]", id="not-an-object"),
+        pytest.param(b"[" * 100_000, id="deep-nesting"),
+        pytest.param(b'{"seed": [1]}', id="list-value"),
+        pytest.param(b'{"seed": true}', id="bool-value"),
+        pytest.param(b'{"config": "other.json"}', id="config-key"),
+        pytest.param(b'{"images": "a.ppm"}', id="positional-key"),
+    ],
+)
+def test_bad_config_file_is_config_error(small_data, tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(text)
+    rc = run("split", "--manifest", small_data / "manifest.csv",
+             "--config", cfg, "--output-dir", tmp_path / "out")
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_config_seed_reaches_synth(tmp_path):
+    def files(sub):
+        return {p.relative_to(tmp_path / sub): p.read_bytes()
+                for p in sorted((tmp_path / sub).rglob("*")) if p.is_file()}
+
+    small = ["--per-class", 1, "--image-size", 8]
+    assert run("synth", "--output-dir", tmp_path / "flag", *small, "--seed", 5) == 0
+    cfg = _config(tmp_path, {"seed": 5})
+    assert run("synth", "--output-dir", tmp_path / "cfg", *small, "--config", cfg) == 0
+    assert run("synth", "--output-dir", tmp_path / "default", *small) == 0
+    assert files("cfg") == files("flag")
+    assert files("cfg") != files("default")
+
+
+def test_config_keys_of_other_subcommands_are_ignored(small_data, tmp_path):
+    cfg = _config(tmp_path, {"epochs": 3, "arch": "basic-cnn", "seed": 4})
+    assert run("split", "--manifest", small_data / "manifest.csv",
+               "--config", cfg, "--output-dir", tmp_path / "a") == 0
+    assert run("split", "--manifest", small_data / "manifest.csv",
+               "--seed", 4, "--output-dir", tmp_path / "b") == 0
+    for name in ("train.csv", "val.csv", "test.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_config_output_dir_beats_env_var(small_data, tmp_path, monkeypatch):
+    monkeypatch.setenv("WXHIER_OUTPUT_DIR", str(tmp_path / "from_env"))
+    cfg = _config(tmp_path, {"output_dir": str(tmp_path / "from_config")})
+    assert run("split", "--manifest", small_data / "manifest.csv", "--config", cfg) == 0
+    assert (tmp_path / "from_config" / "train.csv").exists()
+    assert not (tmp_path / "from_env").exists()
+    out_flag = tmp_path / "from_flag"
+    assert run("split", "--manifest", small_data / "manifest.csv", "--config", cfg,
+               "--output-dir", out_flag) == 0
+    assert (out_flag / "train.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("split", "--root"),
+        ("synth", "--root"),
+        ("stats", "--taxonomy"),
+        ("preprocess", "--taxonomy"),
+        ("evaluate", "--taxonomy"),
+        ("compare", "--taxonomy"),
+        ("synth", "--taxonomy"),
+        ("predict", "--output-dir"),
+        ("predict", "--taxonomy"),
+        ("predict", "--root"),
+    ],
+)
+def test_removed_no_op_flags_exit_2(tmp_path, capsys, command, flag):
+    rest = {
+        "split": ["--manifest", "m.csv"],
+        "synth": [],
+        "stats": ["--manifest", "m.csv"],
+        "preprocess": ["--manifest", "m.csv"],
+        "evaluate": ["--manifest", "m.csv", "--bundle", "b"],
+        "compare": ["--manifest", "m.csv", "a=x", "b=y"],
+        "predict": ["--bundle", "b", "x.ppm"],
+    }[command]
+    assert run(command, *rest, flag, tmp_path) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    common = {"--help", "--config"}
+    data = common | {"--manifest", "--output-dir"}
+    expected = {
+        "split": data | {"--taxonomy", "--seed", "--test-fraction", "--val-fraction"},
+        "stats": data | {"--root", "--input-size"},
+        "preprocess": data | {"--root", "--stats", "--input-size"},
+        "train": data | {
+            "--taxonomy", "--root", "--val-manifest", "--arch", "--scale", "--width-scale",
+            "--depth-scale", "--epochs", "--learning-rate", "--momentum", "--batch-size",
+            "--dropout", "--input-size", "--seed",
+        },
+        "predict": common | {"--bundle", "--channel-order"},
+        "evaluate": data | {"--root", "--bundle"},
+        "compare": data | {"--root"},
+        "synth": common | {"--output-dir", "--per-class", "--image-size", "--seed"},
+    }
+    assert set(expected) == set(cli._COMMANDS)
+    for command, flags in expected.items():
+        assert run(command, "--help") == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == flags, command
+
+
+@pytest.mark.parametrize("arch", ["hierarchical", "basic-cnn"])
+def test_train_input_size_too_small_fails_before_decoding(small_data, tmp_path, monkeypatch,
+                                                          capsys, arch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return load_image_tensors(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "load_image_tensors", counting)
+    rc = run("train", "--manifest", small_data / "manifest.csv", "--root", small_data,
+             "--output-dir", tmp_path, "--arch", arch, "--scale", "paper", "--input-size", 20)
+    assert rc == 2
+    assert "does not fit" in capsys.readouterr().err
+    assert calls == []

@@ -259,6 +259,38 @@ def test_non_finite_probabilities_rejected(flat_model, tmp_path, role):
         predict_batch(model, x)
 
 
+def _names(doc, name):
+    return {**doc, "models": {role: name(i) for i, role in enumerate(MODEL_ROLES)}}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda doc: b"[1, 2]", id="json-list"),
+        pytest.param(lambda doc: b'{"format": "wxhier-bundle\xff"}', id="bad-utf8"),
+        pytest.param(lambda doc: json.dumps({**doc, "models": 5}).encode(), id="models-int"),
+        pytest.param(lambda doc: json.dumps(_names(doc, int)).encode(), id="int-file-names"),
+        pytest.param(lambda doc: json.dumps(_names(doc, lambda i: "a\0b")).encode(),
+                     id="nul-file-name"),
+        pytest.param(lambda doc: b"[" * 100_000, id="deep-nesting"),
+    ],
+)
+def test_bad_bundle_manifest_is_format_error(random_model, tmp_path, capsys, edit):
+    from wxhier.cli import main
+
+    bundle = tmp_path / "bundle"
+    save_hierarchical(random_model, bundle)
+    manifest = bundle / "bundle.json"
+    manifest.write_bytes(edit(json.loads(manifest.read_text())))
+    with pytest.raises(FormatError):
+        load_hierarchical(bundle)
+    (tmp_path / "m.csv").write_text("path,label\nx.ppm,rain\n")
+    argv = ["evaluate", "--bundle", bundle, "--manifest", tmp_path / "m.csv",
+            "--output-dir", tmp_path / "out"]
+    assert main([str(a) for a in argv]) == 4
+    assert "data error" in capsys.readouterr().err
+
+
 def test_bundle_missing_manifest(random_model, tmp_path):
     save_hierarchical(random_model, tmp_path / "bundle")
     (tmp_path / "bundle" / "bundle.json").unlink()

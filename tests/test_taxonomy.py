@@ -1,5 +1,8 @@
 """Label hierarchy: fixed orderings, total maps, config parsing."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from wxhier.errors import ParseError, ValidationError
@@ -12,7 +15,6 @@ from wxhier.taxonomy import (
     default_taxonomy,
     group_of,
     leaves_of,
-    load_default_config_text,
     load_taxonomy,
     safety_of,
     serialize_taxonomy,
@@ -67,8 +69,18 @@ def test_serialize_round_trips():
     assert again.version == t.version
 
 
-def test_packaged_config_matches_default():
-    assert load_taxonomy(load_default_config_text()) == default_taxonomy()
+def test_default_taxonomy_pins_readme_table_and_safety():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (Rainy|Dusty|Cold) +\| ([a-z_, ]+?) +\|$", readme, re.MULTILINE)
+    t = default_taxonomy()
+    assert t.version == "default-v1"
+    assert {g: leaves_of(g, t) for g in COARSE_GROUPS} == {g: v.split(", ") for g, v in rows}
+    assert t.leaf_to_safety == {
+        "dew": "Safe", "fog_smog": "Safe", "frost": "PotentiallyHazardous",
+        "glaze": "Dangerous", "hail": "PotentiallyHazardous", "lightning": "Dangerous",
+        "rain": "Safe", "rainbow": "Safe", "rime": "PotentiallyHazardous",
+        "sandstorm": "Dangerous", "snow": "Safe",
+    }
 
 
 def test_leaves_of_unknown_group():
