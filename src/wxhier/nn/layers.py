@@ -5,6 +5,14 @@ All kernels preserve the input dtype, so the same code runs in float32
 ``conv2d_forward`` gathers patches into a matrix product; the plain
 nested-loop implementation stays available as ``conv2d_forward_naive``
 and is the reference the fast path is tested against.
+
+The convolution and batchnorm kernels keep the reference summation
+order: every reduction and matrix product is the same numpy call on the
+same operands, and only the memory layout around them differs. Per-channel
+vectors are applied on the ``(N*H, W*C)`` view with the vector tiled ``W``
+times, so each elementwise loop runs over whole rows instead of ``C``
+floats at a time. Retrained parameters are therefore bit-identical to
+those of the plain broadcasting kernels.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ def conv2d_forward(
     k, f = kernels.shape[0], kernels.shape[3]
     oh, ow = conv_output_hw(h, w, k, stride, pad)
     cols = _im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
-    out = cols @ kernels.reshape(k * k * c, f) + bias
+    out = (cols @ kernels.reshape(k * k * c, f)).reshape(n * oh, ow * f) + np.tile(bias, ow)
     return out.reshape(n, oh, ow, f)
 
 
@@ -102,13 +110,15 @@ def conv2d_backward(
     cols = _im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
     grad_kernels = (cols.T @ g).reshape(k, k, c, f)
 
+    # One product for all taps: a product per tap rounds differently in some
+    # BLAS tail kernels. Copying each tap out contiguously lets the scatter
+    # add whole rows of ``ow * c`` floats (stride 1) instead of ``c`` at a time.
     dcols = (g @ kernels.reshape(k * k * c, f).T).reshape(n, oh, ow, k, k, c)
     dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     for ky in range(k):
         for kx in range(k):
-            dxp[:, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride, :] += dcols[
-                :, :, :, ky, kx, :
-            ]
+            tap = np.ascontiguousarray(dcols[:, :, :, ky, kx, :])
+            dxp[:, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride, :] += tap
     grad_x = dxp[:, pad : pad + h, pad : pad + w, :] if pad else dxp
     return grad_x, grad_kernels, grad_bias
 
@@ -133,42 +143,49 @@ def batchnorm_forward(
     """
     if x.ndim != 4 or x.shape[3] != gamma.shape[0]:
         raise ShapeError(f"batchnorm expects (N, H, W, C={gamma.shape[0]}), got {x.shape}")
+    n, h, w, c = x.shape
+    rows = (n * h, w * c)
     if mode == "train":
         mu = x.mean(axis=(0, 1, 2))
-        var = x.var(axis=(0, 1, 2))
+        d = x.reshape(rows) - np.tile(mu, w)
+        # x.var bit for bit: np.var sums these same squares and divides by the count
+        var = (d * d).reshape(x.shape).sum(axis=(0, 1, 2)) / (n * h * w)
         if update_running:
             running_mean *= 1.0 - momentum
             running_mean += momentum * mu
             running_var *= 1.0 - momentum
             running_var += momentum * var
     elif mode == "infer":
-        mu = running_mean.astype(x.dtype)
+        d = x.reshape(rows) - np.tile(running_mean.astype(x.dtype), w)
         var = running_var.astype(x.dtype)
     else:
         raise ConfigError(f"unknown batchnorm mode {mode!r}")
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mu) * inv_std
-    out = gamma * x_hat + beta
-    cache = {"x_hat": x_hat, "gamma": gamma, "inv_std": inv_std, "mode": mode}
-    return out, cache
+    x_hat = d * np.tile(inv_std, w)
+    out = np.tile(gamma, w) * x_hat + np.tile(beta, w)
+    cache = {"x_hat": x_hat.reshape(x.shape), "gamma": gamma, "inv_std": inv_std, "mode": mode}
+    return out.reshape(x.shape), cache
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x_hat = cache["x_hat"]
     gamma = cache["gamma"]
     inv_std = cache["inv_std"]
+    n, h, w, c = x_hat.shape
+    rows = (n * h, w * c)
     grad_beta = grad_out.sum(axis=(0, 1, 2))
     grad_gamma = (grad_out * x_hat).sum(axis=(0, 1, 2))
+    g = grad_out.reshape(rows)
     if cache["mode"] == "train":
-        m = x_hat.shape[0] * x_hat.shape[1] * x_hat.shape[2]
-        grad_x = (gamma * inv_std) * (
-            grad_out
-            - grad_beta / m
-            - x_hat * (grad_gamma / m)
+        m = n * h * w
+        grad_x = np.tile(gamma * inv_std, w) * (
+            g
+            - np.tile(grad_beta / m, w)
+            - x_hat.reshape(rows) * np.tile(grad_gamma / m, w)
         )
     else:
-        grad_x = grad_out * gamma * inv_std
-    return grad_x, grad_gamma, grad_beta
+        grad_x = g * np.tile(gamma, w) * np.tile(inv_std, w)
+    return grad_x.reshape(x_hat.shape), grad_gamma, grad_beta
 
 
 def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

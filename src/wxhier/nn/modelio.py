@@ -135,7 +135,7 @@ def model_from_bytes(
         raise FormatError("model file truncated inside header")
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
         raise FormatError(f"bad model header: {exc}") from None
     if not isinstance(header, dict):
         raise FormatError("model header must be a JSON object")

@@ -173,7 +173,7 @@ def stats_from_json(text: str | bytes) -> NormalizationStats:
     try:
         doc = json.loads(text)
         return NormalizationStats(float(doc["mean"]), float(doc["std"]), int(doc["sample_count"]))
-    except (KeyError, TypeError, ValueError, OverflowError, DegenerateError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, DegenerateError) as exc:
         raise FormatError(f"bad stats document: {exc}") from None
 
 

@@ -6,8 +6,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wxhier.errors import FormatError, VersionError
+from wxhier.errors import FormatError, VersionError, WxhierError
 from wxhier.hierarchy import bundle_content_hash, init_hierarchical, save_hierarchical
 from wxhier.nn import (
     basic_cnn_spec,
@@ -111,11 +113,19 @@ def test_blob_shape_mismatch_detected():
         model_from_bytes(model_to_bytes(spec, params_small))
 
 
-def patch_header(blob, edit):
+def with_raw_header(blob, raw):
     (header_len,) = struct.unpack_from("<I", blob, 8)
-    header = edit(json.loads(blob[12 : 12 + header_len]))
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :]
+
+
+def header_of(blob):
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    return json.loads(blob[12 : 12 + header_len])
+
+
+def patch_header(blob, edit):
+    header = edit(header_of(blob))
+    return with_raw_header(blob, json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
 
 
 def set_field(path, value):
@@ -163,6 +173,49 @@ def test_unknown_layer_kind_rejected():
     cnn_blob = model_to_bytes(cnn, init_params(cnn, np.random.default_rng(0)))
     with pytest.raises(FormatError):
         model_from_bytes(patch_header(cnn_blob, set_field(("layers", 1, "epsilon"), -1.0)))
+
+
+def test_deeply_nested_header_is_format_error():
+    spec, params = make_model()
+    with pytest.raises(FormatError):
+        model_from_bytes(with_raw_header(model_to_bytes(spec, params), b"[" * 100_000))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _node_paths(node, prefix=()):
+    keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield prefix + (key,)
+        yield from _node_paths(node[key], prefix + (key,))
+
+
+_CNN = basic_cnn_spec((8, 8, 3), 3)
+_CNN_BLOB = model_to_bytes(
+    _CNN, init_params(_CNN, np.random.default_rng(0)),
+    NormalizationStats(mean=1.0, std=2.0, sample_count=10), ["a", "b", "c"],
+)
+_CNN_PATHS = list(_node_paths(header_of(_CNN_BLOB)))
+
+
+@given(
+    st.binary(max_size=48).map(lambda raw: with_raw_header(_CNN_BLOB, raw))
+    | json_values.map(lambda v: with_raw_header(_CNN_BLOB, json.dumps(v).encode()))
+    | st.builds(lambda path, v: patch_header(_CNN_BLOB, set_field(path, v)),
+                st.sampled_from(_CNN_PATHS), json_values)
+)
+@settings(max_examples=120, deadline=500)
+def test_fuzzed_header_raises_only_package_errors(blob):
+    # raw bytes, any JSON document, or the real header with one node replaced
+    try:
+        model_from_bytes(blob)
+    except WxhierError:
+        pass
 
 
 def test_format_bytes_pinned(tmp_path):

@@ -1,4 +1,5 @@
-"""Layer primitives: forward oracles, analytic vs finite-difference gradients."""
+"""Layer primitives: forward oracles, analytic vs finite-difference gradients,
+and bit identity with the plain broadcasting kernels."""
 
 import math
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from wxhier.errors import ConfigError, ShapeError
+from wxhier.nn import TrainConfig, basic_cnn_spec, history_to_csv, train
+from wxhier.nn import layers as L
 from wxhier.nn.layers import (
     avgpool_backward,
     avgpool_forward,
@@ -379,3 +382,149 @@ def test_softmax_gradient_matches_fd():
 def test_softmax_rejects_bad_rank():
     with pytest.raises(ShapeError):
         softmax_forward(np.zeros((2, 2, 2)))
+
+
+# ------------------------------------ bit identity with broadcasting kernels
+#
+# The plain broadcasting kernels the contiguous ones replaced. They are the
+# reference: the fast kernels must give the same bits, signed zeros included,
+# so that retraining reproduces the same parameters.
+
+def _ref_conv2d_forward(x, kernels, bias, stride=1, pad=0):
+    n, h, w, c = x.shape
+    k, f = kernels.shape[0], kernels.shape[3]
+    oh, ow = conv_output_hw(h, w, k, stride, pad)
+    cols = L._im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
+    out = cols @ kernels.reshape(k * k * c, f) + bias
+    return out.reshape(n, oh, ow, f)
+
+
+def _ref_conv2d_backward(x, kernels, grad_out, stride=1, pad=0):
+    n, h, w, c = x.shape
+    k, f = kernels.shape[0], kernels.shape[3]
+    oh, ow = conv_output_hw(h, w, k, stride, pad)
+    g = grad_out.reshape(n * oh * ow, f)
+    grad_bias = g.sum(axis=0)
+    cols = L._im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
+    grad_kernels = (cols.T @ g).reshape(k, k, c, f)
+    dcols = (g @ kernels.reshape(k * k * c, f).T).reshape(n, oh, ow, k, k, c)
+    dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    for ky in range(k):
+        for kx in range(k):
+            dxp[:, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride, :] += dcols[
+                :, :, :, ky, kx, :
+            ]
+    grad_x = dxp[:, pad : pad + h, pad : pad + w, :] if pad else dxp
+    return grad_x, grad_kernels, grad_bias
+
+
+def _ref_batchnorm_forward(
+    x, gamma, beta, running_mean, running_var, eps, momentum, mode, update_running=True
+):
+    if mode == "train":
+        mu = x.mean(axis=(0, 1, 2))
+        var = x.var(axis=(0, 1, 2))
+        if update_running:
+            running_mean *= 1.0 - momentum
+            running_mean += momentum * mu
+            running_var *= 1.0 - momentum
+            running_var += momentum * var
+    else:
+        mu = running_mean.astype(x.dtype)
+        var = running_var.astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mu) * inv_std
+    out = gamma * x_hat + beta
+    cache = {"x_hat": x_hat, "gamma": gamma, "inv_std": inv_std, "mode": mode}
+    return out, cache
+
+
+def _ref_batchnorm_backward(grad_out, cache):
+    x_hat = cache["x_hat"]
+    gamma = cache["gamma"]
+    inv_std = cache["inv_std"]
+    grad_beta = grad_out.sum(axis=(0, 1, 2))
+    grad_gamma = (grad_out * x_hat).sum(axis=(0, 1, 2))
+    if cache["mode"] == "train":
+        m = x_hat.shape[0] * x_hat.shape[1] * x_hat.shape[2]
+        grad_x = (gamma * inv_std) * (grad_out - grad_beta / m - x_hat * (grad_gamma / m))
+    else:
+        grad_x = grad_out * gamma * inv_std
+    return grad_x, grad_gamma, grad_beta
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_kernels_match_broadcasting_reference_bit_for_bit(dtype, stride, pad, k):
+    rng = np.random.default_rng(100 * stride + 10 * pad + k)
+    for c in range(1, 17):
+        f = int(rng.integers(1, 17))
+        h = int(rng.integers(k, k + 6))
+        w = int(rng.integers(k, k + 6)) | 1  # odd widths
+        x = rng.standard_normal((2, h, w, c)).astype(dtype)
+        kern = rng.standard_normal((k, k, c, f)).astype(dtype)
+        bias = rng.standard_normal(f).astype(dtype)
+        out = conv2d_forward(x, kern, bias, stride, pad)
+        _assert_same_bits(out, _ref_conv2d_forward(x, kern, bias, stride, pad))
+        grad_out = rng.standard_normal(out.shape).astype(dtype)
+        got = conv2d_backward(x, kern, grad_out, stride, pad)
+        want = _ref_conv2d_backward(x, kern, grad_out, stride, pad)
+        for g, r in zip(got, want):
+            _assert_same_bits(g, r)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "mode, update_running", [("train", True), ("train", False), ("infer", True)]
+)
+def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, mode, update_running):
+    rng = np.random.default_rng(17)
+    for c in range(1, 17):
+        n, h = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        w = int(rng.integers(1, 10)) | 1  # odd widths
+        x = (rng.standard_normal((n, h, w, c)) * 3 + 1).astype(dtype)
+        gamma, beta = rng.standard_normal((2, c)).astype(dtype)
+        running = (rng.standard_normal(c).astype(dtype), rng.uniform(0.5, 2, c).astype(dtype))
+        ours = [a.copy() for a in running]
+        theirs = [a.copy() for a in running]
+        out, cache = batchnorm_forward(x, gamma, beta, *ours, 1e-5, 0.1, mode, update_running)
+        ref_out, ref_cache = _ref_batchnorm_forward(
+            x, gamma, beta, *theirs, 1e-5, 0.1, mode, update_running
+        )
+        _assert_same_bits(out, ref_out)
+        for key in ("x_hat", "inv_std"):
+            _assert_same_bits(cache[key], ref_cache[key])
+        for a, b in zip(ours, theirs):
+            _assert_same_bits(a, b)
+        grad_out = rng.standard_normal(x.shape).astype(dtype)
+        for g, r in zip(batchnorm_backward(grad_out, cache), _ref_batchnorm_backward(grad_out, ref_cache)):
+            _assert_same_bits(g, r)
+
+
+def test_training_with_reference_kernels_is_bit_identical(monkeypatch):
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((40, 16, 16, 3)).astype(np.float32)
+    y = rng.integers(0, 4, 40)
+    spec = basic_cnn_spec((16, 16, 3), 4, scale="micro", dropout=0.25)
+    cfg = TrainConfig(epochs=2, batch_size=7, seed=3)
+
+    def fit():
+        params, history = train(spec, x[:30], y[:30], cfg, x[30:], y[30:])
+        return [a.tobytes() for entry in params for a in entry.values()], history_to_csv(history)
+
+    ours = fit()
+    for name, ref in [
+        ("conv2d_forward", _ref_conv2d_forward),
+        ("conv2d_backward", _ref_conv2d_backward),
+        ("batchnorm_forward", _ref_batchnorm_forward),
+        ("batchnorm_backward", _ref_batchnorm_backward),
+    ]:
+        monkeypatch.setattr(L, name, ref)
+    assert fit() == ours

@@ -1,5 +1,6 @@
 """Resampling kernel, separable resize vs a 2-D oracle, standardization."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wxhier.errors import DegenerateError, DimensionError, FormatError
+from wxhier.errors import DegenerateError, DimensionError, FormatError, WxhierError
 from wxhier.imageio import ImageU8
 from wxhier.preprocess import (
     DEFAULT_WINDOW,
@@ -359,11 +360,34 @@ def test_stats_json_rejects_garbage():
         pytest.param('{"mean": "x", "std": 1.0, "sample_count": 2}', id="string-mean"),
         pytest.param("[1, 2, 3]", id="not-an-object"),
         pytest.param(b'\xff\xfe{"mean"', id="bad-utf"),
+        pytest.param(b"[" * 100_000, id="deep-nesting"),
     ],
 )
 def test_stats_json_rejects_bad_values_as_format_error(doc):
     with pytest.raises(FormatError):
         stats_from_json(doc)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(
+    st.binary(max_size=48)
+    | json_values.map(lambda v: json.dumps(v).encode())
+    | st.fixed_dictionaries(
+        {"mean": json_values, "std": json_values, "sample_count": json_values}
+    ).map(lambda doc: json.dumps(doc).encode())
+)
+@settings(max_examples=120, deadline=500)
+def test_fuzzed_stats_bytes_raise_only_package_errors(raw):
+    try:
+        stats_from_json(raw)
+    except WxhierError:
+        pass
 
 
 def test_load_stats_rejects_undecodable_bytes(tmp_path):
