@@ -139,8 +139,11 @@ def _probs(sub: SubModel, x: np.ndarray) -> np.ndarray:
 def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPrediction]:
     """Hard-routed predictions for a batch of preprocessed (N,H,W,C) tensors.
 
-    Each sub-model runs once on the slice of the batch routed to it, so
-    results are identical to one-at-a-time prediction but much cheaper.
+    Each sub-model runs once on the slice of the batch routed to it, which
+    is much cheaper than one-at-a-time prediction.  Probabilities can
+    differ from one-at-a-time prediction by about 1e-8, since the BLAS
+    reduction order depends on the batch shape (README "Determinism");
+    the tests compare the argmax labels exactly.
     """
     n = x.shape[0]
     group_probs = _probs(model.primary, x)

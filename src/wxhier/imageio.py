@@ -64,7 +64,10 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _read_token(data, pos)
     if not token.isdigit():
         raise ParseError(f"bad PPM {what}: {token!r}")
-    return int(token), pos
+    try:
+        return int(token), pos
+    except ValueError:  # more digits than Python converts to an int
+        raise ParseError(f"PPM {what} has {len(token)} digits") from None
 
 
 def decode_ppm(data: bytes) -> ImageU8:

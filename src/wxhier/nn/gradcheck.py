@@ -1,9 +1,11 @@
 """Finite-difference verification of every backward pass.
 
 Central differences around each trainable scalar, against the analytic
-gradient from ``backward_from_logits``.  Evaluations are made repeatable
-by fixing the dropout seed per loss call and freezing batch-norm running
-statistics, so the only visible dependence is the perturbed parameter.
+gradient from ``backward_from_logits``.  Every evaluation runs in train
+mode, the only mode that keeps the caches backward reads, and is made
+repeatable by fixing the dropout seed per loss call and freezing
+batch-norm running statistics, so the only visible dependence is the
+perturbed parameter.
 
 ReLU is piecewise linear: a perturbation that pushes a pre-activation
 across zero breaks the Taylor argument behind finite differences.
@@ -33,11 +35,10 @@ def _loss(
     params: Params,
     x: np.ndarray,
     targets: np.ndarray,
-    mode: str,
     dropout_seed: int,
 ) -> float:
     rng = np.random.default_rng(dropout_seed)
-    probs, _ = forward_pass(spec, params, x, mode=mode, rng=rng, update_running=False)
+    probs, _ = forward_pass(spec, params, x, mode="train", rng=rng, update_running=False)
     loss, _ = cross_entropy(probs, targets)
     return loss
 
@@ -49,7 +50,6 @@ def gradient_check(
     labels: np.ndarray,
     epsilon: float = 1e-5,
     floor: float = 1e-12,
-    mode: str = "train",
     dropout_seed: int = 0,
     fd_dtype=None,
 ) -> GradCheckReport:
@@ -68,7 +68,7 @@ def gradient_check(
     targets = one_hot_matrix(np.asarray(labels), spec.n_out, dtype=x.dtype)
 
     rng = np.random.default_rng(dropout_seed)
-    probs, caches = forward_pass(spec, params, x, mode=mode, rng=rng, update_running=False)
+    probs, caches = forward_pass(spec, params, x, mode="train", rng=rng, update_running=False)
     _, grad_logits = cross_entropy(probs, targets)
     _, grads = backward_from_logits(spec, params, caches, grad_logits)
 
@@ -88,9 +88,9 @@ def gradient_check(
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + epsilon
-                plus = _loss(spec, fd_params, fd_x, fd_targets, mode, dropout_seed)
+                plus = _loss(spec, fd_params, fd_x, fd_targets, dropout_seed)
                 arr[idx] = orig - epsilon
-                minus = _loss(spec, fd_params, fd_x, fd_targets, mode, dropout_seed)
+                minus = _loss(spec, fd_params, fd_x, fd_targets, dropout_seed)
                 arr[idx] = orig
                 fd = (plus - minus) / (2.0 * epsilon)
                 an = float(analytic[idx])
@@ -107,12 +107,11 @@ def relu_margin(
     spec: ModelSpec,
     params: Params,
     x: np.ndarray,
-    mode: str = "train",
     dropout_seed: int = 0,
 ) -> float:
     """Smallest |pre-activation| feeding any ReLU; inf when there is none."""
     rng = np.random.default_rng(dropout_seed)
-    _, caches = forward_pass(spec, params, x, mode=mode, rng=rng, update_running=False)
+    _, caches = forward_pass(spec, params, x, mode="train", rng=rng, update_running=False)
     margin = np.inf
     for layer, cache in zip(spec.layers, caches):
         if isinstance(layer, ReLU):

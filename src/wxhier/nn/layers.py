@@ -9,9 +9,12 @@ and is the reference the fast path is tested against.
 The convolution and batchnorm kernels keep the reference summation
 order: every reduction and matrix product is the same numpy call on the
 same operands, and only the memory layout around them differs. Per-channel
-vectors are applied on the ``(N*H, W*C)`` view with the vector tiled ``W``
-times, so each elementwise loop runs over whole rows instead of ``C``
-floats at a time. Retrained parameters are therefore bit-identical to
+vectors are applied on the ``(N*H, W*C)`` view with the vector repeated
+``W`` times, so each elementwise loop runs over whole rows instead of
+``C`` floats at a time. Elementwise epilogues (conv bias, the batchnorm
+scale and shift, the avgpool divide) run in place on the array the
+kernel has just made, which saves an allocation per step without
+changing any sum. Retrained parameters are therefore bit-identical to
 those of the plain broadcasting kernels.
 """
 
@@ -21,6 +24,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigError, ShapeError
+
+
+def _row(vec: np.ndarray, w: int) -> np.ndarray:
+    """``vec`` repeated ``w`` times: one row of an ``(N*H, W*C)`` view."""
+    return vec[None].repeat(w, 0).reshape(-1)
 
 
 def conv_output_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
@@ -59,7 +67,8 @@ def conv2d_forward(
     k, f = kernels.shape[0], kernels.shape[3]
     oh, ow = conv_output_hw(h, w, k, stride, pad)
     cols = _im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
-    out = (cols @ kernels.reshape(k * k * c, f)).reshape(n * oh, ow * f) + np.tile(bias, ow)
+    out = (cols @ kernels.reshape(k * k * c, f)).reshape(n * oh, ow * f)
+    out += _row(bias, ow)
     return out.reshape(n, oh, ow, f)
 
 
@@ -147,7 +156,7 @@ def batchnorm_forward(
     rows = (n * h, w * c)
     if mode == "train":
         mu = x.mean(axis=(0, 1, 2))
-        d = x.reshape(rows) - np.tile(mu, w)
+        d = x.reshape(rows) - _row(mu, w)
         # x.var bit for bit: np.var sums these same squares and divides by the count
         var = (d * d).reshape(x.shape).sum(axis=(0, 1, 2)) / (n * h * w)
         if update_running:
@@ -156,13 +165,15 @@ def batchnorm_forward(
             running_var *= 1.0 - momentum
             running_var += momentum * var
     elif mode == "infer":
-        d = x.reshape(rows) - np.tile(running_mean.astype(x.dtype), w)
+        d = x.reshape(rows) - _row(running_mean.astype(x.dtype), w)
         var = running_var.astype(x.dtype)
     else:
         raise ConfigError(f"unknown batchnorm mode {mode!r}")
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = d * np.tile(inv_std, w)
-    out = np.tile(gamma, w) * x_hat + np.tile(beta, w)
+    x_hat = d  # normalized in place
+    x_hat *= _row(inv_std, w)
+    out = x_hat * _row(gamma, w)
+    out += _row(beta, w)
     cache = {"x_hat": x_hat.reshape(x.shape), "gamma": gamma, "inv_std": inv_std, "mode": mode}
     return out.reshape(x.shape), cache
 
@@ -178,13 +189,11 @@ def batchnorm_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, n
     g = grad_out.reshape(rows)
     if cache["mode"] == "train":
         m = n * h * w
-        grad_x = np.tile(gamma * inv_std, w) * (
-            g
-            - np.tile(grad_beta / m, w)
-            - x_hat.reshape(rows) * np.tile(grad_gamma / m, w)
-        )
+        grad_x = g - _row(grad_beta / m, w)
+        grad_x -= x_hat.reshape(rows) * _row(grad_gamma / m, w)
+        grad_x *= _row(gamma * inv_std, w)
     else:
-        grad_x = g * np.tile(gamma, w) * np.tile(inv_std, w)
+        grad_x = g * _row(gamma, w) * _row(inv_std, w)
     return grad_x.reshape(x_hat.shape), grad_gamma, grad_beta
 
 
@@ -210,7 +219,8 @@ def avgpool_forward(x: np.ndarray, window: int, stride: int) -> np.ndarray:
     for dy in range(window):
         for dx in range(window):
             out += x[:, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride, :]
-    return out / (window * window)
+    out /= window * window
+    return out
 
 
 def avgpool_backward(

@@ -308,14 +308,20 @@ def forward_pass(
     rng: np.random.Generator | None = None,
     update_running: bool = True,
 ) -> tuple[np.ndarray, list]:
-    """Run the chain; returns (probabilities, per-layer caches)."""
+    """Run the chain; returns (probabilities, per-layer caches).
+
+    Caches are kept in train mode only, the one mode that backpropagates.
+    In infer mode the list is empty, so each activation is freed as soon
+    as the next layer has read it.
+    """
     if x.ndim != 4 or tuple(x.shape[1:]) != spec.input_shape:
         raise ShapeError(f"input must be (N, {spec.input_shape}), got {x.shape}")
     caches: list = []
     out = x
     for layer, entry in zip(spec.layers, params):
         out, cache = layer.forward(out, entry, mode, rng, update_running)
-        caches.append(cache)
+        if mode == "train":
+            caches.append(cache)
     return out, caches
 
 

@@ -148,6 +148,18 @@ def test_predict_json_lines_with_isolation(small_bundle, small_data, tmp_path, c
     assert "error" in err and "leaf" not in err
 
 
+def test_predict_over_long_header_is_isolated(small_bundle, small_data, tmp_path, capsys):
+    good = sorted((small_data / "rain").glob("*.ppm"))[:2]
+    bad = tmp_path / "long.ppm"
+    bad.write_bytes(b"P6 " + b"1" * 5000 + b" 2 255\n")
+    rc = run("predict", "--bundle", small_bundle, good[0], bad, good[1])
+    assert rc == 0
+    docs = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert [d["path"] for d in docs] == [str(good[0]), str(bad), str(good[1])]
+    assert docs[1]["error"].startswith("ParseError")
+    assert all(d["leaf"] in LEAF_CLASSES for d in (docs[0], docs[2]))
+
+
 def test_predict_cold_route_has_safety_fields(small_bundle, small_data, capsys):
     images = sorted((small_data / "snow").glob("*.ppm"))
     rc = run("predict", "--bundle", small_bundle, *images)

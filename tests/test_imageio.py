@@ -54,12 +54,37 @@ def test_single_pixel_exact():
         b"P6 2 2 255\n" + bytes(11),  # payload one byte short
         b"P6 2 2\n",  # truncated header
         b"P6 -1 2 255\n" + bytes(12),  # negative width
+        b"P6 " + b"1" * 5000 + b" 2 255\n",  # width past Python's int digit limit
         b"",
     ],
 )
 def test_decode_rejects_malformed(data):
     with pytest.raises(ParseError):
         decode_ppm(data)
+
+
+def _decode_raises_only_parse_error(data):
+    try:
+        decode_ppm(data)
+    except ParseError:
+        pass
+
+
+@given(st.binary(max_size=64))
+@settings(max_examples=100)
+def test_decode_fuzz_arbitrary_bytes(data):
+    _decode_raises_only_parse_error(data)
+
+
+@given(pixel_arrays, st.data())
+@settings(max_examples=100)
+def test_decode_fuzz_truncated_or_mutated(pixels, draw):
+    valid = encode_ppm(ImageU8(pixels))
+    cut = draw.draw(st.integers(0, len(valid)), label="cut")
+    _decode_raises_only_parse_error(valid[:cut])
+    at = draw.draw(st.integers(0, len(valid) - 1), label="at")
+    byte = draw.draw(st.integers(0, 255), label="byte")
+    _decode_raises_only_parse_error(valid[:at] + bytes([byte]) + valid[at + 1 :])
 
 
 def test_image_validation():

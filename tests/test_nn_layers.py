@@ -453,6 +453,17 @@ def _ref_batchnorm_backward(grad_out, cache):
     return grad_x, grad_gamma, grad_beta
 
 
+def _ref_avgpool_forward(x, window, stride):
+    n, h, w, c = x.shape
+    oh = (h - window) // stride + 1
+    ow = (w - window) // stride + 1
+    out = np.zeros((n, oh, ow, c), dtype=x.dtype)
+    for dy in range(window):
+        for dx in range(window):
+            out += x[:, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride, :]
+    return out / (window * window)
+
+
 def _assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
@@ -508,6 +519,15 @@ def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, mode, updat
             _assert_same_bits(g, r)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window, stride", [(1, 1), (2, 2), (3, 2), (3, 1)])
+def test_avgpool_matches_broadcasting_reference_bit_for_bit(dtype, window, stride):
+    rng = np.random.default_rng(10 * window + stride)
+    for c in (1, 3, 8):
+        x = rng.standard_normal((2, window + 5, window + 4, c)).astype(dtype)
+        _assert_same_bits(avgpool_forward(x, window, stride), _ref_avgpool_forward(x, window, stride))
+
+
 def test_training_with_reference_kernels_is_bit_identical(monkeypatch):
     rng = np.random.default_rng(23)
     x = rng.standard_normal((40, 16, 16, 3)).astype(np.float32)
@@ -525,6 +545,7 @@ def test_training_with_reference_kernels_is_bit_identical(monkeypatch):
         ("conv2d_backward", _ref_conv2d_backward),
         ("batchnorm_forward", _ref_batchnorm_forward),
         ("batchnorm_backward", _ref_batchnorm_backward),
+        ("avgpool_forward", _ref_avgpool_forward),
     ]:
         monkeypatch.setattr(L, name, ref)
     assert fit() == ours

@@ -144,6 +144,16 @@ def test_train_mode_dropout_needs_rng():
         forward_pass(spec, params, x, mode="train", rng=None)
 
 
+def test_caches_are_kept_in_train_mode_only():
+    spec = small_spec()
+    params = init_params(spec, np.random.default_rng(2))
+    x = np.random.default_rng(9).standard_normal((3, 8, 8, 3)).astype(np.float32)
+    _, caches = forward_pass(spec, params, x, mode="infer")
+    assert caches == []
+    _, caches = forward_pass(spec, params, x, mode="train", rng=np.random.default_rng(7))
+    assert len(caches) == len(spec.layers)
+
+
 def test_backward_produces_grads_for_trainables():
     spec = small_spec()
     params = init_params(spec, np.random.default_rng(5))
