@@ -15,8 +15,7 @@ import numpy as np
 
 from .dataset import ManifestEntry
 from .errors import EmptyMatrixError, LabelRangeError
-from .hierarchy import HierarchicalModel, leaf_labels, load_image_tensors, predict_batch
-from .nn import forward_pass
+from .hierarchy import HierarchicalModel, _probs, leaf_labels, load_image_tensors, predict_batch
 from .preprocess import normalize
 from .taxonomy import (
     COARSE_GROUPS,
@@ -237,8 +236,7 @@ def evaluate_hierarchical_tensors(
         rows = np.nonzero(in_group)[0]
         sub = model.sub_for_group(group)
         if rows.size:
-            probs, _ = forward_pass(sub.spec, sub.params, x[rows], mode="infer")
-            pred_pos = probs.argmax(axis=1)
+            pred_pos = _probs(sub, x[rows]).argmax(axis=1)
         else:
             pred_pos = np.empty(0, dtype=np.int64)
         oracle[group] = confusion(

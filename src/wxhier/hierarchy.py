@@ -175,17 +175,12 @@ def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPredictio
     return preds  # type: ignore[return-value]
 
 
-def predict_tensor(model: HierarchicalModel, x: np.ndarray) -> HierPrediction:
-    """Single preprocessed (H,W,C) tensor -> prediction."""
-    return predict_batch(model, x[np.newaxis])[0]
-
-
 def predict_hierarchical(
     model: HierarchicalModel, image: ImageU8, channel_order: str = "RGB"
 ) -> HierPrediction:
     """Raw decoded image -> resize + standardize -> routed prediction."""
     x = preprocess_pipeline(image, channel_order, model.stats, model.input_hw)
-    return predict_tensor(model, x)
+    return predict_batch(model, x[np.newaxis])[0]
 
 
 def joint_leaf_batch(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
@@ -204,10 +199,6 @@ def joint_leaf_batch(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
                 :, j
             ].astype(np.float64)
     return out
-
-
-def joint_leaf_distribution(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
-    return joint_leaf_batch(model, x[np.newaxis])[0]
 
 
 # ------------------------------------------------------------------ training
@@ -460,10 +451,10 @@ def _read_bundle_manifest(dirpath: Path) -> dict:
     return manifest
 
 
-def load_hierarchical(dirpath: str | Path, verify_hash: bool = True) -> HierarchicalModel:
+def load_hierarchical(dirpath: str | Path) -> HierarchicalModel:
     dirpath = Path(dirpath)
     manifest = _read_bundle_manifest(dirpath)
-    if verify_hash and bundle_content_hash(dirpath) != manifest["content_hash"]:
+    if bundle_content_hash(dirpath) != manifest["content_hash"]:
         raise FormatError(f"{dirpath}: bundle content does not match its recorded hash")
 
     taxonomy = load_taxonomy((dirpath / manifest["taxonomy"]).read_bytes())

@@ -1,11 +1,12 @@
 """Binary PPM (P6) decode/encode and byte-image <-> float tensor conversion.
 
-PPM is the only on-disk raster format; converting JPEG/PNG collections is
-an offline step (``scripts/`` has a converter recipe in the README).
+PPM is the only on-disk raster format; JPEG/PNG collections must be
+converted to P6 with an outside tool before they enter a manifest.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,24 +41,20 @@ class ImageU8:
         return isinstance(other, ImageU8) and np.array_equal(self.pixels, other.pixels)
 
 
+# A header token is preceded by whitespace and '#' comments running to the
+# end of a line.  Two separate patterns keep the scan linear: a single one
+# with a required token after the nested star backtracks on long blank runs.
+_SKIP = re.compile(rb"(?:[ \t\n\r\v\f]|#[^\n\r]*)*")
+_TOKEN = re.compile(rb"[^ \t\n\r\v\f#]*")
+
+
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Next header token, skipping whitespace and '#' comment lines."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c in (b"#",):
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    if start == pos:
+    start = _SKIP.match(data, pos).end()
+    end = _TOKEN.match(data, start).end()
+    if start == end:
         raise ParseError("truncated PPM header")
-    return data[start:pos], pos
+    return data[start:end], end
 
 
 def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:

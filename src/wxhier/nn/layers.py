@@ -174,11 +174,12 @@ def batchnorm_forward(
     x_hat *= _row(inv_std, w)
     out = x_hat * _row(gamma, w)
     out += _row(beta, w)
-    cache = {"x_hat": x_hat.reshape(x.shape), "gamma": gamma, "inv_std": inv_std, "mode": mode}
+    cache = {"x_hat": x_hat.reshape(x.shape), "gamma": gamma, "inv_std": inv_std}
     return out.reshape(x.shape), cache
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients through a train-mode forward, the only mode that keeps caches."""
     x_hat = cache["x_hat"]
     gamma = cache["gamma"]
     inv_std = cache["inv_std"]
@@ -186,14 +187,10 @@ def batchnorm_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, n
     rows = (n * h, w * c)
     grad_beta = grad_out.sum(axis=(0, 1, 2))
     grad_gamma = (grad_out * x_hat).sum(axis=(0, 1, 2))
-    g = grad_out.reshape(rows)
-    if cache["mode"] == "train":
-        m = n * h * w
-        grad_x = g - _row(grad_beta / m, w)
-        grad_x -= x_hat.reshape(rows) * _row(grad_gamma / m, w)
-        grad_x *= _row(gamma * inv_std, w)
-    else:
-        grad_x = g * _row(gamma, w) * _row(inv_std, w)
+    m = n * h * w
+    grad_x = grad_out.reshape(rows) - _row(grad_beta / m, w)
+    grad_x -= x_hat.reshape(rows) * _row(grad_gamma / m, w)
+    grad_x *= _row(gamma * inv_std, w)
     return grad_x.reshape(x_hat.shape), grad_gamma, grad_beta
 
 

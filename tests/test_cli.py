@@ -2,17 +2,30 @@
 
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wxhier import cli, hierarchy, nn
 from wxhier.cli import main
-from wxhier.dataset import load_manifest
+from wxhier.dataset import SplitSpec, load_manifest, stratified_split
 from wxhier.errors import ShapeError
-from wxhier.hierarchy import bundle_content_hash, load_hierarchical, load_image_tensors
-from wxhier.preprocess import NormalizationStats
-from wxhier.taxonomy import LEAF_CLASSES
+from wxhier.evaluate import compare_models, evaluate_hierarchical_tensors
+from wxhier.hierarchy import (
+    HierTrainConfig,
+    bundle_content_hash,
+    leaf_labels,
+    load_hierarchical,
+    load_image_tensors,
+    load_standardized,
+    train_hierarchical,
+)
+from wxhier.preprocess import NormalizationStats, normalize
+from wxhier.taxonomy import LEAF_CLASSES, default_taxonomy
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*argv):
@@ -486,3 +499,57 @@ def test_train_input_size_too_small_fails_before_decoding(small_data, tmp_path, 
     assert rc == 2
     assert "does not fit" in capsys.readouterr().err
     assert calls == []
+
+
+# ------------------------------------------------------------ README recipes
+
+def _readme_commands(section: str = "") -> list[list[str]]:
+    """Arguments of each ``wxhier`` line in the README's sh blocks.
+
+    Backslash continuations are joined; ``section`` limits the search to
+    the text under that second-level heading.
+    """
+    text = README.read_text()
+    if section:
+        text = text.split(f"\n## {section}", 1)[1].split("\n## ", 1)[0]
+    script = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in script.splitlines() if line.startswith("wxhier ")]
+
+
+def test_readme_commands_parse():
+    parser, _ = cli.build_parser()
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    for argv in commands:
+        parser.parse_args(argv)
+
+
+def test_readme_comparison_recipe_matches_in_process_table(small_data, tmp_path):
+    recipe = _readme_commands("Real-data reproduction")
+    assert [argv[0] for argv in recipe] == ["split", "train", "train", "train", "compare"]
+    # the same commands, on the small corpus at 16 px for 2 epochs
+    shrink = {"--input-size": "16", "--epochs": "2"}
+    paths = {"$M": str(small_data / "manifest.csv"), "$D": str(small_data)}
+    for argv in recipe:
+        argv = [shrink.get(prev, paths.get(arg, arg)) for prev, arg in zip(["", *argv], argv)]
+        assert main([arg.replace("runs/", f"{tmp_path}/") for arg in argv]) == 0
+
+    # the reference: the same split, seeds and defaults, computed in-process
+    hw, root = (16, 16), small_data
+    split = stratified_split(load_manifest((small_data / "manifest.csv").read_bytes()),
+                             SplitSpec(seed=11))
+    rows = []
+    for arch, spec in [
+        ("softmax-flat", nn.softmax_flat_spec(hw + (3,), len(LEAF_CLASSES))),
+        ("basic-cnn", nn.basic_cnn_spec(hw + (3,), len(LEAF_CLASSES), scale="micro")),
+    ]:
+        x_train, x_test, _ = load_standardized(split.train, hw, root, split.test)
+        cfg = nn.TrainConfig(epochs=2, seed=5)
+        params, _ = nn.train(spec, x_train, leaf_labels(split.train), cfg)
+        rows.append((arch, nn.evaluate_accuracy(spec, params, x_test, leaf_labels(split.test))))
+    hcfg = HierTrainConfig(input_hw=hw, scale="micro", epochs=2, seed=5)
+    model, _ = train_hierarchical(split.train, default_taxonomy(), hcfg, split.val, root)
+    x_test = normalize(load_image_tensors(split.test, hw, root), model.stats)
+    report = evaluate_hierarchical_tensors(model, x_test, leaf_labels(split.test))
+    rows.append(("hierarchical", report.e2e_leaf_accuracy))
+    assert (tmp_path / "cmp" / "comparison.csv").read_text() == compare_models(rows)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wxhier.errors import EmptyMatrixError, LabelRangeError
+from wxhier.errors import DegenerateError, EmptyMatrixError, LabelRangeError
 from wxhier.evaluate import (
     ConfusionMatrix,
     HierEvalReport,
@@ -186,3 +186,17 @@ def test_hier_report_json(scored_report):
     assert doc["oracle_leaf_accuracy"] == scored_report.oracle_leaf_accuracy
     assert set(doc["sub_model_accuracy"]) == {"routed", "oracle_routed"}
     assert set(doc["sub_model_accuracy"]["oracle_routed"]) == {"Rainy", "Dusty", "Cold"}
+
+
+def test_oracle_rejects_non_finite_probabilities():
+    # every row routes to Rainy, so only the oracle pass runs sub_dusty
+    from wxhier.hierarchy import init_hierarchical
+    from wxhier.taxonomy import LEAF_CLASSES, default_taxonomy
+
+    model = init_hierarchical(default_taxonomy(), input_hw=(16, 16), seed=1)
+    model.primary.params[-2]["b"][:] = [1e3, 0, 0]
+    model.sub_dusty.params[-2]["b"][:] = np.inf
+    x = np.random.default_rng(0).standard_normal((6, 16, 16, 3)).astype(np.float32)
+    true = np.array([LEAF_CLASSES.index("fog_smog")] * 3 + [LEAF_CLASSES.index("rain")] * 3)
+    with pytest.raises(DegenerateError):
+        evaluate_hierarchical_tensors(model, x, true)

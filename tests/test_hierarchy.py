@@ -21,11 +21,9 @@ from wxhier.hierarchy import (
     bundle_content_hash,
     init_hierarchical,
     joint_leaf_batch,
-    joint_leaf_distribution,
     load_hierarchical,
     predict_batch,
     predict_hierarchical,
-    predict_tensor,
     save_hierarchical,
 )
 from wxhier.imageio import ImageU8
@@ -108,12 +106,12 @@ def test_safety_source_rules(flat_model):
             assert p.safety_probs is None
 
 
-def test_predict_tensor_matches_batch(random_model):
+def test_single_row_batch_matches_batch(random_model):
     # singleton and batched runs differ only by GEMM summation order
     x = random_inputs(5, seed=3)
     batch = predict_batch(random_model, x)
     for i in range(5):
-        single = predict_tensor(random_model, x[i])
+        (single,) = predict_batch(random_model, x[i : i + 1])
         assert single.leaf == batch[i].leaf
         np.testing.assert_allclose(single.leaf_probs, batch[i].leaf_probs, atol=1e-6)
 
@@ -134,8 +132,8 @@ def test_joint_distribution_sums_to_one(random_model):
     assert joint.shape == (40, 11)
     np.testing.assert_allclose(joint.sum(axis=1), 1.0, atol=1e-6)
     assert (joint >= 0).all()
-    single = joint_leaf_distribution(random_model, random_inputs(1, seed=6)[0])
-    assert single.shape == (11,)
+    single = joint_leaf_batch(random_model, random_inputs(1, seed=6)[:1])
+    assert single.shape == (1, 11)
     assert abs(float(single.sum()) - 1.0) < 1e-6
 
 
@@ -213,8 +211,6 @@ def test_bundle_tamper_detected(random_model, tmp_path):
     target.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="hash"):
         load_hierarchical(tmp_path / "bundle")
-    # explicit opt-out skips verification (the model file itself still parses)
-    load_hierarchical(tmp_path / "bundle", verify_hash=False)
 
 
 def test_bundle_version_rejected(random_model, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wxhier.errors import ParseError
-from wxhier.imageio import ImageU8, bgr_to_rgb, decode_ppm, encode_ppm, to_tensor
+from wxhier.imageio import ImageU8, _read_token, bgr_to_rgb, decode_ppm, encode_ppm, to_tensor
 
 pixel_arrays = hnp.arrays(
     dtype=np.uint8,
@@ -38,6 +38,55 @@ def test_header_comments_and_whitespace():
     img = decode_ppm(data)
     assert (img.height, img.width) == (1, 2)
     assert not img.pixels.any()
+
+
+def _ref_read_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    """Byte-at-a-time header scan: the reference for the regex scanner."""
+    ws = b" \t\n\r\v\f"
+    n = len(data)
+    while pos < n:
+        c = data[pos : pos + 1]
+        if c == b"#":
+            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif c in ws:
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and data[pos : pos + 1] not in ws and data[pos : pos + 1] != b"#":
+        pos += 1
+    if start == pos:
+        raise ParseError("truncated PPM header")
+    return data[start:pos], pos
+
+
+def _scan(read, data, pos):
+    try:
+        return read(data, pos)
+    except ParseError:
+        return ParseError
+
+
+header_bytes = st.lists(
+    st.sampled_from(list(b" \t\n\r\v\f#P6x0123456789") + [0, 0x85, 0xA0, 0xFF]), max_size=40
+).map(bytes)
+
+
+@given(header_bytes, st.integers(0, 45))
+@settings(max_examples=400)
+def test_read_token_matches_byte_scanner(data, pos):
+    assert _scan(_read_token, data, pos) == _scan(_ref_read_token, data, pos)
+
+
+def test_read_token_on_megabyte_header_runs():
+    # the byte scanner took 0.2 s on the comment and 0.8 s on the digits
+    run = 1_000_000
+    for filler in (b"#" + b"x" * run, b" " * run):
+        data = b"P6 " + filler + b"\n1"
+        assert _read_token(data, 2) == (b"1", len(data))
+    digits = b"7" * run
+    assert _read_token(b"P6 " + digits + b"\n1", 2) == (digits, 3 + run)
 
 
 def test_single_pixel_exact():
