@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyManifestError, ParseError, UnknownLabelError
-from .taxonomy import LEAF_CLASSES, LEAF_INDEX, Taxonomy, group_of
+from .taxonomy import COARSE_GROUPS, LEAF_CLASSES, LEAF_INDEX, Taxonomy, group_of
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -173,17 +173,10 @@ def class_distribution(entries: list[ManifestEntry], taxonomy: Taxonomy) -> Dist
     per_leaf = {leaf: 0 for leaf in LEAF_CLASSES}
     for e in entries:
         per_leaf[e.leaf] += 1
-    per_group = {g: 0 for g in ("Rainy", "Dusty", "Cold")}
+    per_group = {g: 0 for g in COARSE_GROUPS}
     for leaf, count in per_leaf.items():
         per_group[group_of(leaf, taxonomy)] += count
     return Distribution(per_leaf, per_group, len(entries))
-
-
-def subset_for_group(
-    entries: list[ManifestEntry], taxonomy: Taxonomy, group: str
-) -> list[ManifestEntry]:
-    """Entries whose leaf maps to ``group``, original order preserved."""
-    return [e for e in entries if group_of(e.leaf, taxonomy) == group]
 
 
 def distribution_csv(splits: dict[str, list[ManifestEntry]], taxonomy: Taxonomy) -> str:

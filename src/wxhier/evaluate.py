@@ -15,14 +15,23 @@ import numpy as np
 
 from .dataset import ManifestEntry
 from .errors import EmptyMatrixError, LabelRangeError
-from .hierarchy import HierarchicalModel, _probs, leaf_labels, load_image_tensors, predict_batch
+from .hierarchy import (
+    GROUP_ROLES,
+    HierarchicalModel,
+    leaf_labels,
+    load_image_tensors,
+    predict_batch,
+    role_targets,
+)
+from .nn import predict
 from .preprocess import normalize
 from .taxonomy import (
     COARSE_GROUPS,
+    GROUP_INDEX,
     LEAF_CLASSES,
+    LEAF_INDEX,
+    SAFETY_INDEX,
     SAFETY_LEVELS,
-    group_of,
-    leaves_of,
     safety_of,
 )
 
@@ -194,57 +203,39 @@ def evaluate_hierarchical_tensors(
     model: HierarchicalModel, x: np.ndarray, true_leaves: np.ndarray
 ) -> HierEvalReport:
     t = model.taxonomy
-    group_index = {g: i for i, g in enumerate(COARSE_GROUPS)}
-    leaf_index = {name: i for i, name in enumerate(LEAF_CLASSES)}
-    safety_index = {name: i for i, name in enumerate(SAFETY_LEVELS)}
-
     preds = predict_batch(model, x)
     true_leaf_names = [LEAF_CLASSES[i] for i in np.asarray(true_leaves)]
-    true_groups = np.array([group_index[group_of(name, t)] for name in true_leaf_names])
-    pred_groups = np.array([group_index[p.group] for p in preds])
+    _, true_groups = role_targets("primary", true_leaf_names, t)
+    pred_groups = np.array([GROUP_INDEX[p.group] for p in preds])
     primary_cm = confusion(true_groups, pred_groups, len(COARSE_GROUPS), COARSE_GROUPS)
 
     leaf_cm = confusion(
         np.asarray(true_leaves),
-        np.array([leaf_index[p.leaf] for p in preds]),
+        np.array([LEAF_INDEX[p.leaf] for p in preds]),
         len(LEAF_CLASSES),
         LEAF_CLASSES,
     )
 
-    true_safety = np.array([safety_index[safety_of(name, t)] for name in true_leaf_names])
-    pred_safety = np.array([safety_index[p.safety] for p in preds])
-    safety_cm = confusion(true_safety, pred_safety, len(SAFETY_LEVELS), tuple(SAFETY_LEVELS))
+    true_safety = np.array([SAFETY_INDEX[safety_of(name, t)] for name in true_leaf_names])
+    pred_safety = np.array([SAFETY_INDEX[p.safety] for p in preds])
+    safety_cm = confusion(true_safety, pred_safety, len(SAFETY_LEVELS), SAFETY_LEVELS)
 
     routed: dict[str, ConfusionMatrix] = {}
     oracle: dict[str, ConfusionMatrix] = {}
-    for group in COARSE_GROUPS:
-        classes = tuple(leaves_of(group, t))
-        class_pos = {leaf: i for i, leaf in enumerate(classes)}
-        gi = group_index[group]
-        in_group = np.array([name in class_pos for name in true_leaf_names])
+    for group, role in GROUP_ROLES.items():
+        sub = model.sub_for_group(group)
+        rows, labels = role_targets(role, true_leaf_names, t)
 
         # correctly-routed subset: the leaf prediction came from this sub-model
-        rows = np.nonzero(in_group & (pred_groups == gi))[0]
-        routed[group] = confusion(
-            [class_pos[true_leaf_names[r]] for r in rows],
-            [class_pos[preds[r].leaf] for r in rows],
-            len(classes),
-            classes,
-        )
+        hit = pred_groups[rows] == GROUP_INDEX[group]
+        pred_pos = [sub.classes.index(preds[r].leaf) for r in rows[hit]]
+        routed[group] = confusion(labels[hit], pred_pos, len(sub.classes), sub.classes)
 
         # oracle routing: run the sub-model on every true-group sample
-        rows = np.nonzero(in_group)[0]
-        sub = model.sub_for_group(group)
+        pred_pos = np.empty(0, dtype=np.int64)
         if rows.size:
-            pred_pos = _probs(sub, x[rows]).argmax(axis=1)
-        else:
-            pred_pos = np.empty(0, dtype=np.int64)
-        oracle[group] = confusion(
-            [class_pos[true_leaf_names[r]] for r in rows],
-            pred_pos,
-            len(classes),
-            classes,
-        )
+            pred_pos = predict(sub.spec, sub.params, x[rows]).argmax(axis=1)
+        oracle[group] = confusion(labels, pred_pos, len(sub.classes), sub.classes)
 
     return HierEvalReport(primary_cm, leaf_cm, safety_cm, routed, oracle)
 

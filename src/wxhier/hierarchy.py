@@ -6,6 +6,11 @@ Cold images additionally get a 2-way safety verdict from a dedicated
 model; for the other routes safety falls back to the taxonomy map, since
 only the cold branch carries a trained safety head.  Routing is hard
 argmax everywhere, ties toward the lowest index.
+
+Each of the five bundle roles has one definition of its classes
+(``role_classes``) and of the images it learns from with their labels
+(``role_targets``); training, the class check before training and the
+per-group evaluation matrices all read them.
 """
 
 from __future__ import annotations
@@ -14,13 +19,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import ManifestEntry
 from .errors import (
     ConfigError,
-    DegenerateError,
     FormatError,
     MissingClassError,
     ShapeError,
@@ -42,16 +47,15 @@ from .nn import (
     Params,
     TrainConfig,
     basic_cnn_spec,
-    forward_pass,
     init_params,
     load_model,
+    predict,
     save_model,
     train,
 )
 from .nn.train import EpochStats
 from .taxonomy import (
     COARSE_GROUPS,
-    GROUP_INDEX,
     LEAF_CLASSES,
     LEAF_INDEX,
     Taxonomy,
@@ -92,6 +96,30 @@ def role_classes(taxonomy: Taxonomy) -> dict[str, tuple[str, ...]]:
     return {"primary": COARSE_GROUPS, **groups, "sub_cold_safety": SAFETY_MODEL_CLASSES}
 
 
+def role_targets(
+    role: str, leaves: Sequence[str], taxonomy: Taxonomy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending rows of ``leaves`` that ``role`` learns from, and their labels.
+
+    Labels index ``role_classes(taxonomy)[role]``.  The primary model
+    learns every row, labelled by group; each group's sub-model learns
+    that group's rows, labelled by leaf; the cold safety head learns the
+    cold rows whose safety level is Safe or PotentiallyHazardous (its
+    2-way head cannot represent Dangerous).
+    """
+    classes = role_classes(taxonomy)[role]
+    if role == "primary":
+        name_of = {leaf: group_of(leaf, taxonomy) for leaf in LEAF_CLASSES}
+    elif role == "sub_cold_safety":
+        name_of = {leaf: safety_of(leaf, taxonomy) for leaf in leaves_of("Cold", taxonomy)}
+    else:
+        name_of = {leaf: leaf for leaf in classes}
+    label_of = {leaf: classes.index(name) for leaf, name in name_of.items() if name in classes}
+    rows = [i for i, leaf in enumerate(leaves) if leaf in label_of]
+    labels = [label_of[leaves[i]] for i in rows]
+    return np.array(rows, dtype=np.intp), np.array(labels, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class HierarchicalModel:
     primary: SubModel
@@ -129,13 +157,6 @@ class HierPrediction:
 
 # ---------------------------------------------------------------- prediction
 
-def _probs(sub: SubModel, x: np.ndarray) -> np.ndarray:
-    out, _ = forward_pass(sub.spec, sub.params, x, mode="infer")
-    if not np.isfinite(out).all():  # never route by argmax over NaN
-        raise DegenerateError(f"model over {sub.classes} gave non-finite probabilities")
-    return out
-
-
 def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPrediction]:
     """Hard-routed predictions for a batch of preprocessed (N,H,W,C) tensors.
 
@@ -146,7 +167,7 @@ def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPredictio
     the tests compare the argmax labels exactly.
     """
     n = x.shape[0]
-    group_probs = _probs(model.primary, x)
+    group_probs = predict(model.primary.spec, model.primary.params, x)
     group_idx = group_probs.argmax(axis=1)
     preds: list[HierPrediction | None] = [None] * n
     for gi, group in enumerate(COARSE_GROUPS):
@@ -154,10 +175,11 @@ def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPredictio
         if rows.size == 0:
             continue
         sub = model.sub_for_group(group)
-        leaf_probs = _probs(sub, x[rows])
+        leaf_probs = predict(sub.spec, sub.params, x[rows])
         leaf_idx = leaf_probs.argmax(axis=1)
         if group == "Cold":
-            safety_probs = _probs(model.sub_cold_safety, x[rows])
+            head = model.sub_cold_safety
+            safety_probs = predict(head.spec, head.params, x[rows])
             safety_idx = safety_probs.argmax(axis=1)
         for j, row in enumerate(rows):
             leaf = sub.classes[leaf_idx[j]]
@@ -189,11 +211,11 @@ def joint_leaf_batch(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
     The hard-routed leaf comes from a single sub-model and may differ
     from this distribution's argmax.
     """
-    group_probs = _probs(model.primary, x)
+    group_probs = predict(model.primary.spec, model.primary.params, x)
     out = np.zeros((x.shape[0], len(LEAF_CLASSES)), dtype=np.float64)
     for gi, group in enumerate(COARSE_GROUPS):
         sub = model.sub_for_group(group)
-        leaf_probs = _probs(sub, x)
+        leaf_probs = predict(sub.spec, sub.params, x)
         for j, leaf in enumerate(sub.classes):
             out[:, LEAF_INDEX[leaf]] += group_probs[:, gi].astype(np.float64) * leaf_probs[
                 :, j
@@ -267,11 +289,9 @@ def leaf_labels(entries: list[ManifestEntry]) -> np.ndarray:
     return np.array([LEAF_INDEX[e.leaf] for e in entries], dtype=np.int64)
 
 
-def check_all_leaves_present(entries: list[ManifestEntry]) -> None:
-    seen = {e.leaf for e in entries}
-    missing = [leaf for leaf in LEAF_CLASSES if leaf not in seen]
-    if missing:
-        raise MissingClassError(f"training data lacks leaf classes: {', '.join(missing)}")
+def _rows_of(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``x[rows]`` for ascending ``rows``; ``x`` itself, not a copy, when they are all of it."""
+    return x if rows.size == x.shape[0] else x[rows]
 
 
 def train_hierarchical(
@@ -283,11 +303,9 @@ def train_hierarchical(
 ) -> tuple[HierarchicalModel, dict[str, list[EpochStats]]]:
     """Train all five models; returns the model and per-role histories.
 
-    The primary model sees every training image with its coarse group as
-    the label; each sub-model sees only its group's images.  The cold
-    safety model sees the cold images whose taxonomy safety is Safe or
-    PotentiallyHazardous (the 2-way head cannot represent a third
-    level, so cold leaves mapped to Dangerous are left out of it).  One
+    Each role trains on the rows and labels ``role_targets`` gives it.
+    A role that lacks one of its classes in the training entries raises
+    ``MissingClassError`` before any image is decoded.  One
     NormalizationStats, computed on the resized training tensors, is
     shared by all five.
     """
@@ -303,66 +321,32 @@ def train_hierarchical(
             f"input size {cfg.input_hw[0]}x{cfg.input_hw[1]} does not fit the "
             f"{cfg.scale!r} preset: {exc}"
         ) from None
-    check_all_leaves_present(train_entries)
     val_entries = val_entries or []
+    train_leaves = [e.leaf for e in train_entries]
+    val_leaves = [e.leaf for e in val_entries]
+    targets = {
+        role: (role_targets(role, train_leaves, taxonomy), role_targets(role, val_leaves, taxonomy))
+        for role in MODEL_ROLES
+    }
+    missing = [
+        f"{role}: {name}"
+        for role, ((_, labels), _) in targets.items()
+        for i, name in enumerate(classes[role])
+        if i not in labels
+    ]
+    if missing:
+        raise MissingClassError(f"training data lacks classes: {', '.join(missing)}")
 
     x_train, x_val, stats = load_standardized(train_entries, cfg.input_hw, root, val_entries)
     subs: dict[str, SubModel] = {}
     histories: dict[str, list[EpochStats]] = {}
-
-    def fit(role: str, x, y, xv, yv) -> None:
-        tc = cfg.train_config(MODEL_ROLES.index(role))
-        params, histories[role] = train(specs[role], x, y, tc, xv, yv)
+    for i, role in enumerate(MODEL_ROLES):
+        (rows, y), (vrows, yv) = targets[role]
+        xv, yv = (_rows_of(x_val, vrows), yv) if vrows.size else (None, None)
+        params, histories[role] = train(
+            specs[role], _rows_of(x_train, rows), y, cfg.train_config(i), xv, yv
+        )
         subs[role] = SubModel(specs[role], params, classes[role])
-
-    # primary: group labels over the full set
-    y_group = np.array(
-        [GROUP_INDEX[group_of(e.leaf, taxonomy)] for e in train_entries], dtype=np.int64
-    )
-    yv_group = np.array(
-        [GROUP_INDEX[group_of(e.leaf, taxonomy)] for e in val_entries], dtype=np.int64
-    )
-    fit("primary", x_train, y_group, x_val, yv_group if val_entries else None)
-
-    # per-group sub-models with within-group leaf labels
-    for role in GROUP_ROLES.values():
-        class_pos = {leaf: i for i, leaf in enumerate(classes[role])}
-        rows = np.array(
-            [i for i, e in enumerate(train_entries) if e.leaf in class_pos], dtype=np.intp
-        )
-        y_sub = np.array([class_pos[train_entries[i].leaf] for i in rows], dtype=np.int64)
-        vrows = np.array(
-            [i for i, e in enumerate(val_entries) if e.leaf in class_pos], dtype=np.intp
-        )
-        xv_sub = x_val[vrows] if vrows.size else None
-        yv_sub = np.array([class_pos[val_entries[i].leaf] for i in vrows], dtype=np.int64)
-        fit(role, x_train[rows], y_sub, xv_sub, yv_sub if vrows.size else None)
-
-    # cold safety head: cold images with a representable safety level
-    def safety_rows(entries):
-        rows, labels = [], []
-        for i, e in enumerate(entries):
-            if group_of(e.leaf, taxonomy) != "Cold":
-                continue
-            safety = safety_of(e.leaf, taxonomy)
-            if safety in SAFETY_MODEL_CLASSES:
-                rows.append(i)
-                labels.append(SAFETY_MODEL_CLASSES.index(safety))
-        return np.array(rows, dtype=np.intp), np.array(labels, dtype=np.int64)
-
-    srows, y_safety = safety_rows(train_entries)
-    present = set(y_safety.tolist())
-    absent = [name for i, name in enumerate(SAFETY_MODEL_CLASSES) if i not in present]
-    if absent:
-        raise MissingClassError(f"no cold training images with safety: {', '.join(absent)}")
-    svrows, yv_safety = safety_rows(val_entries)
-    fit(
-        "sub_cold_safety",
-        x_train[srows],
-        y_safety,
-        x_val[svrows] if svrows.size else None,
-        yv_safety if svrows.size else None,
-    )
     return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats), histories
 
 

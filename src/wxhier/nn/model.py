@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, DegenerateError, ShapeError
 from . import layers as L
 
 Shape = tuple[int, ...]
@@ -350,7 +350,11 @@ def backward_from_logits(
 def predict(spec: ModelSpec, params: Params, x: np.ndarray) -> np.ndarray:
     """Inference-mode probabilities, one row per batch item, rows sum to 1.
 
-    Argmax consumers break ties toward the lowest class index.
+    Argmax consumers break ties toward the lowest class index.  Raises
+    ``DegenerateError`` when any probability is not finite, so no caller
+    routes or scores by an argmax over NaN.
     """
     probs, _ = forward_pass(spec, params, x, mode="infer")
+    if not np.isfinite(probs).all():
+        raise DegenerateError(f"model over {spec.n_out} classes gave non-finite probabilities")
     return probs

@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateError, FormatError, ShapeError, VersionError
-from ..preprocess import NormalizationStats
+from ..errors import ConfigError, FormatError, ShapeError, VersionError
+from ..preprocess import NormalizationStats, stats_from_dict, stats_to_dict
 from ..tensorio import tensor_from_bytes, tensor_to_bytes
 from . import model as M
 
@@ -102,11 +102,7 @@ def model_to_bytes(
     labels: list[str] | None = None,
 ) -> bytes:
     header = spec_to_dict(spec)
-    header["stats"] = (
-        None
-        if stats is None
-        else {"mean": stats.mean, "std": stats.std, "sample_count": stats.sample_count}
-    )
+    header["stats"] = None if stats is None else stats_to_dict(stats)
     header["labels"] = labels
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     buf = io.BytesIO()
@@ -155,17 +151,9 @@ def model_from_bytes(
         params.append(entry)
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after parameters")
-    return spec, params, _stats_from_header(header), _labels_from_header(header)
-
-
-def _stats_from_header(header: dict) -> NormalizationStats | None:
-    s = header.get("stats")
-    if s is None:
-        return None
-    try:
-        return NormalizationStats(float(s["mean"]), float(s["std"]), int(s["sample_count"]))
-    except (KeyError, TypeError, ValueError, OverflowError, DegenerateError) as exc:
-        raise FormatError(f"bad normalization stats in model header: {exc}") from None
+    stats = header.get("stats")
+    stats = None if stats is None else stats_from_dict(stats)
+    return spec, params, stats, _labels_from_header(header)
 
 
 def _labels_from_header(header: dict) -> list[str] | None:

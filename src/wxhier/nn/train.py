@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .model import ModelSpec, Params, backward_from_logits, forward_pass, init_params, zero_grads
+from .model import (
+    ModelSpec,
+    Params,
+    backward_from_logits,
+    forward_pass,
+    init_params,
+    predict,
+    zero_grads,
+)
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,7 @@ def evaluate_accuracy(
     """Infer-mode accuracy, computed in batches to bound memory."""
     hits = 0
     for lo in range(0, x.shape[0], batch_size):
-        probs, _ = forward_pass(spec, params, x[lo : lo + batch_size], mode="infer")
+        probs = predict(spec, params, x[lo : lo + batch_size])
         hits += int((probs.argmax(axis=1) == labels[lo : lo + batch_size]).sum())
     return hits / x.shape[0]
 

@@ -160,21 +160,31 @@ def preprocess_pipeline(
     return normalize(tensor, s)
 
 
+def stats_to_dict(s: NormalizationStats) -> dict:
+    """JSON object of the stats, as stored in ``stats.json`` and model headers."""
+    return {"mean": s.mean, "std": s.std, "sample_count": s.sample_count}
+
+
+def stats_from_dict(doc) -> NormalizationStats:
+    """Inverse of ``stats_to_dict``; any fault in ``doc`` is a ``FormatError``."""
+    try:
+        return NormalizationStats(float(doc["mean"]), float(doc["std"]), int(doc["sample_count"]))
+    except (KeyError, TypeError, ValueError, OverflowError, DegenerateError) as exc:
+        raise FormatError(f"bad normalization stats: {exc}") from None
+
+
 def stats_to_json(s: NormalizationStats) -> str:
     # repr-style floats round-trip exactly (always >= 9 significant digits
     # of precision preserved).
-    return json.dumps(
-        {"mean": s.mean, "std": s.std, "sample_count": s.sample_count},
-        indent=2,
-    )
+    return json.dumps(stats_to_dict(s), indent=2)
 
 
 def stats_from_json(text: str | bytes) -> NormalizationStats:
     try:
         doc = json.loads(text)
-        return NormalizationStats(float(doc["mean"]), float(doc["std"]), int(doc["sample_count"]))
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, DegenerateError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
         raise FormatError(f"bad stats document: {exc}") from None
+    return stats_from_dict(doc)
 
 
 def save_stats(path, s: NormalizationStats) -> None:

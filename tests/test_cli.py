@@ -23,7 +23,7 @@ from wxhier.hierarchy import (
     train_hierarchical,
 )
 from wxhier.preprocess import NormalizationStats, normalize
-from wxhier.taxonomy import LEAF_CLASSES, default_taxonomy
+from wxhier.taxonomy import LEAF_CLASSES, Taxonomy, default_taxonomy, serialize_taxonomy
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -271,6 +271,21 @@ def test_compare_corrupt_model_exits_4(small_data, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compare_overflowing_flat_model_exits_4(small_data, tmp_path, capsys):
+    # finite weights whose products overflow: the softmax rows come out NaN
+    spec = nn.softmax_flat_spec((16, 16, 3), len(LEAF_CLASSES))
+    params = nn.init_params(spec, np.random.default_rng(0))
+    params[1]["w"] = np.where(params[1]["w"] < 0, -3e38, 3e38).astype(np.float32)
+    big = tmp_path / "big.wxm1"
+    nn.save_model(big, spec, params, NormalizationStats(127.5, 64.0, 2), list(LEAF_CLASSES))
+    rc = run("compare", "--manifest", small_data / "manifest.csv", "--root", small_data,
+             "--output-dir", tmp_path, f"a={big}", f"b={big}")
+    assert rc == 4
+    assert "non-finite probabilities" in capsys.readouterr().err
+    assert not (tmp_path / "comparison.csv").exists()
+
+
 def test_compare_requires_two_models(small_data, tmp_path):
     rc = run("compare", "--manifest", small_data / "manifest.csv",
              "--output-dir", tmp_path, "only=one")
@@ -499,6 +514,18 @@ def test_train_input_size_too_small_fails_before_decoding(small_data, tmp_path, 
     assert rc == 2
     assert "does not fit" in capsys.readouterr().err
     assert calls == []
+
+
+def test_train_taxonomy_without_cold_hazard_exits_4(small_data, tmp_path, capsys):
+    t = default_taxonomy()
+    taxonomy = Taxonomy(t.leaf_to_group, {**t.leaf_to_safety, "frost": "Safe", "rime": "Safe"})
+    (tmp_path / "taxonomy.cfg").write_text(serialize_taxonomy(taxonomy))
+    rc = run("train", "--manifest", small_data / "manifest.csv", "--root", small_data,
+             "--output-dir", tmp_path / "out", "--taxonomy", tmp_path / "taxonomy.cfg",
+             "--input-size", 8, "--epochs", 1)
+    assert rc == 4
+    assert "sub_cold_safety: PotentiallyHazardous" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------ README recipes

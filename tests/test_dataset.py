@@ -14,7 +14,6 @@ from wxhier.dataset import (
     load_manifest,
     manifest_to_csv,
     stratified_split,
-    subset_for_group,
 )
 from wxhier.errors import EmptyManifestError, ParseError, UnknownLabelError
 from wxhier.taxonomy import LEAF_CLASSES, default_taxonomy
@@ -163,14 +162,6 @@ def test_class_distribution_counts():
     assert dist.per_leaf["rain"] == 3
     assert dist.per_leaf["dew"] == 0
     assert dist.per_group == {"Rainy": 3, "Dusty": 4, "Cold": 2}
-
-
-def test_subset_for_group():
-    t = default_taxonomy()
-    entries = manifest_for({"rain": 2, "hail": 1, "snow": 3})
-    rainy = subset_for_group(entries, t, "Rainy")
-    assert len(rainy) == 3
-    assert all(e.leaf in ("rain", "hail") for e in rainy)
 
 
 def test_distribution_csv_shape():

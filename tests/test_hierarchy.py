@@ -4,7 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wxhier import hierarchy
+from wxhier.dataset import ManifestEntry, load_manifest
 from wxhier.errors import (
     DegenerateError,
     FormatError,
@@ -13,6 +17,7 @@ from wxhier.errors import (
     VersionError,
 )
 from wxhier.hierarchy import (
+    GROUP_ROLES,
     MODEL_ROLES,
     SAFETY_MODEL_CLASSES,
     HierTrainConfig,
@@ -24,13 +29,19 @@ from wxhier.hierarchy import (
     load_hierarchical,
     predict_batch,
     predict_hierarchical,
+    role_classes,
+    role_targets,
     save_hierarchical,
+    train_hierarchical,
 )
 from wxhier.imageio import ImageU8
 from wxhier.nn import init_params, softmax_flat_spec
 from wxhier.taxonomy import (
     COARSE_GROUPS,
+    GROUP_INDEX,
     LEAF_CLASSES,
+    SAFETY_LEVELS,
+    Taxonomy,
     default_taxonomy,
     group_of,
     leaves_of,
@@ -297,15 +308,106 @@ def test_bundle_missing_manifest(random_model, tmp_path):
 # ---------------------------------------------------------------- training
 
 def test_train_requires_every_leaf(small_data):
-    from wxhier.dataset import load_manifest
-
     entries = load_manifest((small_data / "manifest.csv").read_bytes())
     no_rainbow = [e for e in entries if e.leaf != "rainbow"]
     cfg = HierTrainConfig(input_hw=(8, 8), scale="micro", epochs=1)
     with pytest.raises(MissingClassError, match="rainbow"):
-        from wxhier.hierarchy import train_hierarchical
-
         train_hierarchical(no_rainbow, default_taxonomy(), cfg, root=small_data)
+
+
+def no_cold_hazard_taxonomy() -> Taxonomy:
+    """Default taxonomy with frost and rime Safe: no cold leaf is PotentiallyHazardous."""
+    t = default_taxonomy()
+    return Taxonomy(t.leaf_to_group, {**t.leaf_to_safety, "frost": "Safe", "rime": "Safe"})
+
+
+def test_missing_safety_class_fails_before_decoding(small_data, monkeypatch):
+    calls = {"load_image_tensors": 0, "train": 0}
+
+    def counted(name):
+        original = getattr(hierarchy, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hierarchy, name, wrapper)
+
+    counted("load_image_tensors")
+    counted("train")
+    entries = load_manifest((small_data / "manifest.csv").read_bytes())
+    cfg = HierTrainConfig(input_hw=(8, 8), scale="micro", epochs=1)
+    with pytest.raises(MissingClassError, match="sub_cold_safety: PotentiallyHazardous"):
+        train_hierarchical(entries, no_cold_hazard_taxonomy(), cfg, root=small_data)
+    assert calls == {"load_image_tensors": 0, "train": 0}
+
+
+def parent_selection(entries, taxonomy):
+    """Each role's rows and labels as the three selection blocks of the
+    former ``train_hierarchical`` computed them; the reference for
+    ``role_targets``."""
+    classes = role_classes(taxonomy)
+    out = {}
+
+    # primary: group labels over the full set
+    y_group = np.array(
+        [GROUP_INDEX[group_of(e.leaf, taxonomy)] for e in entries], dtype=np.int64
+    )
+    out["primary"] = np.arange(len(entries)), y_group
+
+    # per-group sub-models with within-group leaf labels
+    for role in GROUP_ROLES.values():
+        class_pos = {leaf: i for i, leaf in enumerate(classes[role])}
+        rows = np.array([i for i, e in enumerate(entries) if e.leaf in class_pos], dtype=np.intp)
+        y_sub = np.array([class_pos[entries[i].leaf] for i in rows], dtype=np.int64)
+        out[role] = rows, y_sub
+
+    # cold safety head: cold images with a representable safety level
+    def safety_rows(entries):
+        rows, labels = [], []
+        for i, e in enumerate(entries):
+            if group_of(e.leaf, taxonomy) != "Cold":
+                continue
+            safety = safety_of(e.leaf, taxonomy)
+            if safety in SAFETY_MODEL_CLASSES:
+                rows.append(i)
+                labels.append(SAFETY_MODEL_CLASSES.index(safety))
+        return np.array(rows, dtype=np.intp), np.array(labels, dtype=np.int64)
+
+    out["sub_cold_safety"] = safety_rows(entries)
+    return out
+
+
+def taxonomy_from(groups, safety) -> Taxonomy:
+    return Taxonomy(dict(zip(LEAF_CLASSES, groups)), dict(zip(LEAF_CLASSES, safety)))
+
+
+_ALL_COLD = taxonomy_from(["Cold"] * 11, SAFETY_LEVELS * 3 + SAFETY_LEVELS[:2])
+
+
+@given(
+    taxonomy=st.builds(
+        taxonomy_from,
+        st.lists(st.sampled_from(COARSE_GROUPS), min_size=11, max_size=11),
+        st.lists(st.sampled_from(SAFETY_LEVELS), min_size=11, max_size=11),
+    ),
+    leaves=st.lists(st.sampled_from(LEAF_CLASSES), max_size=40),
+)
+@example(taxonomy=default_taxonomy(), leaves=[])
+@example(taxonomy=_ALL_COLD, leaves=list(LEAF_CLASSES) * 2)
+@example(taxonomy=default_taxonomy(), leaves=["snow", "rime", "snow"])
+@settings(max_examples=150, deadline=None)
+def test_role_targets_match_parent_selection(taxonomy, leaves):
+    want = parent_selection([ManifestEntry(f"{i}.ppm", leaf) for i, leaf in enumerate(leaves)],
+                            taxonomy)
+    classes = role_classes(taxonomy)
+    for role in MODEL_ROLES:
+        rows, labels = role_targets(role, leaves, taxonomy)
+        assert rows.dtype == np.intp and labels.dtype == np.int64
+        np.testing.assert_array_equal(rows, want[role][0])
+        np.testing.assert_array_equal(labels, want[role][1])
+        assert (np.diff(rows) > 0).all()
+        assert all(0 <= label < len(classes[role]) for label in labels)
 
 
 def test_role_seeds_differ():
