@@ -41,7 +41,7 @@ from .hierarchy import (
     train_hierarchical,
 )
 from .imageio import decode_ppm
-from .preprocess import compute_stats, load_stats, normalize, save_stats
+from .preprocess import compute_stats, load_stats, save_stats
 from .synthetic import DEFAULT_PER_CLASS, DEFAULT_SEED, DEFAULT_SIZE, generate_dataset
 from .taxonomy import LEAF_CLASSES, default_taxonomy, load_taxonomy
 from .tensorio import write_tensor
@@ -269,9 +269,8 @@ def cmd_stats(args) -> int:
 
 def cmd_preprocess(args) -> int:
     entries, root = _entries_and_root(args)
-    x = load_image_tensors(entries, (args.input_size, args.input_size), root)
-    stats = load_stats(args.stats) if args.stats else compute_stats(x)
-    x = normalize(x, stats)
+    stats = load_stats(args.stats) if args.stats else None
+    x, stats = load_standardized(entries, (args.input_size, args.input_size), root, stats)
     out = _outdir(args)
     write_tensor(out / "tensors.wxt1", x)
     save_stats(out / "stats.json", stats)
@@ -295,9 +294,8 @@ def _train_flat(args, tc: nn.TrainConfig, train_entries, val_entries, root) -> i
     except ShapeError as exc:
         msg = f"--input-size {args.input_size} does not fit {args.arch}: {exc}"
         raise ConfigError(msg) from None
-    x_train, x_val, stats = load_standardized(
-        train_entries, (args.input_size, args.input_size), root, val_entries
-    )
+    x_train, stats = load_standardized(train_entries, input_shape[:2], root)
+    x_val = load_standardized(val_entries, input_shape[:2], root, stats)[0] if val_entries else None
     y_val = leaf_labels(val_entries) if val_entries else None
     params, history = nn.train(spec, x_train, leaf_labels(train_entries), tc, x_val, y_val)
     out = _outdir(args)
@@ -397,7 +395,7 @@ def _flat_leaf_accuracy(model_path: Path, entries, root) -> float:
         y = np.array([pos[e.leaf] for e in entries], dtype=np.int64)
     except KeyError as exc:
         raise ValidationError(f"{model_path}: model does not know class {exc}") from None
-    x = normalize(load_image_tensors(entries, spec.input_shape[:2], root), stats)
+    x, _ = load_standardized(entries, spec.input_shape[:2], root, stats)
     return nn.evaluate_accuracy(spec, params, x, y)
 
 

@@ -19,12 +19,11 @@ from .hierarchy import (
     GROUP_ROLES,
     HierarchicalModel,
     leaf_labels,
-    load_image_tensors,
+    load_standardized,
     predict_batch,
     role_targets,
 )
 from .nn import predict
-from .preprocess import normalize
 from .taxonomy import (
     COARSE_GROUPS,
     GROUP_INDEX,
@@ -80,12 +79,6 @@ def confusion(
     return ConfusionMatrix(labels, counts)
 
 
-def merge(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:
-    if a.labels != b.labels:
-        raise LabelRangeError(f"cannot merge matrices over {a.labels} and {b.labels}")
-    return ConfusionMatrix(a.labels, a.counts + b.counts)
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     labels: tuple[str, ...]
@@ -130,21 +123,6 @@ def confusion_to_csv(cm: ConfusionMatrix) -> str:
     for label, row in zip(cm.labels, cm.counts):
         buf.write(label + "," + ",".join(str(int(v)) for v in row) + "\n")
     return buf.getvalue()
-
-
-def metrics_to_json(report: MetricsReport) -> str:
-    doc = {
-        "accuracy": report.accuracy,
-        "per_class": {
-            label: {
-                "precision": report.precision[i],
-                "recall": report.recall[i],
-                "support": report.support[i],
-            }
-            for i, label in enumerate(report.labels)
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def format_percent(value: float) -> str:
@@ -195,7 +173,7 @@ def evaluate_hierarchical(
     sub-model from the primary.  End-to-end accuracy can exceed neither
     the oracle accuracy plus the routing error rate (counting bound).
     """
-    x = normalize(load_image_tensors(entries, model.input_hw, root), model.stats)
+    x, _ = load_standardized(entries, model.input_hw, root, model.stats)
     return evaluate_hierarchical_tensors(model, x, leaf_labels(entries))
 
 

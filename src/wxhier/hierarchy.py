@@ -11,6 +11,10 @@ Each of the five bundle roles has one definition of its classes
 (``role_classes``) and of the images it learns from with their labels
 (``role_targets``); training, the class check before training and the
 per-group evaluation matrices all read them.
+
+``load_standardized`` is the one data path from manifest entries to a
+standardized batch: training (train and val sets), evaluation, flat-model
+scoring in ``wxhier compare`` and ``wxhier preprocess`` all call it.
 """
 
 from __future__ import annotations
@@ -26,21 +30,22 @@ import numpy as np
 from .dataset import ManifestEntry
 from .errors import (
     ConfigError,
+    EmptyManifestError,
     FormatError,
     MissingClassError,
     ShapeError,
     ValidationError,
     VersionError,
 )
-from .imageio import ImageU8, bgr_to_rgb, decode_ppm, to_tensor
+from .imageio import ImageU8, decode_ppm
 from .preprocess import (
     NormalizationStats,
     compute_stats,
     load_stats,
+    model_input,
     normalize,
     preprocess_pipeline,
-    resize_lanczos,
-    save_stats,
+    stats_to_json,
 )
 from .nn import (
     ModelSpec,
@@ -49,8 +54,8 @@ from .nn import (
     basic_cnn_spec,
     init_params,
     load_model,
+    model_to_bytes,
     predict,
-    save_model,
     train,
 )
 from .nn.train import EpochStats
@@ -250,39 +255,31 @@ class HierTrainConfig:
 def load_image_tensors(
     entries: list[ManifestEntry], out_hw: tuple[int, int], root: str | Path = "."
 ) -> np.ndarray:
-    """Decode and resize manifest images to a raw 0..255 (N,H,W,3) batch."""
-    root = Path(root)
+    """Decode manifest images and ``model_input`` each into a raw 0..255 (N,H,W,3) batch."""
     out = np.empty((len(entries), out_hw[0], out_hw[1], 3), dtype=np.float32)
     for i, entry in enumerate(entries):
-        path = Path(entry.path)
-        if not path.is_absolute():
-            path = root / path
-        img = decode_ppm(path.read_bytes())
-        if entry.channel_order == "BGR":
-            img = bgr_to_rgb(img)
-        out[i] = resize_lanczos(to_tensor(img), out_hw[0], out_hw[1])
+        img = decode_ppm((Path(root) / entry.path).read_bytes())
+        out[i] = model_input(img, entry.channel_order, out_hw)
     return out
 
 
 def load_standardized(
-    train_entries: list[ManifestEntry],
+    entries: list[ManifestEntry],
     out_hw: tuple[int, int],
     root: str | Path = ".",
-    other_entries: list[ManifestEntry] | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, NormalizationStats]:
-    """Load the training images and standardize them with their own stats.
+    stats: NormalizationStats | None = None,
+) -> tuple[np.ndarray, NormalizationStats]:
+    """Manifest entries -> standardized (N,H,W,3) batch, and the stats it used.
 
-    ``other_entries`` (a validation or test set) are standardized with the
-    same stats; their tensor is None when there are none.
+    Without ``stats`` (a training set) they are computed from these images.
+    No entries is an ``EmptyManifestError``.
     """
-    x_raw = load_image_tensors(train_entries, out_hw, root)
-    stats = compute_stats(x_raw)
-    x_train = normalize(x_raw, stats)
-    del x_raw
-    x_other = None
-    if other_entries:
-        x_other = normalize(load_image_tensors(other_entries, out_hw, root), stats)
-    return x_train, x_other, stats
+    if not entries:
+        raise EmptyManifestError("the manifest lists no images")
+    x = load_image_tensors(entries, out_hw, root)
+    if stats is None:
+        stats = compute_stats(x)
+    return normalize(x, stats), stats
 
 
 def leaf_labels(entries: list[ManifestEntry]) -> np.ndarray:
@@ -304,12 +301,27 @@ def train_hierarchical(
     """Train all five models; returns the model and per-role histories.
 
     Each role trains on the rows and labels ``role_targets`` gives it.
-    A role that lacks one of its classes in the training entries raises
-    ``MissingClassError`` before any image is decoded.  One
-    NormalizationStats, computed on the resized training tensors, is
-    shared by all five.
+    A role that lacks one of its classes in the training entries, or
+    that the taxonomy gives no class, raises ``MissingClassError`` before
+    any image is decoded.  One NormalizationStats, computed on the
+    resized training tensors, is shared by all five.
     """
     classes = role_classes(taxonomy)
+    val_entries = val_entries or []
+    train_leaves = [e.leaf for e in train_entries]
+    val_leaves = [e.leaf for e in val_entries]
+    targets = {
+        role: (role_targets(role, train_leaves, taxonomy), role_targets(role, val_leaves, taxonomy))
+        for role in MODEL_ROLES
+    }
+    missing = [  # a role with no class in the taxonomy is reported by a placeholder
+        f"{role}: {name}"
+        for role, ((_, labels), _) in targets.items()
+        for i, name in enumerate(classes[role] or ["(none in the taxonomy)"])
+        if i not in labels
+    ]
+    if missing:
+        raise MissingClassError(f"training data lacks classes: {', '.join(missing)}")
     input_shape = (cfg.input_hw[0], cfg.input_hw[1], 3)
     try:  # before any image is decoded
         specs = {
@@ -321,23 +333,9 @@ def train_hierarchical(
             f"input size {cfg.input_hw[0]}x{cfg.input_hw[1]} does not fit the "
             f"{cfg.scale!r} preset: {exc}"
         ) from None
-    val_entries = val_entries or []
-    train_leaves = [e.leaf for e in train_entries]
-    val_leaves = [e.leaf for e in val_entries]
-    targets = {
-        role: (role_targets(role, train_leaves, taxonomy), role_targets(role, val_leaves, taxonomy))
-        for role in MODEL_ROLES
-    }
-    missing = [
-        f"{role}: {name}"
-        for role, ((_, labels), _) in targets.items()
-        for i, name in enumerate(classes[role])
-        if i not in labels
-    ]
-    if missing:
-        raise MissingClassError(f"training data lacks classes: {', '.join(missing)}")
 
-    x_train, x_val, stats = load_standardized(train_entries, cfg.input_hw, root, val_entries)
+    x_train, stats = load_standardized(train_entries, cfg.input_hw, root)
+    x_val = load_standardized(val_entries, cfg.input_hw, root, stats)[0] if val_entries else None
     subs: dict[str, SubModel] = {}
     histories: dict[str, list[EpochStats]] = {}
     for i, role in enumerate(MODEL_ROLES):
@@ -373,45 +371,53 @@ def init_hierarchical(
 # ------------------------------------------------------------------- bundles
 
 def save_hierarchical(model: HierarchicalModel, dirpath: str | Path) -> None:
-    """Write the bundle directory: five model files, taxonomy, stats, manifest."""
+    """Write the bundle directory: five model files, taxonomy, stats, manifest.
+
+    The content hash is taken over the payload bytes as they are written.
+    """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    hasher = hashlib.sha256()
-    files: dict[str, str] = {}
-    for role in MODEL_ROLES:
+    files = {role: f"{role}.wxm1" for role in MODEL_ROLES}
+    payloads = {}  # file name -> bytes, in pinned hash order
+    for role, name in files.items():
         sub = getattr(model, role)
-        fname = f"{role}.wxm1"
-        save_model(dirpath / fname, sub.spec, sub.params, model.stats, list(sub.classes))
-        files[role] = fname
-        hasher.update((dirpath / fname).read_bytes())
-    (dirpath / "taxonomy.cfg").write_text(serialize_taxonomy(model.taxonomy))
-    hasher.update((dirpath / "taxonomy.cfg").read_bytes())
-    save_stats(dirpath / "stats.json", model.stats)
-    hasher.update((dirpath / "stats.json").read_bytes())
+        payloads[name] = model_to_bytes(sub.spec, sub.params, model.stats, list(sub.classes))
+    payloads["taxonomy.cfg"] = serialize_taxonomy(model.taxonomy).encode("utf-8")
+    payloads["stats.json"] = stats_to_json(model.stats).encode("utf-8")
+    for name, blob in payloads.items():
+        (dirpath / name).write_bytes(blob)
     manifest = {
         "format": "wxhier-bundle",
         "version": BUNDLE_VERSION,
         "models": files,
         "taxonomy": "taxonomy.cfg",
         "stats": "stats.json",
-        "content_hash": hasher.hexdigest(),
+        "content_hash": _digest(payloads.values()),
     }
     (dirpath / "bundle.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _digest(payloads) -> str:
+    hasher = hashlib.sha256()
+    for blob in payloads:
+        hasher.update(blob)
+    return hasher.hexdigest()
 
 
 def bundle_content_hash(dirpath: str | Path) -> str:
     """Recompute the digest over the bundle's payload files in pinned order."""
     dirpath = Path(dirpath)
-    manifest = _read_bundle_manifest(dirpath)
-    hasher = hashlib.sha256()
-    for role in MODEL_ROLES:
-        hasher.update((dirpath / manifest["models"][role]).read_bytes())
-    hasher.update((dirpath / manifest["taxonomy"]).read_bytes())
-    hasher.update((dirpath / manifest["stats"]).read_bytes())
-    return hasher.hexdigest()
+    _, names = _read_bundle_manifest(dirpath)
+    return _digest((dirpath / name).read_bytes() for name in names)
 
 
-def _read_bundle_manifest(dirpath: Path) -> dict:
+def _is_plain_name(name) -> bool:
+    """A file name that stays inside the bundle directory."""
+    return isinstance(name, str) and name not in ("", ".", "..") and not set(name) & set("/\\\0")
+
+
+def _read_bundle_manifest(dirpath: Path) -> tuple[dict, list[str]]:
+    """The parsed ``bundle.json`` and its payload file names in pinned hash order."""
     mpath = dirpath / "bundle.json"
     if not mpath.is_file():
         raise FormatError(f"{dirpath}: no bundle.json manifest")
@@ -429,15 +435,15 @@ def _read_bundle_manifest(dirpath: Path) -> dict:
     models = manifest["models"]
     if not isinstance(models, dict) or set(models) != set(MODEL_ROLES):
         raise FormatError(f"{mpath}: models must map the roles {', '.join(MODEL_ROLES)}")
-    names = [*models.values(), manifest["taxonomy"], manifest["stats"]]
-    if not all(isinstance(name, str) and "\0" not in name for name in names):
-        raise FormatError(f"{mpath}: file names must be strings without NUL")
-    return manifest
+    names = [*(models[role] for role in MODEL_ROLES), manifest["taxonomy"], manifest["stats"]]
+    if not all(_is_plain_name(name) for name in names):
+        raise FormatError(f"{mpath}: payload names must be plain file names inside the bundle")
+    return manifest, names
 
 
 def load_hierarchical(dirpath: str | Path) -> HierarchicalModel:
     dirpath = Path(dirpath)
-    manifest = _read_bundle_manifest(dirpath)
+    manifest, _ = _read_bundle_manifest(dirpath)
     if bundle_content_hash(dirpath) != manifest["content_hash"]:
         raise FormatError(f"{dirpath}: bundle content does not match its recorded hash")
 

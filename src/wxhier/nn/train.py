@@ -99,7 +99,6 @@ def train(
     cfg: TrainConfig,
     x_val: np.ndarray | None = None,
     y_val: np.ndarray | None = None,
-    init: Params | None = None,
 ) -> tuple[Params, list[EpochStats]]:
     """Train the model; returns final parameters and per-epoch history.
 
@@ -113,7 +112,7 @@ def train(
     targets_all = one_hot_matrix(y_train, spec.n_out, dtype=x_train.dtype)
 
     rng = np.random.default_rng(cfg.seed)
-    params = init if init is not None else init_params(spec, rng)
+    params = init_params(spec, rng)
     velocity = zero_grads(spec, params)
     n = x_train.shape[0]
 

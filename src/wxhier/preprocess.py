@@ -23,7 +23,6 @@ from .errors import DegenerateError, DimensionError, FormatError
 from .imageio import ImageU8, bgr_to_rgb, to_tensor
 
 DEFAULT_WINDOW = 3
-MODEL_INPUT_HW = (100, 100)
 
 
 def lanczos_kernel(x, a: int = DEFAULT_WINDOW):
@@ -144,20 +143,23 @@ def one_hot(index: int, n: int) -> np.ndarray:
     return vec
 
 
-def preprocess_pipeline(
-    img: ImageU8,
-    channel_order: str,
-    s: NormalizationStats,
-    out_hw: tuple[int, int] = MODEL_INPUT_HW,
-) -> np.ndarray:
-    """Full inference-side pipeline: (BGR swap) -> float -> resize -> standardize."""
+def model_input(img: ImageU8, channel_order: str, out_hw: tuple[int, int]) -> np.ndarray:
+    """One decoded image as a model input, before standardization.
+
+    RGB order, float32 on the 0..255 scale, Lanczos-resized to ``out_hw``.
+    """
     if channel_order == "BGR":
         img = bgr_to_rgb(img)
     elif channel_order != "RGB":
         raise DimensionError(f"unknown channel order {channel_order!r}")
-    tensor = to_tensor(img)
-    tensor = resize_lanczos(tensor, out_hw[0], out_hw[1])
-    return normalize(tensor, s)
+    return resize_lanczos(to_tensor(img), out_hw[0], out_hw[1])
+
+
+def preprocess_pipeline(
+    img: ImageU8, channel_order: str, s: NormalizationStats, out_hw: tuple[int, int]
+) -> np.ndarray:
+    """Full inference-side pipeline: ``model_input``, then standardize."""
+    return normalize(model_input(img, channel_order, out_hw), s)
 
 
 def stats_to_dict(s: NormalizationStats) -> dict:
@@ -174,9 +176,12 @@ def stats_from_dict(doc) -> NormalizationStats:
 
 
 def stats_to_json(s: NormalizationStats) -> str:
-    # repr-style floats round-trip exactly (always >= 9 significant digits
-    # of precision preserved).
-    return json.dumps(stats_to_dict(s), indent=2)
+    """The ``stats.json`` document, newline-terminated.
+
+    repr-style floats round-trip exactly (always >= 9 significant digits
+    of precision preserved).
+    """
+    return json.dumps(stats_to_dict(s), indent=2) + "\n"
 
 
 def stats_from_json(text: str | bytes) -> NormalizationStats:
@@ -188,7 +193,7 @@ def stats_from_json(text: str | bytes) -> NormalizationStats:
 
 
 def save_stats(path, s: NormalizationStats) -> None:
-    Path(path).write_text(stats_to_json(s) + "\n", encoding="utf-8")
+    Path(path).write_text(stats_to_json(s), encoding="utf-8")
 
 
 def load_stats(path) -> NormalizationStats:

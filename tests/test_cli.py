@@ -22,7 +22,7 @@ from wxhier.hierarchy import (
     load_standardized,
     train_hierarchical,
 )
-from wxhier.preprocess import NormalizationStats, normalize
+from wxhier.preprocess import NormalizationStats
 from wxhier.taxonomy import LEAF_CLASSES, Taxonomy, default_taxonomy, serialize_taxonomy
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -239,6 +239,15 @@ def test_evaluate_missing_bundle_is_data_error(small_data, tmp_path, capsys):
     assert "bundle.json" in capsys.readouterr().err
 
 
+def test_evaluate_empty_manifest_exits_4(small_bundle, tmp_path, capsys):
+    (tmp_path / "empty.csv").write_text("path,label\n")
+    rc = run("evaluate", "--bundle", small_bundle, "--manifest", tmp_path / "empty.csv",
+             "--output-dir", tmp_path / "out")
+    assert rc == 4
+    assert "lists no images" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ----------------------------------------------------------------- compare
 
 def test_compare_four_rows(small_bundle, small_data, tmp_path, capsys):
@@ -284,6 +293,19 @@ def test_compare_overflowing_flat_model_exits_4(small_data, tmp_path, capsys):
     assert rc == 4
     assert "non-finite probabilities" in capsys.readouterr().err
     assert not (tmp_path / "comparison.csv").exists()
+
+
+def test_compare_flat_models_on_empty_manifest_exits_4(tmp_path, capsys):
+    spec = nn.softmax_flat_spec((16, 16, 3), len(LEAF_CLASSES))
+    flat = tmp_path / "flat.wxm1"
+    nn.save_model(flat, spec, nn.init_params(spec, np.random.default_rng(0)),
+                  NormalizationStats(127.5, 64.0, 2), list(LEAF_CLASSES))
+    (tmp_path / "empty.csv").write_text("path,label\n")
+    rc = run("compare", "--manifest", tmp_path / "empty.csv", "--output-dir", tmp_path / "out",
+             f"a={flat}", f"b={flat}")
+    assert rc == 4
+    assert "lists no images" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_requires_two_models(small_data, tmp_path):
@@ -528,6 +550,37 @@ def test_train_taxonomy_without_cold_hazard_exits_4(small_data, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_train_taxonomy_with_empty_group_exits_4(small_data, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return load_image_tensors(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "load_image_tensors", counting)
+    t = default_taxonomy()  # no leaf left in Dusty
+    taxonomy = Taxonomy({**t.leaf_to_group, "fog_smog": "Rainy", "sandstorm": "Rainy"},
+                        t.leaf_to_safety)
+    (tmp_path / "taxonomy.cfg").write_text(serialize_taxonomy(taxonomy))
+    rc = run("train", "--manifest", small_data / "manifest.csv", "--root", small_data,
+             "--output-dir", tmp_path / "out", "--taxonomy", tmp_path / "taxonomy.cfg",
+             "--input-size", 8, "--epochs", 1)
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "primary: Dusty" in err and "sub_dusty: (none in the taxonomy)" in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_empty_val_manifest_means_no_validation(small_data, tmp_path, capsys):
+    (tmp_path / "empty.csv").write_text("path,label\n")
+    rc = run("train", "--manifest", small_data / "manifest.csv", "--root", small_data,
+             "--val-manifest", tmp_path / "empty.csv", "--output-dir", tmp_path / "out",
+             "--input-size", 8, "--epochs", 1)
+    assert rc == 0
+    assert "final validation accuracy [primary]: n/a" in capsys.readouterr().out
+
+
 # ------------------------------------------------------------ README recipes
 
 def _readme_commands(section: str = "") -> list[list[str]]:
@@ -570,13 +623,14 @@ def test_readme_comparison_recipe_matches_in_process_table(small_data, tmp_path)
         ("softmax-flat", nn.softmax_flat_spec(hw + (3,), len(LEAF_CLASSES))),
         ("basic-cnn", nn.basic_cnn_spec(hw + (3,), len(LEAF_CLASSES), scale="micro")),
     ]:
-        x_train, x_test, _ = load_standardized(split.train, hw, root, split.test)
+        x_train, stats = load_standardized(split.train, hw, root)
+        x_test, _ = load_standardized(split.test, hw, root, stats)
         cfg = nn.TrainConfig(epochs=2, seed=5)
         params, _ = nn.train(spec, x_train, leaf_labels(split.train), cfg)
         rows.append((arch, nn.evaluate_accuracy(spec, params, x_test, leaf_labels(split.test))))
     hcfg = HierTrainConfig(input_hw=hw, scale="micro", epochs=2, seed=5)
     model, _ = train_hierarchical(split.train, default_taxonomy(), hcfg, split.val, root)
-    x_test = normalize(load_image_tensors(split.test, hw, root), model.stats)
+    x_test, _ = load_standardized(split.test, hw, root, model.stats)
     report = evaluate_hierarchical_tensors(model, x_test, leaf_labels(split.test))
     rows.append(("hierarchical", report.e2e_leaf_accuracy))
     assert (tmp_path / "cmp" / "comparison.csv").read_text() == compare_models(rows)

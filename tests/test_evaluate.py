@@ -4,8 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wxhier.errors import DegenerateError, EmptyMatrixError, LabelRangeError
 from wxhier.evaluate import (
@@ -18,9 +16,7 @@ from wxhier.evaluate import (
     evaluate_hierarchical_tensors,
     format_percent,
     hier_report_json,
-    merge,
     metrics,
-    metrics_to_json,
 )
 
 
@@ -81,24 +77,6 @@ def test_empty_matrix_rejected():
         metrics(cm([[0, 0], [0, 0]]))
 
 
-@given(
-    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60),
-    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60),
-)
-@settings(max_examples=40)
-def test_merge_equals_concatenation(pairs_a, pairs_b):
-    ta, pa = np.array([p[0] for p in pairs_a]), np.array([p[1] for p in pairs_a])
-    tb, pb = np.array([p[0] for p in pairs_b]), np.array([p[1] for p in pairs_b])
-    merged = merge(confusion(ta, pa, 4), confusion(tb, pb, 4))
-    joint = confusion(np.concatenate([ta, tb]), np.concatenate([pa, pb]), 4)
-    np.testing.assert_array_equal(merged.counts, joint.counts)
-
-
-def test_merge_requires_same_labels():
-    with pytest.raises(LabelRangeError):
-        merge(cm([[1]], ["a"]), cm([[1]], ["b"]))
-
-
 # ----------------------------------------------------------------- exports
 
 def test_confusion_csv_layout():
@@ -107,14 +85,6 @@ def test_confusion_csv_layout():
     assert lines[0] == "true\\pred,x,y"
     assert lines[1] == "x,1,2"
     assert lines[2] == "y,3,4"
-
-
-def test_metrics_json_round_trips_none():
-    doc = json.loads(metrics_to_json(metrics(cm([[2, 0], [1, 0]], labels=["a", "b"]))))
-    assert doc["accuracy"] == 2 / 3
-    assert doc["per_class"]["b"]["precision"] is None
-    assert doc["per_class"]["a"]["recall"] == 1.0
-    assert doc["per_class"]["b"]["support"] == 1
 
 
 def test_format_percent():

@@ -1,6 +1,10 @@
 """Two-stage routing: prediction invariants, bundle persistence, training."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +274,10 @@ def _names(doc, name):
     return {**doc, "models": {role: name(i) for i, role in enumerate(MODEL_ROLES)}}
 
 
+def _primary(doc, name):
+    return {**doc, "models": {**doc["models"], "primary": name}}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -280,6 +288,17 @@ def _names(doc, name):
         pytest.param(lambda doc: json.dumps(_names(doc, lambda i: "a\0b")).encode(),
                      id="nul-file-name"),
         pytest.param(lambda doc: b"[" * 100_000, id="deep-nesting"),
+        # payload names must be plain file names inside the bundle directory
+        pytest.param(lambda doc: json.dumps(_names(doc, lambda i: ".")).encode(), id="dot-name"),
+        pytest.param(lambda doc: json.dumps(_names(doc, lambda i: "..")).encode(),
+                     id="dotdot-name"),
+        pytest.param(lambda doc: json.dumps(_names(doc, lambda i: "")).encode(), id="empty-name"),
+        pytest.param(lambda doc: json.dumps(_primary(doc, "../b/primary.wxm1")).encode(),
+                     id="outside-path"),
+        pytest.param(lambda doc: json.dumps(_primary(doc, "/primary.wxm1")).encode(),
+                     id="absolute-path"),
+        pytest.param(lambda doc: json.dumps({**doc, "stats": "sub\\stats.json"}).encode(),
+                     id="backslash-name"),
     ],
 )
 def test_bad_bundle_manifest_is_format_error(random_model, tmp_path, capsys, edit):
@@ -296,6 +315,28 @@ def test_bad_bundle_manifest_is_format_error(random_model, tmp_path, capsys, edi
             "--output-dir", tmp_path / "out"]
     assert main([str(a) for a in argv]) == 4
     assert "data error" in capsys.readouterr().err
+
+
+def test_bundle_with_non_ascii_taxonomy_saves_under_c_locale(tmp_path):
+    # taxonomy.cfg is UTF-8 whatever the locale; the script itself stays ASCII
+    script = "\n".join([
+        "import locale, sys",
+        "from wxhier.hierarchy import init_hierarchical, load_hierarchical, save_hierarchical",
+        "from wxhier.taxonomy import Taxonomy, default_taxonomy",
+        "assert locale.getpreferredencoding(False).lower().replace('-', '') != 'utf8'",
+        "t = default_taxonomy()",
+        "t = Taxonomy(t.leaf_to_group, t.leaf_to_safety, 'm\\u00e9t\\u00e9o-v1')",
+        "save_hierarchical(init_hierarchical(t), sys.argv[1])",
+        "assert load_hierarchical(sys.argv[1]).taxonomy == t",
+    ])
+    src = str(Path(hierarchy.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "bundle")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    text = (tmp_path / "bundle" / "taxonomy.cfg").read_bytes().decode("utf-8")
+    assert "version = météo-v1" in text
 
 
 def test_bundle_missing_manifest(random_model, tmp_path):
