@@ -248,8 +248,8 @@ def cmd_split(args) -> int:
     out = _outdir(args)
     parts = {"train": split.train, "val": split.val, "test": split.test}
     for name, part in parts.items():
-        (out / f"{name}.csv").write_text(manifest_to_csv(part))
-    (out / "split_summary.csv").write_text(distribution_csv(parts, taxonomy))
+        (out / f"{name}.csv").write_text(manifest_to_csv(part), encoding="utf-8")
+    (out / "split_summary.csv").write_text(distribution_csv(parts, taxonomy), encoding="utf-8")
     print(
         f"split {len(entries)} entries -> train {len(split.train)}, "
         f"val {len(split.val)}, test {len(split.test)} (seed {args.seed})"
@@ -276,7 +276,7 @@ def cmd_preprocess(args) -> int:
     save_stats(out / "stats.json", stats)
     lines = ["index,path,label"]
     lines += [f"{i},{e.path},{e.leaf}" for i, e in enumerate(entries)]
-    (out / "labels.csv").write_text("\n".join(lines) + "\n")
+    (out / "labels.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {x.shape} tensor batch to {out / 'tensors.wxt1'}")
     return 0
 
@@ -300,7 +300,7 @@ def _train_flat(args, tc: nn.TrainConfig, train_entries, val_entries, root) -> i
     params, history = nn.train(spec, x_train, leaf_labels(train_entries), tc, x_val, y_val)
     out = _outdir(args)
     nn.save_model(out / "model.wxm1", spec, params, stats, list(LEAF_CLASSES))
-    (out / "history.csv").write_text(nn.history_to_csv(history))
+    (out / "history.csv").write_text(nn.history_to_csv(history), encoding="utf-8")
     final_val = history[-1].val_acc
     print(f"saved {args.arch} model to {out / 'model.wxm1'}")
     print(f"final validation accuracy: {'n/a' if final_val is None else f'{final_val:.4f}'}")
@@ -331,7 +331,7 @@ def cmd_train(args) -> int:
     bundle_dir = out / "bundle"
     save_hierarchical(model, bundle_dir)
     for role, history in histories.items():
-        (out / f"history_{role}.csv").write_text(nn.history_to_csv(history))
+        (out / f"history_{role}.csv").write_text(nn.history_to_csv(history), encoding="utf-8")
     print(f"saved hierarchical bundle to {bundle_dir}")
     for role, history in histories.items():
         val = history[-1].val_acc
@@ -371,14 +371,17 @@ def cmd_evaluate(args) -> int:
     report = ev.evaluate_hierarchical(model, entries, root)
     out = _outdir(args)
     bundle_hash = bundle_content_hash(args.bundle)
-    (out / "report.json").write_text(ev.hier_report_json(report, bundle_hash))
-    (out / "confusion_primary.csv").write_text(ev.confusion_to_csv(report.primary))
-    (out / "confusion_leaf.csv").write_text(ev.confusion_to_csv(report.leaf))
-    (out / "confusion_safety.csv").write_text(ev.confusion_to_csv(report.safety))
-    for group, cm in report.routed.items():
-        (out / f"confusion_routed_{group.lower()}.csv").write_text(ev.confusion_to_csv(cm))
-    for group, cm in report.oracle_routed.items():
-        (out / f"confusion_oracle_{group.lower()}.csv").write_text(ev.confusion_to_csv(cm))
+    files = {
+        "report.json": ev.hier_report_json(report, bundle_hash),
+        "confusion_primary.csv": ev.confusion_to_csv(report.primary),
+        "confusion_leaf.csv": ev.confusion_to_csv(report.leaf),
+        "confusion_safety.csv": ev.confusion_to_csv(report.safety),
+    }
+    for kind, matrices in (("routed", report.routed), ("oracle", report.oracle_routed)):
+        for group, cm in matrices.items():
+            files[f"confusion_{kind}_{group.lower()}.csv"] = ev.confusion_to_csv(cm)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
     print(f"bundle {bundle_hash[:12]} on {report.leaf.total} samples")
     print(f"primary accuracy: {report.primary_accuracy:.4f}")
     print(f"end-to-end leaf accuracy: {report.e2e_leaf_accuracy:.4f}")
@@ -419,7 +422,7 @@ def cmd_compare(args) -> int:
             rows.append((name, _flat_leaf_accuracy(path, entries, root)))
     table = ev.compare_models(rows)
     out = _outdir(args)
-    (out / "comparison.csv").write_text(table)
+    (out / "comparison.csv").write_text(table, encoding="utf-8")
     print(table, end="")
     return 0
 

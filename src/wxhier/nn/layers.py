@@ -2,9 +2,15 @@
 
 All kernels preserve the input dtype, so the same code runs in float32
 (the training default) and in float64 (used by gradient verification).
-``conv2d_forward`` gathers patches into a matrix product; the plain
-nested-loop implementation stays available as ``conv2d_forward_naive``
-and is the reference the fast path is tested against.
+``conv2d_forward`` gathers patches into a matrix product (the im2col
+lowering of Chellapilla et al. 2006); the plain nested-loop
+implementation stays available as ``conv2d_forward_naive`` and is the
+reference the fast path is tested against.
+
+Both conv kernels take the ``im2col`` matrix as ``cols``, so a training
+step builds each conv layer's columns once; without it they build their
+own. The patch gather and the input gradient's tap copies move runs of
+adjacent floats as single ``np.void`` items, which changes no value.
 
 The convolution and batchnorm kernels keep the reference summation
 order: every reduction and matrix product is the same numpy call on the
@@ -21,7 +27,7 @@ those of the plain broadcasting kernels.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ConfigError, ShapeError
 
@@ -50,23 +56,52 @@ def _check_conv_args(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int) 
         raise ShapeError(f"bad stride/pad {stride}/{pad}")
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Gather conv patches: (N, H', W', k, k, C)."""
+def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """Conv patches as the GEMM operand ``(N*H'*W', k*k*C)``.
+
+    Rows run over ``(n, y, x)`` and columns over ``(ky, kx, c)``. Patch row
+    ``ky`` is one run of ``k*C`` adjacent floats in the padded input, so the
+    gather copies it as one ``np.void`` item through a read-only strided
+    view. Being a copy, the columns hold the input's bytes, signed zeros
+    included.
+    """
+    n, h, w, c = x.shape
+    oh, ow = conv_output_hw(h, w, k, stride, pad)
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # (N, H*, W*, C, k, k)
-    windows = windows[:, ::stride, ::stride]
-    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    sn, sh, sw, sc = xp.strides
+    runs = as_strided(
+        xp, (n, oh, ow, k, k * c), (sn, stride * sh, stride * sw, sh, sc), writeable=False
+    )
+    items = np.ascontiguousarray(runs.view(np.dtype((np.void, k * c * xp.itemsize))))
+    return items.view(x.dtype).reshape(n * oh * ow, k * k * c)
+
+
+def _columns(x: np.ndarray, k: int, stride: int, pad: int, cols: np.ndarray | None) -> np.ndarray:
+    """``cols`` when the caller passed ``im2col(x, k, stride, pad)``, else a new one."""
+    if cols is None:
+        return im2col(x, k, stride, pad)
+    n, h, w, c = x.shape
+    oh, ow = conv_output_hw(h, w, k, stride, pad)
+    if cols.shape != (n * oh * ow, k * k * c) or cols.dtype != x.dtype:
+        raise ShapeError(f"columns {cols.shape} {cols.dtype} do not fit input {x.shape} {x.dtype}")
+    return cols
 
 
 def conv2d_forward(
-    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1, pad: int = 0
+    x: np.ndarray,
+    kernels: np.ndarray,
+    bias: np.ndarray,
+    stride: int = 1,
+    pad: int = 0,
+    *,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cross-correlation with zero padding; x (N,H,W,C), kernels (k,k,C,F)."""
     _check_conv_args(x, kernels, stride, pad)
     n, h, w, c = x.shape
     k, f = kernels.shape[0], kernels.shape[3]
     oh, ow = conv_output_hw(h, w, k, stride, pad)
-    cols = _im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
+    cols = _columns(x, k, stride, pad, cols)
     out = (cols @ kernels.reshape(k * k * c, f)).reshape(n * oh, ow * f)
     out += _row(bias, ow)
     return out.reshape(n, oh, ow, f)
@@ -104,6 +139,8 @@ def conv2d_backward(
     grad_out: np.ndarray,
     stride: int = 1,
     pad: int = 0,
+    *,
+    cols: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients w.r.t. input, kernels and bias."""
     _check_conv_args(x, kernels, stride, pad)
@@ -116,17 +153,19 @@ def conv2d_backward(
     g = grad_out.reshape(n * oh * ow, f)
     grad_bias = g.sum(axis=0)
 
-    cols = _im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
+    cols = _columns(x, k, stride, pad, cols)
     grad_kernels = (cols.T @ g).reshape(k, k, c, f)
 
     # One product for all taps: a product per tap rounds differently in some
-    # BLAS tail kernels. Copying each tap out contiguously lets the scatter
-    # add whole rows of ``ow * c`` floats (stride 1) instead of ``c`` at a time.
-    dcols = (g @ kernels.reshape(k * k * c, f).T).reshape(n, oh, ow, k, k, c)
+    # BLAS tail kernels. Copying each tap out contiguously, one void item of
+    # ``c`` floats per pixel, lets the scatter add whole rows of ``ow * c``
+    # floats (stride 1) instead of ``c`` at a time.
+    dcols = g @ kernels.reshape(k * k * c, f).T
+    taps = dcols.view(np.dtype((np.void, c * dcols.itemsize))).reshape(n, oh, ow, k, k, 1)
     dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     for ky in range(k):
         for kx in range(k):
-            tap = np.ascontiguousarray(dcols[:, :, :, ky, kx, :])
+            tap = np.ascontiguousarray(taps[:, :, :, ky, kx]).view(dcols.dtype)  # (n, oh, ow, c)
             dxp[:, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride, :] += tap
     grad_x = dxp[:, pad : pad + h, pad : pad + w, :] if pad else dxp
     return grad_x, grad_kernels, grad_bias

@@ -221,5 +221,5 @@ def generate_dataset(
             (outdir / rel).write_bytes(encode_ppm(img))
             entries.append(ManifestEntry(path=rel, leaf=leaf))
     manifest_path = outdir / "manifest.csv"
-    manifest_path.write_text(manifest_to_csv(entries))
+    manifest_path.write_text(manifest_to_csv(entries), encoding="utf-8")
     return manifest_path

@@ -1,8 +1,11 @@
 """Command-line surface: exit codes, artifacts, precedence, isolation."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +73,28 @@ def test_split_rerun_byte_identical(small_data, tmp_path):
                    "--output-dir", tmp_path / sub, "--seed", 4) == 0
     for name in ("train.csv", "val.csv", "test.csv", "split_summary.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_split_writes_utf8_manifests_under_c_locale(tmp_path):
+    # Manifests are UTF-8 whatever the locale: under a plain C locale with
+    # UTF-8 mode off, the split files must still hold non-ASCII paths.
+    entries = [f"{d}{i}.ppm,{label}" for d, label in (("ré", "rain"), ("snö", "snow"))
+               for i in range(10)]
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(("path,label\n" + "\n".join(entries) + "\n").encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wxhier.cli", "split", "--manifest", str(manifest),
+         "--output-dir", str(tmp_path / "out"), "--seed", "7"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    parts = [load_manifest((tmp_path / "out" / n).read_bytes())
+             for n in ("train.csv", "val.csv", "test.csv")]
+    got = sorted((e.path, e.leaf) for part in parts for e in part)
+    assert got == sorted((e.path, e.leaf) for e in load_manifest(manifest.read_bytes()))
+    assert any("é" in path for path, _ in got)
 
 
 # -------------------------------------------------------------- exit codes

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from wxhier.errors import ConfigError, ShapeError
 from wxhier.nn import TrainConfig, basic_cnn_spec, history_to_csv, train
@@ -390,22 +391,32 @@ def test_softmax_rejects_bad_rank():
 # reference: the fast kernels must give the same bits, signed zeros included,
 # so that retraining reproduces the same parameters.
 
-def _ref_conv2d_forward(x, kernels, bias, stride=1, pad=0):
+def _ref_im2col(x, k, stride, pad):
+    """Sliding-window patch gather: (N, H', W', k, k, C)."""
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # (N, H*, W*, C, k, k)
+    windows = windows[:, ::stride, ::stride]
+    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+
+
+# The reference kernels accept the precomputed columns the model passes and
+# ignore them, so they always gather their own.
+def _ref_conv2d_forward(x, kernels, bias, stride=1, pad=0, cols=None):
     n, h, w, c = x.shape
     k, f = kernels.shape[0], kernels.shape[3]
     oh, ow = conv_output_hw(h, w, k, stride, pad)
-    cols = L._im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
+    cols = _ref_im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
     out = cols @ kernels.reshape(k * k * c, f) + bias
     return out.reshape(n, oh, ow, f)
 
 
-def _ref_conv2d_backward(x, kernels, grad_out, stride=1, pad=0):
+def _ref_conv2d_backward(x, kernels, grad_out, stride=1, pad=0, cols=None):
     n, h, w, c = x.shape
     k, f = kernels.shape[0], kernels.shape[3]
     oh, ow = conv_output_hw(h, w, k, stride, pad)
     g = grad_out.reshape(n * oh * ow, f)
     grad_bias = g.sum(axis=0)
-    cols = L._im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
+    cols = _ref_im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
     grad_kernels = (cols.T @ g).reshape(k, k, c, f)
     dcols = (g @ kernels.reshape(k * k * c, f).T).reshape(n, oh, ow, k, k, c)
     dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
@@ -469,23 +480,46 @@ def _assert_same_bits(got, want):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("pad", [0, 1])
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_conv_kernels_match_broadcasting_reference_bit_for_bit(dtype, stride, pad, k):
+    # im2col against the sliding-window gather, and both kernels with and
+    # without the precomputed columns against the reference kernels
     rng = np.random.default_rng(100 * stride + 10 * pad + k)
     for c in range(1, 17):
         f = int(rng.integers(1, 17))
         h = int(rng.integers(k, k + 6))
         w = int(rng.integers(k, k + 6)) | 1  # odd widths
         x = rng.standard_normal((2, h, w, c)).astype(dtype)
+        x[0, 0, -1, 0] = -0.0
         kern = rng.standard_normal((k, k, c, f)).astype(dtype)
         bias = rng.standard_normal(f).astype(dtype)
-        out = conv2d_forward(x, kern, bias, stride, pad)
-        _assert_same_bits(out, _ref_conv2d_forward(x, kern, bias, stride, pad))
-        grad_out = rng.standard_normal(out.shape).astype(dtype)
-        got = conv2d_backward(x, kern, grad_out, stride, pad)
+        oh, ow = conv_output_hw(h, w, k, stride, pad)
+        cols = L.im2col(x, k, stride, pad)
+        _assert_same_bits(cols, _ref_im2col(x, k, stride, pad).reshape(2 * oh * ow, k * k * c))
+        want = _ref_conv2d_forward(x, kern, bias, stride, pad)
+        _assert_same_bits(conv2d_forward(x, kern, bias, stride, pad), want)
+        _assert_same_bits(conv2d_forward(x, kern, bias, stride, pad, cols=cols), want)
+        grad_out = rng.standard_normal(want.shape).astype(dtype)
         want = _ref_conv2d_backward(x, kern, grad_out, stride, pad)
-        for g, r in zip(got, want):
-            _assert_same_bits(g, r)
+        for got in (
+            conv2d_backward(x, kern, grad_out, stride, pad),
+            conv2d_backward(x, kern, grad_out, stride, pad, cols=cols),
+        ):
+            for g, r in zip(got, want):
+                _assert_same_bits(g, r)
+
+
+def test_conv_kernels_reject_columns_of_another_input():
+    x = np.zeros((2, 5, 5, 3), dtype=np.float32)
+    kern = np.zeros((3, 3, 3, 4), dtype=np.float32)
+    cols = L.im2col(x[:1], 3, 1, 1)
+    with pytest.raises(ShapeError):
+        conv2d_forward(x, kern, np.zeros(4, dtype=np.float32), 1, 1, cols=cols)
+    with pytest.raises(ShapeError):
+        conv2d_backward(x, kern, np.zeros((2, 5, 5, 4), dtype=np.float32), 1, 1, cols=cols)
+    with pytest.raises(ShapeError):
+        conv2d_forward(x, kern, np.zeros(4, dtype=np.float32), 1, 1,
+                       cols=L.im2col(x.astype(np.float64), 3, 1, 1))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -15,13 +15,17 @@ from wxhier.nn import (
     ReLU,
     Softmax,
     backward_from_logits,
+    basic_cnn_spec,
     clone_params,
     forward_pass,
+    gradient_check,
     init_params,
     predict,
+    relu_margin,
     shape_infer,
     zero_grads,
 )
+from wxhier.nn import layers as L
 
 
 def small_spec(n_out=4):
@@ -166,6 +170,43 @@ def test_backward_produces_grads_for_trainables():
     assert set(grads[6]) == {"w", "b"}
     assert grads[0]["w"].shape == params[0]["w"].shape
     assert np.isfinite(grads[0]["w"]).all()
+
+
+def test_train_step_calls_each_conv_kernel_once_per_layer_and_consumes_caches(monkeypatch):
+    # The benchmark tracer wraps the conv kernels: one step must make one
+    # conv2d_forward call (one array out) and one conv2d_backward call (three
+    # arrays out) per conv layer, with the shared columns passed as a keyword.
+    calls = {"conv2d_forward": [], "conv2d_backward": []}
+    for name, seen in calls.items():
+        def counted(*args, _kernel=getattr(L, name), _seen=seen, **kwargs):
+            out = _kernel(*args, **kwargs)
+            _seen.append((len(args), sorted(kwargs), out))
+            return out
+
+        monkeypatch.setattr(L, name, counted)
+    spec = basic_cnn_spec((16, 16, 3), 4, scale="micro")
+    n_conv = sum(isinstance(layer, Conv) for layer in spec.layers)
+    params = init_params(spec, np.random.default_rng(3))
+    x = np.random.default_rng(4).standard_normal((6, 16, 16, 3)).astype(np.float32)
+    probs, caches = forward_pass(spec, params, x, mode="train", rng=np.random.default_rng(5))
+    grad_logits = probs - np.eye(4, dtype=np.float32)[np.arange(6) % 4]
+    backward_from_logits(spec, params, caches, grad_logits)
+    assert n_conv >= 2
+    assert [len(v) for v in calls.values()] == [n_conv, n_conv]
+    for n_args, keywords, out in calls["conv2d_forward"]:
+        assert (n_args, keywords) == (5, ["cols"]) and isinstance(out, np.ndarray)
+    for n_args, keywords, out in calls["conv2d_backward"]:
+        assert (n_args, keywords) == (5, ["cols"]) and len(out) == 3
+        assert all(isinstance(a, np.ndarray) for a in out)
+    assert len(caches) == len(spec.layers) and all(c is None for c in caches)
+
+    # the checks built on train-mode caches still hold
+    spec = small_spec()
+    params = init_params(spec, np.random.default_rng(6), dtype=np.float64)
+    x = np.random.default_rng(7).standard_normal((2, 8, 8, 3))
+    assert relu_margin(spec, params, x) > 0.0
+    report = gradient_check(spec, params, x, np.array([0, 3]), epsilon=1e-5, floor=1e-5)
+    assert report.max_rel_err < 1e-5, report.worst
 
 
 def test_zero_grads_and_clone_isolation():
