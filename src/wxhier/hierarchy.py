@@ -353,18 +353,17 @@ def init_hierarchical(
     input_hw: tuple[int, int] = (16, 16),
     scale: str = "micro",
     seed: int = 0,
-    stats: NormalizationStats | None = None,
 ) -> HierarchicalModel:
     """Randomly initialized model (no training); useful for property tests."""
     rng = np.random.default_rng(seed)
     input_shape = (input_hw[0], input_hw[1], 3)
-    stats = stats or NormalizationStats(mean=127.5, std=64.0, sample_count=2)
 
     def make(classes: tuple[str, ...]) -> SubModel:
         spec = basic_cnn_spec(input_shape, len(classes), scale=scale)
         return SubModel(spec, init_params(spec, rng), classes)
 
     subs = {role: make(classes) for role, classes in role_classes(taxonomy).items()}
+    stats = NormalizationStats(mean=127.5, std=64.0, sample_count=2)
     return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats)
 
 

@@ -3,9 +3,9 @@
 Central differences around each trainable scalar, against the analytic
 gradient from ``backward_from_logits``.  Every evaluation runs in train
 mode, the only mode that keeps the caches backward reads, and is made
-repeatable by fixing the dropout seed per loss call and freezing
-batch-norm running statistics, so the only visible dependence is the
-perturbed parameter.
+repeatable by fixing the dropout seed per loss call and working on a
+private copy of the parameters, so the only visible dependence is the
+perturbed parameter and the caller's arrays are never written.
 
 ReLU is piecewise linear: a perturbation that pushes a pre-activation
 across zero breaks the Taylor argument behind finite differences.
@@ -38,7 +38,7 @@ def _loss(
     dropout_seed: int,
 ) -> float:
     rng = np.random.default_rng(dropout_seed)
-    probs, _ = forward_pass(spec, params, x, mode="train", rng=rng, update_running=False)
+    probs, _ = forward_pass(spec, params, x, rng)
     loss, _ = cross_entropy(probs, targets)
     return loss
 
@@ -66,9 +66,10 @@ def gradient_check(
     only thing under test.
     """
     targets = one_hot_matrix(np.asarray(labels), spec.n_out, dtype=x.dtype)
+    params = clone_params(params)
 
     rng = np.random.default_rng(dropout_seed)
-    probs, caches = forward_pass(spec, params, x, mode="train", rng=rng, update_running=False)
+    probs, caches = forward_pass(spec, params, x, rng)
     _, grad_logits = cross_entropy(probs, targets)
     _, grads = backward_from_logits(spec, params, caches, grad_logits)
 
@@ -110,8 +111,9 @@ def relu_margin(
     dropout_seed: int = 0,
 ) -> float:
     """Smallest |pre-activation| feeding any ReLU; inf when there is none."""
+    params = clone_params(params)
     rng = np.random.default_rng(dropout_seed)
-    _, caches = forward_pass(spec, params, x, mode="train", rng=rng, update_running=False)
+    _, caches = forward_pass(spec, params, x, rng)
     margin = np.inf
     for layer, cache in zip(spec.layers, caches):
         if isinstance(layer, ReLU):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ShapeError
 
 
 def _row(vec: np.ndarray, w: int) -> np.ndarray:
@@ -179,35 +179,31 @@ def batchnorm_forward(
     running_var: np.ndarray,
     eps: float,
     momentum: float,
-    mode: str,
-    update_running: bool = True,
+    train: bool,
 ) -> tuple[np.ndarray, dict]:
     """Per-channel normalization over the N*H*W samples of each channel.
 
-    Train mode normalizes with batch statistics and (optionally) blends
-    them into the running statistics in place:
+    In train mode it normalizes with batch statistics and blends them into
+    the running statistics in place:
     ``running = (1 - momentum) * running + momentum * batch``.
-    Infer mode normalizes with the running statistics.
+    Otherwise it normalizes with the running statistics.
     """
     if x.ndim != 4 or x.shape[3] != gamma.shape[0]:
         raise ShapeError(f"batchnorm expects (N, H, W, C={gamma.shape[0]}), got {x.shape}")
     n, h, w, c = x.shape
     rows = (n * h, w * c)
-    if mode == "train":
+    if train:
         mu = x.mean(axis=(0, 1, 2))
         d = x.reshape(rows) - _row(mu, w)
         # x.var bit for bit: np.var sums these same squares and divides by the count
         var = (d * d).reshape(x.shape).sum(axis=(0, 1, 2)) / (n * h * w)
-        if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
-    elif mode == "infer":
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
         d = x.reshape(rows) - _row(running_mean.astype(x.dtype), w)
         var = running_var.astype(x.dtype)
-    else:
-        raise ConfigError(f"unknown batchnorm mode {mode!r}")
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = d  # normalized in place
     x_hat *= _row(inv_std, w)
@@ -273,13 +269,13 @@ def avgpool_backward(
 
 
 def dropout_forward(
-    x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None
+    x: np.ndarray, rate: float, rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: kept units are scaled by 1/(1-rate) in train mode."""
-    if mode != "train" or rate == 0.0:
+    """Inverted dropout, masks from ``rng``, kept units scaled by 1/(1-rate).
+
+    The identity when ``rng`` is ``None`` or the rate is 0."""
+    if rng is None or rate == 0.0:
         return x, None
-    if rng is None:
-        raise ConfigError("train-mode dropout needs a random generator")
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)
     return x * keep / (1.0 - rate), keep
 

@@ -34,7 +34,8 @@ def _need_rank(shape: Shape, rank: int, what: str) -> None:
 class LayerSpec:
     """Base of every layer spec; the defaults describe a parameterless layer.
 
-    ``forward`` returns the output and the cache its ``backward`` reads;
+    ``forward(x, entry, rng)`` returns the output and the cache its
+    ``backward`` reads, training when ``rng`` is a generator;
     ``backward`` returns the input gradient and the trainable gradients.
     """
 
@@ -93,13 +94,13 @@ class Conv(_WeightBias):
     def param_shapes(self, shape):
         return {"w": (self.kernel, self.kernel, shape[2], self.filters), "b": (self.filters,)}
 
-    def forward(self, x, entry, mode, rng, update_running):
+    def forward(self, x, entry, rng):
         cols = L.im2col(x, self.kernel, self.stride, self.padding)
         out = L.conv2d_forward(x, entry["w"], entry["b"], self.stride, self.padding, cols=cols)
         # An infer cache lives until the next layer has run. Returning None
         # there freed ``x`` sooner, which left the traced peak unchanged but
         # raised evaluate's peak RSS by 8-26 MB through heap layout alone.
-        return out, ((x, cols) if mode == "train" else x)
+        return out, (x if rng is None else (x, cols))
 
     def backward(self, grad, entry, cache):
         x, cols = cache
@@ -137,10 +138,10 @@ class BatchNorm(LayerSpec):
             "running_var": np.ones(c, dtype=dtype),
         }
 
-    def forward(self, x, entry, mode, rng, update_running):
+    def forward(self, x, entry, rng):
         return L.batchnorm_forward(
             x, entry["gamma"], entry["beta"], entry["running_mean"], entry["running_var"],
-            self.epsilon, self.momentum, mode, update_running,
+            self.epsilon, self.momentum, rng is not None,
         )
 
     def backward(self, grad, entry, cache):
@@ -152,7 +153,7 @@ class BatchNorm(LayerSpec):
 class ReLU(LayerSpec):
     kind = "relu"
 
-    def forward(self, x, entry, mode, rng, update_running):
+    def forward(self, x, entry, rng):
         return L.relu_forward(x)
 
     def backward(self, grad, entry, x):
@@ -177,7 +178,7 @@ class AvgPool(LayerSpec):
         ow = (shape[1] - self.window) // self.stride + 1
         return (oh, ow, shape[2])
 
-    def forward(self, x, entry, mode, rng, update_running):
+    def forward(self, x, entry, rng):
         return L.avgpool_forward(x, self.window, self.stride), x.shape
 
     def backward(self, grad, entry, x_shape):
@@ -193,8 +194,8 @@ class Dropout(LayerSpec):
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate must lie in [0, 1), got {self.rate}")
 
-    def forward(self, x, entry, mode, rng, update_running):
-        return L.dropout_forward(x, self.rate, mode, rng)
+    def forward(self, x, entry, rng):
+        return L.dropout_forward(x, self.rate, rng)
 
     def backward(self, grad, entry, keep):
         return L.dropout_backward(grad, keep, self.rate), {}
@@ -208,7 +209,7 @@ class Flatten(LayerSpec):
         _need_rank(shape, 3, "flatten")
         return (shape[0] * shape[1] * shape[2],)
 
-    def forward(self, x, entry, mode, rng, update_running):
+    def forward(self, x, entry, rng):
         return L.flatten_forward(x)
 
     def backward(self, grad, entry, x_shape):
@@ -231,7 +232,7 @@ class Dense(_WeightBias):
     def param_shapes(self, shape):
         return {"w": (shape[0], self.units), "b": (self.units,)}
 
-    def forward(self, x, entry, mode, rng, update_running):
+    def forward(self, x, entry, rng):
         return L.dense_forward(x, entry["w"], entry["b"]), x
 
     def backward(self, grad, entry, x):
@@ -247,7 +248,7 @@ class Softmax(LayerSpec):
         _need_rank(shape, 1, "softmax")
         return shape
 
-    def forward(self, x, entry, mode, rng, update_running):
+    def forward(self, x, entry, rng):
         out = L.softmax_forward(x)
         return out, out
 
@@ -316,27 +317,23 @@ def clone_params(params: Params, dtype=None) -> Params:
 
 
 def forward_pass(
-    spec: ModelSpec,
-    params: Params,
-    x: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-    update_running: bool = True,
+    spec: ModelSpec, params: Params, x: np.ndarray, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, list]:
     """Run the chain; returns (probabilities, per-layer caches).
 
-    Caches are kept in train mode only, the one mode that backpropagates.
-    In infer mode the list is empty, so each activation is freed as soon
-    as the next layer has read it.  ``backward_from_logits`` consumes the
-    caches: it sets each entry to ``None`` once its layer has read it.
+    With ``rng`` this is a training forward: batch statistics (blended into
+    the running ones), dropout masks from ``rng``, and one cache per layer
+    for ``backward_from_logits``, which frees each once read.  Without it,
+    inference: running statistics, no dropout and no caches, so each
+    activation is freed as soon as the next layer has read it.
     """
     if x.ndim != 4 or tuple(x.shape[1:]) != spec.input_shape:
         raise ShapeError(f"input must be (N, {spec.input_shape}), got {x.shape}")
     caches: list = []
     out = x
     for layer, entry in zip(spec.layers, params):
-        out, cache = layer.forward(out, entry, mode, rng, update_running)
-        if mode == "train":
+        out, cache = layer.forward(out, entry, rng)
+        if rng is not None:
             caches.append(cache)
     return out, caches
 
@@ -367,14 +364,19 @@ def backward_from_logits(
     return grad, grads
 
 
-def predict(spec: ModelSpec, params: Params, x: np.ndarray) -> np.ndarray:
-    """Inference-mode probabilities, one row per batch item, rows sum to 1.
+PREDICT_ROWS = 256  # rows per inference forward: bounds the activations held
 
+
+def predict(spec: ModelSpec, params: Params, x: np.ndarray) -> np.ndarray:
+    """Inference probabilities, one row per batch item, rows sum to 1.
+
+    The one inference entry: one ``forward_pass`` per ``PREDICT_ROWS`` rows.
     Argmax consumers break ties toward the lowest class index.  Raises
     ``DegenerateError`` when any probability is not finite, so no caller
     routes or scores by an argmax over NaN.
     """
-    probs, _ = forward_pass(spec, params, x, mode="infer")
+    chunks = range(0, x.shape[0], PREDICT_ROWS)
+    probs = np.concatenate([forward_pass(spec, params, x[i : i + PREDICT_ROWS])[0] for i in chunks])
     if not np.isfinite(probs).all():
         raise DegenerateError(f"model over {spec.n_out} classes gave non-finite probabilities")
     return probs

@@ -81,14 +81,9 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.nda
     return loss, grad_logits
 
 
-def evaluate_accuracy(
-    spec: ModelSpec, params: Params, x: np.ndarray, labels: np.ndarray, batch_size: int = 256
-) -> float:
-    """Infer-mode accuracy, computed in batches to bound memory."""
-    hits = 0
-    for lo in range(0, x.shape[0], batch_size):
-        probs = predict(spec, params, x[lo : lo + batch_size])
-        hits += int((probs.argmax(axis=1) == labels[lo : lo + batch_size]).sum())
+def evaluate_accuracy(spec: ModelSpec, params: Params, x: np.ndarray, labels: np.ndarray) -> float:
+    """Inference accuracy; ``predict`` bounds the memory per forward."""
+    hits = int((predict(spec, params, x).argmax(axis=1) == labels).sum())
     return hits / x.shape[0]
 
 
@@ -124,7 +119,7 @@ def train(
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             xb, yb = x_train[idx], targets_all[idx]
-            probs, caches = forward_pass(spec, params, xb, mode="train", rng=rng)
+            probs, caches = forward_pass(spec, params, xb, rng)
             loss, grad_logits = cross_entropy(probs, yb)
             _, grads = backward_from_logits(spec, params, caches, grad_logits)
             for entry, ventry, gentry in zip(params, velocity, grads):

@@ -61,7 +61,7 @@ def _resample(x: np.ndarray, n_dst: int, a: int) -> np.ndarray:
     return out
 
 
-def resize_lanczos(img: np.ndarray, out_h: int, out_w: int, a: int = DEFAULT_WINDOW) -> np.ndarray:
+def resize_lanczos(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize an (H, W, C) float tensor to (out_h, out_w, C).
 
     Operates on raw-sample-scale values: the output is clamped to [0, 255].
@@ -74,10 +74,10 @@ def resize_lanczos(img: np.ndarray, out_h: int, out_w: int, a: int = DEFAULT_WIN
     h, w, c = img.shape
     data = img.astype(np.float64)
     if w != out_w:
-        data = _resample(data.transpose(1, 0, 2).reshape(w, h * c), out_w, a)
+        data = _resample(data.transpose(1, 0, 2).reshape(w, h * c), out_w, DEFAULT_WINDOW)
         data = data.reshape(out_w, h, c).transpose(1, 0, 2)
     if h != out_h:
-        data = _resample(data.reshape(h, out_w * c), out_h, a).reshape(out_h, out_w, c)
+        data = _resample(data.reshape(h, out_w * c), out_h, DEFAULT_WINDOW).reshape(out_h, out_w, c)
     return np.clip(data, 0.0, 255.0).astype(np.float32)
 
 
@@ -128,10 +128,11 @@ def compute_stats(train_images: Iterable[np.ndarray]) -> NormalizationStats:
 
 
 def normalize(x: np.ndarray, s: NormalizationStats) -> np.ndarray:
-    """Elementwise (x - mean) / std, shape preserved, float32 output."""
-    return ((np.asarray(x, dtype=np.float32) - np.float32(s.mean)) / np.float32(s.std)).astype(
-        np.float32
-    )
+    """Elementwise (x - mean) / std in float32, shape preserved, as a new array."""
+    out = np.array(x, dtype=np.float32)
+    out -= np.float32(s.mean)
+    out /= np.float32(s.std)
+    return out
 
 
 def one_hot(index: int, n: int) -> np.ndarray:

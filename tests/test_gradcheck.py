@@ -106,3 +106,22 @@ def test_relu_margin_positive_on_generic_input():
     params, x, labels = make_case(spec, 5)
     margin = relu_margin(spec, params, x)
     assert margin > 0.0
+
+
+def test_checks_leave_the_callers_arrays_untouched():
+    # train-mode forwards update batchnorm running statistics and the
+    # difference loop perturbs parameters: both must hit a private copy
+    spec = basic_cnn_spec((8, 8, 3), 3, scale="micro", dropout=0.5)
+    params, x, labels = make_case(spec, 6, n=3)
+    x_before = x.tobytes()
+    before = [{k: v.tobytes() for k, v in entry.items()} for entry in params]
+    assert any("running_mean" in entry for entry in before)
+
+    def current():
+        return [{k: v.tobytes() for k, v in entry.items()} for entry in params]
+
+    relu_margin(spec, params, x, dropout_seed=1)
+    assert current() == before
+    gradient_check(spec, params, x, labels, epsilon=1e-5, floor=1e-5, dropout_seed=1)
+    assert current() == before
+    assert x.tobytes() == x_before

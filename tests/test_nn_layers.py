@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from wxhier.errors import ConfigError, ShapeError
+from wxhier.errors import ShapeError
 from wxhier.nn import TrainConfig, basic_cnn_spec, history_to_csv, train
 from wxhier.nn import layers as L
 from wxhier.nn.layers import (
@@ -141,7 +141,7 @@ def test_batchnorm_train_normalizes_batch():
     rng = np.random.default_rng(3)
     x = rng.normal(5.0, 3.0, size=(8, 4, 4, 3))
     gamma, beta = np.ones(3), np.zeros(3)
-    out, _ = batchnorm_forward(x, gamma, beta, np.zeros(3), np.ones(3), 1e-5, 0.1, "train")
+    out, _ = batchnorm_forward(x, gamma, beta, np.zeros(3), np.ones(3), 1e-5, 0.1, True)
     np.testing.assert_allclose(out.mean(axis=(0, 1, 2)), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.var(axis=(0, 1, 2)), 1.0, atol=1e-4)  # eps shrinks var
 
@@ -150,7 +150,7 @@ def test_batchnorm_affine_applied():
     x = np.random.default_rng(4).normal(size=(4, 2, 2, 2))
     gamma = np.array([2.0, 0.5])
     beta = np.array([-1.0, 3.0])
-    out, _ = batchnorm_forward(x, gamma, beta, np.zeros(2), np.ones(2), 1e-5, 0.1, "train")
+    out, _ = batchnorm_forward(x, gamma, beta, np.zeros(2), np.ones(2), 1e-5, 0.1, True)
     np.testing.assert_allclose(out.mean(axis=(0, 1, 2)), beta, atol=1e-10)
 
 
@@ -160,25 +160,15 @@ def test_batchnorm_running_update_formula():
     running_var = np.array([4.0, 9.0])
     mu = x.mean(axis=(0, 1, 2)).copy()
     var = x.var(axis=(0, 1, 2)).copy()
-    batchnorm_forward(x, np.ones(2), np.zeros(2), running_mean, running_var, 1e-5, 0.1, "train")
+    batchnorm_forward(x, np.ones(2), np.zeros(2), running_mean, running_var, 1e-5, 0.1, True)
     np.testing.assert_allclose(running_mean, 0.9 * np.array([10.0, -10.0]) + 0.1 * mu, rtol=1e-12)
     np.testing.assert_allclose(running_var, 0.9 * np.array([4.0, 9.0]) + 0.1 * var, rtol=1e-12)
-
-
-def test_batchnorm_update_can_be_frozen():
-    x = np.random.default_rng(6).normal(size=(4, 2, 2, 1))
-    running_mean, running_var = np.array([1.0]), np.array([2.0])
-    batchnorm_forward(
-        x, np.ones(1), np.zeros(1), running_mean, running_var, 1e-5, 0.1, "train",
-        update_running=False,
-    )
-    assert running_mean[0] == 1.0 and running_var[0] == 2.0
 
 
 def test_batchnorm_infer_uses_running_stats():
     x = np.full((2, 1, 1, 1), 7.0)
     out, _ = batchnorm_forward(
-        x, np.ones(1), np.zeros(1), np.array([5.0]), np.array([4.0]), 0.0, 0.1, "infer"
+        x, np.ones(1), np.zeros(1), np.array([5.0]), np.array([4.0]), 0.0, 0.1, False
     )
     np.testing.assert_allclose(out, (7.0 - 5.0) / 2.0)
 
@@ -191,27 +181,20 @@ def test_batchnorm_gradients_match_fd():
     r = rng.standard_normal(x.shape)
 
     def loss():
-        out, _ = batchnorm_forward(
-            x, gamma, beta, np.zeros(2), np.ones(2), 1e-5, 0.1, "train", update_running=False
-        )
+        out, _ = batchnorm_forward(x, gamma, beta, np.zeros(2), np.ones(2), 1e-5, 0.1, True)
         return float((out * r).sum())
 
-    _, cache = batchnorm_forward(
-        x, gamma, beta, np.zeros(2), np.ones(2), 1e-5, 0.1, "train", update_running=False
-    )
+    _, cache = batchnorm_forward(x, gamma, beta, np.zeros(2), np.ones(2), 1e-5, 0.1, True)
     grad_x, grad_gamma, grad_beta = batchnorm_backward(r, cache)
     np.testing.assert_allclose(grad_x, fd_grad(loss, x), rtol=1e-5, atol=1e-8)
     np.testing.assert_allclose(grad_gamma, fd_grad(loss, gamma), rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(grad_beta, fd_grad(loss, beta), rtol=1e-6, atol=1e-8)
 
 
-def test_batchnorm_rejects_bad_mode_and_shape():
-    x = np.zeros((2, 2, 2, 3))
+def test_batchnorm_rejects_bad_shape():
     args = (np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), 1e-5, 0.1)
-    with pytest.raises(ConfigError):
-        batchnorm_forward(x, *args, "test")
     with pytest.raises(ShapeError):
-        batchnorm_forward(np.zeros((2, 2, 2, 4)), *args, "train")
+        batchnorm_forward(np.zeros((2, 2, 2, 4)), *args, True)
 
 
 # -------------------------------------------------------------------- relu
@@ -265,14 +248,14 @@ def test_avgpool_rejects_oversized_window():
 
 def test_dropout_infer_is_identity():
     x = np.random.default_rng(0).standard_normal((4, 4))
-    out, keep = dropout_forward(x, 0.5, "infer", None)
+    out, keep = dropout_forward(x, 0.5, None)
     assert keep is None
     np.testing.assert_array_equal(out, x)
 
 
 def test_dropout_rate_zero_is_identity():
     x = np.ones((3, 3))
-    out, keep = dropout_forward(x, 0.0, "train", np.random.default_rng(0))
+    out, keep = dropout_forward(x, 0.0, np.random.default_rng(0))
     assert keep is None
     np.testing.assert_array_equal(out, x)
 
@@ -281,7 +264,7 @@ def test_dropout_train_scales_survivors():
     rng = np.random.default_rng(13)
     x = np.ones((100, 100))
     rate = 0.25
-    out, keep = dropout_forward(x, rate, "train", rng)
+    out, keep = dropout_forward(x, rate, rng)
     values = np.unique(out)
     np.testing.assert_allclose(values, [0.0, 1.0 / (1 - rate)])
     frac = keep.mean()
@@ -293,15 +276,10 @@ def test_dropout_train_scales_survivors():
 def test_dropout_backward_uses_same_mask():
     rng = np.random.default_rng(14)
     x = np.random.default_rng(1).standard_normal((8, 8))
-    out, keep = dropout_forward(x, 0.5, "train", rng)
+    out, keep = dropout_forward(x, 0.5, rng)
     g = dropout_backward(np.ones_like(x), keep, 0.5)
     np.testing.assert_array_equal(g != 0, out != 0)
     np.testing.assert_array_equal(dropout_backward(x, None, 0.5), x)
-
-
-def test_dropout_train_requires_rng():
-    with pytest.raises(ConfigError):
-        dropout_forward(np.ones((2, 2)), 0.5, "train", None)
 
 
 # ------------------------------------------------------- flatten and dense
@@ -429,17 +407,14 @@ def _ref_conv2d_backward(x, kernels, grad_out, stride=1, pad=0, cols=None):
     return grad_x, grad_kernels, grad_bias
 
 
-def _ref_batchnorm_forward(
-    x, gamma, beta, running_mean, running_var, eps, momentum, mode, update_running=True
-):
-    if mode == "train":
+def _ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, eps, momentum, train):
+    if train:
         mu = x.mean(axis=(0, 1, 2))
         var = x.var(axis=(0, 1, 2))
-        if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
     else:
         mu = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype)
@@ -523,10 +498,8 @@ def test_conv_kernels_reject_columns_of_another_input():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize(
-    "mode, update_running", [("train", True), ("train", False), ("infer", True)]
-)
-def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, mode, update_running):
+@pytest.mark.parametrize("train", [True, False], ids=["train-True", "infer-True"])
+def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, train):
     rng = np.random.default_rng(17)
     for c in range(1, 17):
         n, h = int(rng.integers(1, 5)), int(rng.integers(1, 9))
@@ -536,17 +509,15 @@ def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, mode, updat
         running = (rng.standard_normal(c).astype(dtype), rng.uniform(0.5, 2, c).astype(dtype))
         ours = [a.copy() for a in running]
         theirs = [a.copy() for a in running]
-        out, cache = batchnorm_forward(x, gamma, beta, *ours, 1e-5, 0.1, mode, update_running)
-        ref_out, ref_cache = _ref_batchnorm_forward(
-            x, gamma, beta, *theirs, 1e-5, 0.1, mode, update_running
-        )
+        out, cache = batchnorm_forward(x, gamma, beta, *ours, 1e-5, 0.1, train)
+        ref_out, ref_cache = _ref_batchnorm_forward(x, gamma, beta, *theirs, 1e-5, 0.1, train)
         _assert_same_bits(out, ref_out)
         for key in ("x_hat", "inv_std"):
             _assert_same_bits(cache[key], ref_cache[key])
         for a, b in zip(ours, theirs):
             _assert_same_bits(a, b)
         grad_out = rng.standard_normal(x.shape).astype(dtype)
-        if mode != "train":  # only train mode backpropagates
+        if not train:  # only train mode backpropagates
             continue
         for g, r in zip(batchnorm_backward(grad_out, cache), _ref_batchnorm_backward(grad_out, ref_cache)):
             _assert_same_bits(g, r)

@@ -26,6 +26,8 @@ from wxhier.nn import (
     zero_grads,
 )
 from wxhier.nn import layers as L
+from wxhier.nn import model as M
+from wxhier.nn.model import PREDICT_ROWS
 
 
 def small_spec(n_out=4):
@@ -125,7 +127,7 @@ def test_forward_rows_are_distributions():
     spec = small_spec()
     params = init_params(spec, np.random.default_rng(2))
     x = np.random.default_rng(3).standard_normal((5, 8, 8, 3)).astype(np.float32)
-    probs, _ = forward_pass(spec, params, x, mode="infer")
+    probs, _ = forward_pass(spec, params, x)
     assert probs.shape == (5, 4)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-5)
     assert (probs >= 0).all()
@@ -140,21 +142,13 @@ def test_infer_mode_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_train_mode_dropout_needs_rng():
-    spec = small_spec()
-    params = init_params(spec, np.random.default_rng(2))
-    x = np.zeros((2, 8, 8, 3), dtype=np.float32)
-    with pytest.raises(ConfigError):
-        forward_pass(spec, params, x, mode="train", rng=None)
-
-
 def test_caches_are_kept_in_train_mode_only():
     spec = small_spec()
     params = init_params(spec, np.random.default_rng(2))
     x = np.random.default_rng(9).standard_normal((3, 8, 8, 3)).astype(np.float32)
-    _, caches = forward_pass(spec, params, x, mode="infer")
+    _, caches = forward_pass(spec, params, x)
     assert caches == []
-    _, caches = forward_pass(spec, params, x, mode="train", rng=np.random.default_rng(7))
+    _, caches = forward_pass(spec, params, x, np.random.default_rng(7))
     assert len(caches) == len(spec.layers)
 
 
@@ -162,7 +156,7 @@ def test_backward_produces_grads_for_trainables():
     spec = small_spec()
     params = init_params(spec, np.random.default_rng(5))
     x = np.random.default_rng(6).standard_normal((4, 8, 8, 3)).astype(np.float32)
-    probs, caches = forward_pass(spec, params, x, mode="train", rng=np.random.default_rng(7))
+    probs, caches = forward_pass(spec, params, x, np.random.default_rng(7))
     grad_logits = probs - np.eye(4, dtype=np.float32)[np.zeros(4, dtype=int)]
     _, grads = backward_from_logits(spec, params, caches, grad_logits)
     assert set(grads[0]) == {"w", "b"}
@@ -188,7 +182,7 @@ def test_train_step_calls_each_conv_kernel_once_per_layer_and_consumes_caches(mo
     n_conv = sum(isinstance(layer, Conv) for layer in spec.layers)
     params = init_params(spec, np.random.default_rng(3))
     x = np.random.default_rng(4).standard_normal((6, 16, 16, 3)).astype(np.float32)
-    probs, caches = forward_pass(spec, params, x, mode="train", rng=np.random.default_rng(5))
+    probs, caches = forward_pass(spec, params, x, np.random.default_rng(5))
     grad_logits = probs - np.eye(4, dtype=np.float32)[np.arange(6) % 4]
     backward_from_logits(spec, params, caches, grad_logits)
     assert n_conv >= 2
@@ -207,6 +201,28 @@ def test_train_step_calls_each_conv_kernel_once_per_layer_and_consumes_caches(mo
     assert relu_margin(spec, params, x) > 0.0
     report = gradient_check(spec, params, x, np.array([0, 3]), epsilon=1e-5, floor=1e-5)
     assert report.max_rel_err < 1e-5, report.worst
+
+
+def test_predict_runs_one_forward_per_chunk_of_rows(monkeypatch):
+    spec = small_spec()
+    n_dropout = sum(isinstance(layer, Dropout) for layer in spec.layers)
+    params = init_params(spec, np.random.default_rng(10))
+    x = np.random.default_rng(11).standard_normal((PREDICT_ROWS + 1, 8, 8, 3)).astype(np.float32)
+    whole = forward_pass(spec, params, x)[0].argmax(axis=1)
+
+    calls = {"forward_pass": 0, "dropout_forward": 0}
+    for module, name in ((M, "forward_pass"), (L, "dropout_forward")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for rows, forwards in ((PREDICT_ROWS, 1), (PREDICT_ROWS + 1, 2)):
+        calls.update(forward_pass=0, dropout_forward=0)
+        probs = predict(spec, params, x[:rows])
+        assert probs.shape == (rows, 4)
+        assert calls == {"forward_pass": forwards, "dropout_forward": forwards * n_dropout}
+        np.testing.assert_array_equal(probs.argmax(axis=1), whole[:rows])
 
 
 def test_zero_grads_and_clone_isolation():

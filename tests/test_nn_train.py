@@ -129,7 +129,7 @@ def test_momentum_update_matches_manual_loop():
     for _ in range(2):
         order = rng.permutation(len(y))
         xb, tb = x[order], targets_all[order]
-        probs, caches = forward_pass(spec, manual, xb, mode="train", rng=rng)
+        probs, caches = forward_pass(spec, manual, xb, rng)
         _, grad = cross_entropy(probs, tb)
         _, grads = backward_from_logits(spec, manual, caches, grad.astype(np.float32))
         for entry, gentry, ventry in zip(manual, grads, velocity):

@@ -286,6 +286,28 @@ def test_normalize_centers_and_scales():
     assert abs(float(z.std()) - 1.0) < 1e-4
 
 
+def _two_temporaries_normalize(x, s):
+    return ((np.asarray(x, dtype=np.float32) - np.float32(s.mean)) / np.float32(s.std)).astype(
+        np.float32
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+def test_normalize_is_bit_identical_to_the_formula_and_keeps_its_input(dtype):
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0, 255, size=(6, 5, 7, 3)).astype(dtype)
+    if dtype != np.uint8:
+        x[0, 0, 0] = -0.0
+    s = NormalizationStats(mean=float(x[1, 1, 1, 0]), std=61.3, sample_count=x.size)
+    before = x.copy()
+    z = normalize(x, s)
+    want = _two_temporaries_normalize(x, s)
+    assert z.dtype == np.float32 and z.shape == x.shape
+    assert z.tobytes() == want.tobytes()
+    assert x.dtype == before.dtype and x.tobytes() == before.tobytes()
+    assert not np.shares_memory(z, x)
+
+
 def test_stats_validation():
     with pytest.raises(DegenerateError):
         NormalizationStats(mean=0.0, std=0.0, sample_count=10)
