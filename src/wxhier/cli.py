@@ -281,23 +281,23 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _train_flat(args, tc: nn.TrainConfig, train_entries, val_entries, root) -> int:
-    input_shape = (args.input_size, args.input_size, 3)
+def _train_flat(args, cfg: HierTrainConfig, train_entries, val_entries, root) -> int:
+    input_shape = (*cfg.input_hw, 3)
     n_out = len(LEAF_CLASSES)
     try:
         if args.arch == "softmax-flat":
             spec = nn.softmax_flat_spec(input_shape, n_out)
         elif args.arch == "basic-cnn":
-            spec = nn.basic_cnn_spec(input_shape, n_out, scale=args.scale, dropout=args.dropout)
+            spec = nn.basic_cnn_spec(input_shape, n_out, scale=cfg.scale, dropout=cfg.dropout)
         else:
             spec = nn.vgg_style_spec(input_shape, n_out, args.width_scale, args.depth_scale)
     except ShapeError as exc:
-        msg = f"--input-size {args.input_size} does not fit {args.arch}: {exc}"
+        msg = f"--input-size {cfg.input_hw[0]} does not fit {args.arch}: {exc}"
         raise ConfigError(msg) from None
-    x_train, stats = load_standardized(train_entries, input_shape[:2], root)
-    x_val = load_standardized(val_entries, input_shape[:2], root, stats)[0] if val_entries else None
+    x_train, stats = load_standardized(train_entries, cfg.input_hw, root)
+    x_val = load_standardized(val_entries, cfg.input_hw, root, stats)[0] if val_entries else None
     y_val = leaf_labels(val_entries) if val_entries else None
-    params, history = nn.train(spec, x_train, leaf_labels(train_entries), tc, x_val, y_val)
+    params, history = nn.train(spec, x_train, leaf_labels(train_entries), cfg, x_val, y_val)
     out = _outdir(args)
     nn.save_model(out / "model.wxm1", spec, params, stats, list(LEAF_CLASSES))
     (out / "history.csv").write_text(nn.history_to_csv(history), encoding="utf-8")
@@ -312,7 +312,7 @@ def cmd_train(args) -> int:
     val_entries = []
     if args.val_manifest is not None:
         val_entries = load_manifest(args.val_manifest.read_bytes())
-    hcfg = HierTrainConfig(
+    cfg = HierTrainConfig(
         input_hw=(args.input_size, args.input_size),
         scale=args.scale,
         epochs=args.epochs,
@@ -323,10 +323,10 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     if args.arch != "hierarchical":
-        return _train_flat(args, hcfg.train_config(0), train_entries, val_entries, root)
+        return _train_flat(args, cfg, train_entries, val_entries, root)
 
     taxonomy = _taxonomy_for(args)
-    model, histories = train_hierarchical(train_entries, taxonomy, hcfg, val_entries, root)
+    model, histories = train_hierarchical(train_entries, taxonomy, cfg, val_entries, root)
     out = _outdir(args)
     bundle_dir = out / "bundle"
     save_hierarchical(model, bundle_dir)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,17 +148,23 @@ class HierEvalReport:
     safety: ConfusionMatrix  # 3x3 over safety levels
     routed: dict[str, ConfusionMatrix]  # per group, correctly-routed samples only
     oracle_routed: dict[str, ConfusionMatrix]  # per group, all true-group samples
-    primary_accuracy: float = field(init=False)
-    e2e_leaf_accuracy: float = field(init=False)
-    oracle_leaf_accuracy: float = field(init=False)
-    routing_error_rate: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "primary_accuracy", accuracy_of(self.primary))
-        object.__setattr__(self, "e2e_leaf_accuracy", accuracy_of(self.leaf))
+    @property
+    def primary_accuracy(self) -> float:
+        return accuracy_of(self.primary)
+
+    @property
+    def e2e_leaf_accuracy(self) -> float:
+        return accuracy_of(self.leaf)
+
+    @property
+    def oracle_leaf_accuracy(self) -> float:
         oracle_correct = sum(int(np.trace(cm.counts)) for cm in self.oracle_routed.values())
-        object.__setattr__(self, "oracle_leaf_accuracy", oracle_correct / self.leaf.total)
-        object.__setattr__(self, "routing_error_rate", 1.0 - self.primary_accuracy)
+        return oracle_correct / self.leaf.total
+
+    @property
+    def routing_error_rate(self) -> float:
+        return 1.0 - self.primary_accuracy
 
 
 def evaluate_hierarchical(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -79,6 +79,16 @@ MODEL_ROLES = ("primary", "sub_rainy", "sub_dusty", "sub_cold_fine", "sub_cold_s
 GROUP_ROLES = dict(zip(COARSE_GROUPS, MODEL_ROLES[1:4]))
 
 BUNDLE_VERSION = 1
+# bundle.json's payload entries: a bundle holds exactly these files
+BUNDLE_LAYOUT = {
+    "models": {role: f"{role}.wxm1" for role in MODEL_ROLES},
+    "taxonomy": "taxonomy.cfg",
+    "stats": "stats.json",
+}
+# the same files in pinned hash order: the models in role order, then taxonomy and stats
+BUNDLE_FILES = (
+    *BUNDLE_LAYOUT["models"].values(), BUNDLE_LAYOUT["taxonomy"], BUNDLE_LAYOUT["stats"]
+)
 
 
 @dataclass(frozen=True)
@@ -166,10 +176,11 @@ def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPredictio
     """Hard-routed predictions for a batch of preprocessed (N,H,W,C) tensors.
 
     Each sub-model runs once on the slice of the batch routed to it, which
-    is much cheaper than one-at-a-time prediction.  Probabilities can
-    differ from one-at-a-time prediction by about 1e-8, since the BLAS
-    reduction order depends on the batch shape (README "Determinism");
-    the tests compare the argmax labels exactly.
+    is much cheaper than one-at-a-time prediction.  Float32 probabilities
+    can differ from one-at-a-time prediction by up to about 2.4e-7, since
+    the BLAS reduction order depends on the batch shape (README
+    "Determinism"); the argmax labels agree, and the tests compare them
+    exactly.
     """
     n = x.shape[0]
     group_probs = predict(model.primary.spec, model.primary.params, x)
@@ -230,26 +241,19 @@ def joint_leaf_batch(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------ training
 
-@dataclass(frozen=True)
-class HierTrainConfig:
+@dataclass(frozen=True, kw_only=True)
+class HierTrainConfig(TrainConfig):
+    """The training run of all five models: a ``TrainConfig``, range-checked
+    when built, plus the shape the five models share.
+    """
+
     input_hw: tuple[int, int] = (100, 100)
     scale: str = "paper"  # basic-CNN scale for all five models
-    epochs: int = 30
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 32
     dropout: float = 0.25
-    seed: int = 0
 
-    def train_config(self, role_index: int) -> TrainConfig:
+    def train_config(self, role_index: int) -> HierTrainConfig:
         # distinct but pinned seed per model
-        return TrainConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            batch_size=self.batch_size,
-            seed=self.seed + role_index,
-        )
+        return replace(self, seed=self.seed + role_index)
 
 
 def load_image_tensors(
@@ -376,22 +380,19 @@ def save_hierarchical(model: HierarchicalModel, dirpath: str | Path) -> None:
     """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    files = {role: f"{role}.wxm1" for role in MODEL_ROLES}
-    payloads = {}  # file name -> bytes, in pinned hash order
-    for role, name in files.items():
-        sub = getattr(model, role)
-        payloads[name] = model_to_bytes(sub.spec, sub.params, model.stats, list(sub.classes))
-    payloads["taxonomy.cfg"] = serialize_taxonomy(model.taxonomy).encode("utf-8")
-    payloads["stats.json"] = stats_to_json(model.stats).encode("utf-8")
-    for name, blob in payloads.items():
+    subs = [getattr(model, role) for role in MODEL_ROLES]
+    payloads = [
+        *(model_to_bytes(sub.spec, sub.params, model.stats, list(sub.classes)) for sub in subs),
+        serialize_taxonomy(model.taxonomy).encode("utf-8"),
+        stats_to_json(model.stats).encode("utf-8"),
+    ]
+    for name, blob in zip(BUNDLE_FILES, payloads):
         (dirpath / name).write_bytes(blob)
     manifest = {
         "format": "wxhier-bundle",
         "version": BUNDLE_VERSION,
-        "models": files,
-        "taxonomy": "taxonomy.cfg",
-        "stats": "stats.json",
-        "content_hash": _digest(payloads.values()),
+        **BUNDLE_LAYOUT,
+        "content_hash": _digest(payloads),
     }
     (dirpath / "bundle.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -406,17 +407,12 @@ def _digest(payloads) -> str:
 def bundle_content_hash(dirpath: str | Path) -> str:
     """Recompute the digest over the bundle's payload files in pinned order."""
     dirpath = Path(dirpath)
-    _, names = _read_bundle_manifest(dirpath)
-    return _digest((dirpath / name).read_bytes() for name in names)
+    _read_bundle_manifest(dirpath)
+    return _digest((dirpath / name).read_bytes() for name in BUNDLE_FILES)
 
 
-def _is_plain_name(name) -> bool:
-    """A file name that stays inside the bundle directory."""
-    return isinstance(name, str) and name not in ("", ".", "..") and not set(name) & set("/\\\0")
-
-
-def _read_bundle_manifest(dirpath: Path) -> tuple[dict, list[str]]:
-    """The parsed ``bundle.json`` and its payload file names in pinned hash order."""
+def _read_bundle_manifest(dirpath: Path) -> dict:
+    """The parsed ``bundle.json``, whose payload entries match ``BUNDLE_LAYOUT``."""
     mpath = dirpath / "bundle.json"
     if not mpath.is_file():
         raise FormatError(f"{dirpath}: no bundle.json manifest")
@@ -428,30 +424,26 @@ def _read_bundle_manifest(dirpath: Path) -> tuple[dict, list[str]]:
         raise FormatError(f"{mpath}: not a model bundle manifest")
     if manifest.get("version") != BUNDLE_VERSION:
         raise VersionError(f"{mpath}: unsupported bundle version {manifest.get('version')!r}")
-    missing = [k for k in ("models", "taxonomy", "stats", "content_hash") if k not in manifest]
-    if missing:
-        raise FormatError(f"{mpath}: manifest missing keys: {', '.join(missing)}")
-    models = manifest["models"]
-    if not isinstance(models, dict) or set(models) != set(MODEL_ROLES):
-        raise FormatError(f"{mpath}: models must map the roles {', '.join(MODEL_ROLES)}")
-    names = [*(models[role] for role in MODEL_ROLES), manifest["taxonomy"], manifest["stats"]]
-    if not all(_is_plain_name(name) for name in names):
-        raise FormatError(f"{mpath}: payload names must be plain file names inside the bundle")
-    return manifest, names
+    if "content_hash" not in manifest:
+        raise FormatError(f"{mpath}: manifest missing key: content_hash")
+    for key, want in BUNDLE_LAYOUT.items():
+        if manifest.get(key) != want:
+            raise FormatError(f"{mpath}: {key} must be {json.dumps(want, sort_keys=True)}")
+    return manifest
 
 
 def load_hierarchical(dirpath: str | Path) -> HierarchicalModel:
     dirpath = Path(dirpath)
-    manifest, _ = _read_bundle_manifest(dirpath)
+    manifest = _read_bundle_manifest(dirpath)
     if bundle_content_hash(dirpath) != manifest["content_hash"]:
         raise FormatError(f"{dirpath}: bundle content does not match its recorded hash")
 
-    taxonomy = load_taxonomy((dirpath / manifest["taxonomy"]).read_bytes())
-    stats = load_stats(dirpath / manifest["stats"])
+    taxonomy = load_taxonomy((dirpath / BUNDLE_LAYOUT["taxonomy"]).read_bytes())
+    stats = load_stats(dirpath / BUNDLE_LAYOUT["stats"])
 
     subs: dict[str, SubModel] = {}
-    for role in MODEL_ROLES:
-        spec, params, _, labels = load_model(dirpath / manifest["models"][role])
+    for role, name in BUNDLE_LAYOUT["models"].items():
+        spec, params, _, labels = load_model(dirpath / name)
         if labels is None:
             raise FormatError(f"{role} model file lacks its class-name list")
         subs[role] = SubModel(spec, params, tuple(labels))

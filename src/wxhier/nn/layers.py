@@ -313,7 +313,3 @@ def softmax_forward(x: np.ndarray) -> np.ndarray:
     z = x - x.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def softmax_backward(probs: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return probs * (grad_out - (grad_out * probs).sum(axis=1, keepdims=True))

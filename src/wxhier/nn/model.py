@@ -37,6 +37,7 @@ class LayerSpec:
     ``forward(x, entry, rng)`` returns the output and the cache its
     ``backward`` reads, training when ``rng`` is a generator;
     ``backward`` returns the input gradient and the trainable gradients.
+    ``Softmax``, always the last layer, has no backward step.
     """
 
     kind: ClassVar[str]
@@ -249,11 +250,7 @@ class Softmax(LayerSpec):
         return shape
 
     def forward(self, x, entry, rng):
-        out = L.softmax_forward(x)
-        return out, out
-
-    def backward(self, grad, entry, probs):
-        return L.softmax_backward(probs, grad), {}
+        return L.softmax_forward(x), None
 
 
 # Every layer type, for lookup by serialized kind.
@@ -357,7 +354,6 @@ def backward_from_logits(
     """
     grads: Params = [{} for _ in spec.layers]
     grad = grad_logits
-    caches[-1] = None
     for i in range(len(spec.layers) - 2, -1, -1):
         grad, grads[i] = spec.layers[i].backward(grad, params[i], caches[i])
         caches[i] = None
@@ -373,8 +369,10 @@ def predict(spec: ModelSpec, params: Params, x: np.ndarray) -> np.ndarray:
     The one inference entry: one ``forward_pass`` per ``PREDICT_ROWS`` rows.
     Argmax consumers break ties toward the lowest class index.  Raises
     ``DegenerateError`` when any probability is not finite, so no caller
-    routes or scores by an argmax over NaN.
+    routes or scores by an argmax over NaN.  No rows is a ``ShapeError``.
     """
+    if x.shape[0] == 0:
+        raise ShapeError(f"predict needs at least one row, got shape {x.shape}")
     chunks = range(0, x.shape[0], PREDICT_ROWS)
     probs = np.concatenate([forward_pass(spec, params, x[i : i + PREDICT_ROWS])[0] for i in chunks])
     if not np.isfinite(probs).all():

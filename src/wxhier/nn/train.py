@@ -27,6 +27,8 @@ from .model import (
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's optimizer settings; ``hierarchy.HierTrainConfig`` adds the model shape."""
+
     epochs: int
     learning_rate: float = 0.01
     momentum: float = 0.9

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from wxhier import hierarchy
 from wxhier.dataset import ManifestEntry, load_manifest
 from wxhier.errors import (
+    ConfigError,
     DegenerateError,
     FormatError,
     MissingClassError,
@@ -299,6 +301,9 @@ def _primary(doc, name):
                      id="absolute-path"),
         pytest.param(lambda doc: json.dumps({**doc, "stats": "sub\\stats.json"}).encode(),
                      id="backslash-name"),
+        # names a hand-renamed copy of primary.wxm1: same bytes, so the same hash
+        pytest.param(lambda doc: json.dumps(_primary(doc, "renamed.wxm1")).encode(),
+                     id="renamed-primary"),
     ],
 )
 def test_bad_bundle_manifest_is_format_error(random_model, tmp_path, capsys, edit):
@@ -306,6 +311,7 @@ def test_bad_bundle_manifest_is_format_error(random_model, tmp_path, capsys, edi
 
     bundle = tmp_path / "bundle"
     save_hierarchical(random_model, bundle)
+    shutil.copy(bundle / "primary.wxm1", bundle / "renamed.wxm1")
     manifest = bundle / "bundle.json"
     manifest.write_bytes(edit(json.loads(manifest.read_text())))
     with pytest.raises(FormatError):
@@ -354,6 +360,24 @@ def test_train_requires_every_leaf(small_data):
     cfg = HierTrainConfig(input_hw=(8, 8), scale="micro", epochs=1)
     with pytest.raises(MissingClassError, match="rainbow"):
         train_hierarchical(no_rainbow, default_taxonomy(), cfg, root=small_data)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("epochs", 0), ("learning_rate", 0.0), ("learning_rate", -1.0), ("momentum", -0.1),
+     ("momentum", 1.0), ("momentum", 1.5), ("batch_size", 0)],
+)
+def test_bad_train_config_fails_before_decoding(small_data, monkeypatch, name, value):
+    decoded = []
+    decode = hierarchy.decode_ppm
+    monkeypatch.setattr(hierarchy, "decode_ppm", lambda blob: decoded.append(1) or decode(blob))
+    entries = load_manifest((small_data / "manifest.csv").read_bytes())
+    kwargs = {"input_hw": (8, 8), "scale": "micro", "epochs": 1, name: value}
+    with pytest.raises(ConfigError, match=name):
+        HierTrainConfig(**kwargs)
+    with pytest.raises(ConfigError, match=name):
+        train_hierarchical(entries, default_taxonomy(), HierTrainConfig(**kwargs), root=small_data)
+    assert decoded == []
 
 
 def no_cold_hazard_taxonomy() -> Taxonomy:

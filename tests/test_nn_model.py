@@ -225,6 +225,14 @@ def test_predict_runs_one_forward_per_chunk_of_rows(monkeypatch):
         np.testing.assert_array_equal(probs.argmax(axis=1), whole[:rows])
 
 
+def test_predict_rejects_zero_rows():
+    # the same error nn.train gives an empty training set
+    spec = small_spec()
+    params = init_params(spec, np.random.default_rng(10))
+    with pytest.raises(ShapeError, match="at least one row"):
+        predict(spec, params, np.zeros((0, 8, 8, 3), dtype=np.float32))
+
+
 def test_zero_grads_and_clone_isolation():
     spec = small_spec()
     params = init_params(spec, np.random.default_rng(8))
