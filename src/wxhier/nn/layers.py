@@ -9,8 +9,18 @@ reference the fast path is tested against.
 
 Both conv kernels take the ``im2col`` matrix as ``cols``, so a training
 step builds each conv layer's columns once; without it they build their
-own. The patch gather and the input gradient's tap copies move runs of
+own. At inference the model passes no columns, and ``conv2d_forward``
+gathers them for one block of whole images at a time and multiplies each
+block into its rows of the output, so only one block of columns is ever
+alive. The patch gather and the input gradient's tap copies move runs of
 adjacent floats as single ``np.void`` items, which changes no value.
+
+``batchnorm_forward`` (at inference) and ``relu_forward`` take an ``out``
+array, which may be their input. A kernel never writes an array it was
+not given as ``out``; ``forward_pass`` passes a layer's input as ``out``
+only when it made that activation itself, never the caller's array or a
+view of it. Inference batchnorm with ``out`` runs its four elementwise
+steps one cache-sized block of rows at a time.
 
 The convolution and batchnorm kernels keep the reference summation
 order: every reduction and matrix product is the same numpy call on the
@@ -21,7 +31,12 @@ vectors are applied on the ``(N*H, W*C)`` view with the vector repeated
 scale and shift, the avgpool divide) run in place on the array the
 kernel has just made, which saves an allocation per step without
 changing any sum. Retrained parameters are therefore bit-identical to
-those of the plain broadcasting kernels.
+those of the plain broadcasting kernels. The blocked inference conv is
+the one exception: it splits the rows of one product over several calls,
+and BLAS picks its kernel by a call's shape, so a row can round
+differently in a smaller call. On OpenBLAS 0.3.31 the micro and paper
+presets gave the whole-batch bits at every batch size tried (1-256 rows,
+32-100 px); tiny products split into one-image blocks did not.
 """
 
 from __future__ import annotations
@@ -87,6 +102,16 @@ def _columns(x: np.ndarray, k: int, stride: int, pad: int, cols: np.ndarray | No
     return cols
 
 
+# Bytes of im2col columns per block of an inference conv (at least one whole
+# image). At the paper preset, 100 px, 64 rows, whole-batch columns reach
+# 184 MB at block 2; blocks of 2 to 16 MB timed alike (block 2's conv
+# 110 -> 77 ms at 8 MB on a 2-vCPU Xeon, OpenBLAS 0.3.31). Blocks stay
+# multi-MB because freeing them is what raises glibc's mmap threshold: after
+# an evaluate with 442 KB blocks, each micro-preset training call that
+# followed took ~145 000 minor page faults and ~30 % longer (8 MB: ~800).
+CONV_BLOCK_BYTES = 8 << 20
+
+
 def conv2d_forward(
     x: np.ndarray,
     kernels: np.ndarray,
@@ -96,15 +121,31 @@ def conv2d_forward(
     *,
     cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Cross-correlation with zero padding; x (N,H,W,C), kernels (k,k,C,F)."""
+    """Cross-correlation with zero padding; x (N,H,W,C), kernels (k,k,C,F).
+
+    With ``cols`` (a training step's ``im2col(x, ...)``) this is one matrix
+    product. Without, each block of whole images of at most
+    ``CONV_BLOCK_BYTES`` of columns is gathered and multiplied into its own
+    rows of the output, so no more than one block of columns is alive.
+    """
     _check_conv_args(x, kernels, stride, pad)
     n, h, w, c = x.shape
     k, f = kernels.shape[0], kernels.shape[3]
     oh, ow = conv_output_hw(h, w, k, stride, pad)
-    cols = _columns(x, k, stride, pad, cols)
-    out = (cols @ kernels.reshape(k * k * c, f)).reshape(n * oh, ow * f)
-    out += _row(bias, ow)
-    return out.reshape(n, oh, ow, f)
+    kmat = kernels.reshape(k * k * c, f)
+    bias_row = _row(bias, ow)
+    if cols is not None:
+        out = (_columns(x, k, stride, pad, cols) @ kmat).reshape(n * oh, ow * f)
+        out += bias_row
+        return out.reshape(n, oh, ow, f)
+    out = np.empty((n, oh, ow, f), dtype=np.result_type(x, kernels))
+    step = max(1, CONV_BLOCK_BYTES // (oh * ow * k * k * c * x.itemsize))
+    for i in range(0, n, step):
+        block = out[i : i + step]
+        np.matmul(im2col(x[i : i + step], k, stride, pad), kmat, out=block.reshape(-1, f))
+        block = block.reshape(-1, ow * f)
+        block += bias_row
+    return out
 
 
 def conv2d_forward_naive(
@@ -171,6 +212,14 @@ def conv2d_backward(
     return grad_x, grad_kernels, grad_bias
 
 
+# Bytes of rows per block of an inference batchnorm with ``out``: the block
+# stays in L2 (2 MB per core) across its four elementwise passes. On the
+# paper preset's first batchnorm (64 x 100 x 100 x 32 float32) it took 30 ms
+# in place, against 42 ms in place unblocked and 84 ms with a fresh output;
+# blocks of 256 KB to 1 MB timed alike.
+BATCHNORM_BLOCK_BYTES = 256 << 10
+
+
 def batchnorm_forward(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -180,13 +229,17 @@ def batchnorm_forward(
     eps: float,
     momentum: float,
     train: bool,
-) -> tuple[np.ndarray, dict]:
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, dict | None]:
     """Per-channel normalization over the N*H*W samples of each channel.
 
     In train mode it normalizes with batch statistics and blends them into
     the running statistics in place:
     ``running = (1 - momentum) * running + momentum * batch``.
-    Otherwise it normalizes with the running statistics.
+    Otherwise it normalizes with the running statistics. At inference an
+    ``out`` array of ``x``'s shape (``x`` itself allowed) receives the result
+    one block of ``BATCHNORM_BLOCK_BYTES`` of rows at a time, with the same
+    four steps in the same order, and no cache is kept.
     """
     if x.ndim != 4 or x.shape[3] != gamma.shape[0]:
         raise ShapeError(f"batchnorm expects (N, H, W, C={gamma.shape[0]}), got {x.shape}")
@@ -201,6 +254,19 @@ def batchnorm_forward(
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var
+    elif out is not None:
+        mu_row = _row(running_mean.astype(x.dtype), w)
+        inv_std_row = _row(1.0 / np.sqrt(running_var.astype(x.dtype) + eps), w)
+        gamma_row, beta_row = _row(gamma, w), _row(beta, w)
+        src, dst = x.reshape(rows), np.reshape(out, rows, copy=False)
+        step = max(1, BATCHNORM_BLOCK_BYTES // (w * c * x.itemsize))
+        for i in range(0, n * h, step):
+            block = dst[i : i + step]
+            np.subtract(src[i : i + step], mu_row, out=block)
+            block *= inv_std_row
+            block *= gamma_row
+            block += beta_row
+        return out, None
     else:
         d = x.reshape(rows) - _row(running_mean.astype(x.dtype), w)
         var = running_var.astype(x.dtype)
@@ -229,8 +295,9 @@ def batchnorm_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, n
     return grad_x.reshape(x_hat.shape), grad_gamma, grad_beta
 
 
-def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.maximum(x, 0), x
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``max(x, 0)``, written to ``out`` when given (``x`` itself allowed)."""
+    return np.maximum(x, 0, out=out), x
 
 
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:

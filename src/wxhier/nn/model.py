@@ -34,8 +34,11 @@ def _need_rank(shape: Shape, rank: int, what: str) -> None:
 class LayerSpec:
     """Base of every layer spec; the defaults describe a parameterless layer.
 
-    ``forward(x, entry, rng)`` returns the output and the cache its
-    ``backward`` reads, training when ``rng`` is a generator;
+    ``forward(x, entry, rng, owned)`` returns the output and the cache its
+    ``backward`` reads, training when ``rng`` is a generator. ``owned`` is
+    true only at inference and only when ``x`` is an activation that
+    ``forward_pass`` made, never the caller's array or a view of it; the
+    step may then overwrite ``x``.
     ``backward`` returns the input gradient and the trainable gradients.
     ``Softmax``, always the last layer, has no backward step.
     """
@@ -72,9 +75,10 @@ class _WeightBias(LayerSpec):
 class Conv(_WeightBias):
     """Convolution over NHWC input.
 
-    Forward builds the im2col columns once and, in train mode, caches
-    ``(x, cols)``; backward consumes that cache, so a training step builds
-    each conv layer's columns once.
+    In train mode forward builds the im2col columns once, passes them to
+    the kernel and caches ``(x, cols)``; backward consumes that cache, so a
+    training step builds each conv layer's columns once. At inference the
+    kernel builds them itself, one block of images at a time.
     """
 
     kind = "conv"
@@ -95,13 +99,16 @@ class Conv(_WeightBias):
     def param_shapes(self, shape):
         return {"w": (self.kernel, self.kernel, shape[2], self.filters), "b": (self.filters,)}
 
-    def forward(self, x, entry, rng):
+    def forward(self, x, entry, rng, owned):
+        if rng is None:
+            # An infer cache lives until the next layer has run. Returning
+            # None there freed ``x`` sooner, which left the traced peak
+            # unchanged but raised evaluate's peak RSS by 8-26 MB through
+            # heap layout alone.
+            return L.conv2d_forward(x, entry["w"], entry["b"], self.stride, self.padding), x
         cols = L.im2col(x, self.kernel, self.stride, self.padding)
         out = L.conv2d_forward(x, entry["w"], entry["b"], self.stride, self.padding, cols=cols)
-        # An infer cache lives until the next layer has run. Returning None
-        # there freed ``x`` sooner, which left the traced peak unchanged but
-        # raised evaluate's peak RSS by 8-26 MB through heap layout alone.
-        return out, (x if rng is None else (x, cols))
+        return out, (x, cols)
 
     def backward(self, grad, entry, cache):
         x, cols = cache
@@ -139,10 +146,10 @@ class BatchNorm(LayerSpec):
             "running_var": np.ones(c, dtype=dtype),
         }
 
-    def forward(self, x, entry, rng):
+    def forward(self, x, entry, rng, owned):
         return L.batchnorm_forward(
             x, entry["gamma"], entry["beta"], entry["running_mean"], entry["running_var"],
-            self.epsilon, self.momentum, rng is not None,
+            self.epsilon, self.momentum, rng is not None, out=x if owned else None,
         )
 
     def backward(self, grad, entry, cache):
@@ -154,8 +161,8 @@ class BatchNorm(LayerSpec):
 class ReLU(LayerSpec):
     kind = "relu"
 
-    def forward(self, x, entry, rng):
-        return L.relu_forward(x)
+    def forward(self, x, entry, rng, owned):
+        return L.relu_forward(x, out=x if owned else None)
 
     def backward(self, grad, entry, x):
         return L.relu_backward(grad, x), {}
@@ -179,7 +186,7 @@ class AvgPool(LayerSpec):
         ow = (shape[1] - self.window) // self.stride + 1
         return (oh, ow, shape[2])
 
-    def forward(self, x, entry, rng):
+    def forward(self, x, entry, rng, owned):
         return L.avgpool_forward(x, self.window, self.stride), x.shape
 
     def backward(self, grad, entry, x_shape):
@@ -195,7 +202,7 @@ class Dropout(LayerSpec):
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate must lie in [0, 1), got {self.rate}")
 
-    def forward(self, x, entry, rng):
+    def forward(self, x, entry, rng, owned):
         return L.dropout_forward(x, self.rate, rng)
 
     def backward(self, grad, entry, keep):
@@ -210,7 +217,7 @@ class Flatten(LayerSpec):
         _need_rank(shape, 3, "flatten")
         return (shape[0] * shape[1] * shape[2],)
 
-    def forward(self, x, entry, rng):
+    def forward(self, x, entry, rng, owned):
         return L.flatten_forward(x)
 
     def backward(self, grad, entry, x_shape):
@@ -233,7 +240,7 @@ class Dense(_WeightBias):
     def param_shapes(self, shape):
         return {"w": (shape[0], self.units), "b": (self.units,)}
 
-    def forward(self, x, entry, rng):
+    def forward(self, x, entry, rng, owned):
         return L.dense_forward(x, entry["w"], entry["b"]), x
 
     def backward(self, grad, entry, x):
@@ -249,7 +256,7 @@ class Softmax(LayerSpec):
         _need_rank(shape, 1, "softmax")
         return shape
 
-    def forward(self, x, entry, rng):
+    def forward(self, x, entry, rng, owned):
         return L.softmax_forward(x), None
 
 
@@ -322,14 +329,17 @@ def forward_pass(
     the running ones), dropout masks from ``rng``, and one cache per layer
     for ``backward_from_logits``, which frees each once read.  Without it,
     inference: running statistics, no dropout and no caches, so each
-    activation is freed as soon as the next layer has read it.
+    activation is freed as soon as the next layer has read it, and
+    batchnorm and ReLU overwrite activations this forward made. ``x`` is
+    never written.
     """
     if x.ndim != 4 or tuple(x.shape[1:]) != spec.input_shape:
         raise ShapeError(f"input must be (N, {spec.input_shape}), got {x.shape}")
     caches: list = []
     out = x
     for layer, entry in zip(spec.layers, params):
-        out, cache = layer.forward(out, entry, rng)
+        owned = rng is None and not np.may_share_memory(out, x)
+        out, cache = layer.forward(out, entry, rng, owned)
         if rng is not None:
             caches.append(cache)
     return out, caches

@@ -8,7 +8,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from wxhier.errors import ShapeError
-from wxhier.nn import TrainConfig, basic_cnn_spec, history_to_csv, train
+from wxhier.nn import TrainConfig, basic_cnn_spec, forward_pass, history_to_csv, init_params, train
 from wxhier.nn import layers as L
 from wxhier.nn.layers import (
     avgpool_backward,
@@ -364,8 +364,9 @@ def _ref_im2col(x, k, stride, pad):
     return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
 
 
-# The reference kernels accept the precomputed columns the model passes and
-# ignore them, so they always gather their own.
+# The reference kernels accept the precomputed columns and the ``out`` array
+# the model passes and ignore them, so they always gather their own columns
+# and return a fresh output.
 def _ref_conv2d_forward(x, kernels, bias, stride=1, pad=0, cols=None):
     n, h, w, c = x.shape
     k, f = kernels.shape[0], kernels.shape[3]
@@ -394,7 +395,7 @@ def _ref_conv2d_backward(x, kernels, grad_out, stride=1, pad=0, cols=None):
     return grad_x, grad_kernels, grad_bias
 
 
-def _ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, eps, momentum, train):
+def _ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, eps, momentum, train, out=None):
     if train:
         mu = x.mean(axis=(0, 1, 2))
         var = x.var(axis=(0, 1, 2))
@@ -471,6 +472,42 @@ def test_conv_kernels_match_broadcasting_reference_bit_for_bit(dtype, stride, pa
                 _assert_same_bits(g, r)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_blocked_conv_matches_the_column_product(monkeypatch, dtype, stride, pad, k):
+    # Without columns the forward gathers them per block of whole images.
+    # Budgets below one image, of exactly one image and of two images (a
+    # ragged last block of three) must give the one-product result. BLAS
+    # picks its kernel by the product's shape, and on these tiny products a
+    # smaller call can round differently, so the bound is that of two dot
+    # products summed in different orders; a misplaced row would be far off.
+    # The default budget holds the whole batch: one product, the same bits.
+    rng = np.random.default_rng(200 + 100 * stride + 10 * pad + k)
+    eps = np.finfo(dtype).eps
+    for c in range(1, 17):
+        f = int(rng.integers(1, 17))
+        h = int(rng.integers(k, k + 6))
+        w = int(rng.integers(k, k + 6)) | 1
+        x = rng.standard_normal((3, h, w, c)).astype(dtype)
+        x[0, 0, -1, 0] = -0.0
+        kern = rng.standard_normal((k, k, c, f)).astype(dtype)
+        bias = rng.standard_normal(f).astype(dtype)
+        cols = L.im2col(x, k, stride, pad)
+        want = conv2d_forward(x, kern, bias, stride, pad, cols=cols)
+        _assert_same_bits(conv2d_forward(x, kern, bias, stride, pad), want)
+        magnitude = np.abs(cols) @ np.abs(kern.reshape(-1, f)) + np.abs(bias)
+        tol = (2 * cols.shape[1] * eps * magnitude).reshape(want.shape)
+        per_image = cols.nbytes // 3
+        for budget in (1, per_image, 2 * per_image):
+            with monkeypatch.context() as m:
+                m.setattr(L, "CONV_BLOCK_BYTES", budget)
+                got = conv2d_forward(x, kern, bias, stride, pad)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert (np.abs(got - want) <= tol).all()
+
+
 def test_conv_kernels_reject_columns_of_another_input():
     x = np.zeros((2, 5, 5, 3), dtype=np.float32)
     kern = np.zeros((3, 3, 3, 4), dtype=np.float32)
@@ -511,6 +548,37 @@ def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, train):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_and_relu_write_out_bit_for_bit(monkeypatch, dtype):
+    # out= (a separate array or the input itself) gives the default call's
+    # bits; small batchnorm blocks make several blocks and a ragged last one.
+    rng = np.random.default_rng(19)
+    for c in range(1, 17):
+        n, h = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        w = int(rng.integers(1, 10)) | 1
+        x = (rng.standard_normal((n, h, w, c)) * 3 + 1).astype(dtype)
+        x[0, 0, 0, 0] = -0.0
+        gamma, beta, mean = rng.standard_normal((3, c)).astype(dtype)
+        var = rng.uniform(0.5, 2, c).astype(dtype)
+        args = (gamma, beta, mean, var, 1e-5, 0.1, False)
+        want_bn = batchnorm_forward(x, *args)[0]
+        want_relu = relu_forward(x)[0]
+        row_bytes = w * c * x.itemsize
+        for budget in (1, 2 * row_bytes, L.BATCHNORM_BLOCK_BYTES):
+            for in_place in (False, True):
+                out = x.copy() if in_place else np.empty_like(x)
+                with monkeypatch.context() as m:
+                    m.setattr(L, "BATCHNORM_BLOCK_BYTES", budget)
+                    got, cache = batchnorm_forward(out if in_place else x, *args, out=out)
+                assert got is out and cache is None
+                _assert_same_bits(got, want_bn)
+        for in_place in (False, True):
+            out = x.copy() if in_place else np.empty_like(x)
+            got, _ = relu_forward(out if in_place else x, out=out)
+            assert got is out
+            _assert_same_bits(got, want_relu)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("window, stride", [(1, 1), (2, 2), (3, 2), (3, 1)])
 def test_avgpool_matches_broadcasting_reference_bit_for_bit(dtype, window, stride):
     rng = np.random.default_rng(10 * window + stride)
@@ -540,3 +608,30 @@ def test_training_with_reference_kernels_is_bit_identical(monkeypatch):
     ]:
         monkeypatch.setattr(L, name, ref)
     assert fit() == ours
+
+
+def _ref_relu_forward(x, out=None):
+    return np.maximum(x, 0), x
+
+
+def test_inference_with_reference_kernels_is_bit_identical(monkeypatch):
+    # An inference forward (conv columns per block, batchnorm and ReLU in
+    # place) against the same forward built from the reference kernels.
+    rng = np.random.default_rng(29)
+    spec = basic_cnn_spec((16, 16, 3), 4, scale="micro", dropout=0.25)
+    params = init_params(spec, rng)
+    for entry in params:
+        for key, a in entry.items():
+            a[...] = rng.standard_normal(a.shape) * 0.5 + (key in ("gamma", "running_var"))
+            if key == "running_var":
+                np.abs(a, out=a)
+    x = rng.standard_normal((9, 16, 16, 3)).astype(np.float32)
+    ours = forward_pass(spec, params, x)[0]
+    for name, ref in [
+        ("conv2d_forward", _ref_conv2d_forward),
+        ("batchnorm_forward", _ref_batchnorm_forward),
+        ("relu_forward", _ref_relu_forward),
+        ("avgpool_forward", _ref_avgpool_forward),
+    ]:
+        monkeypatch.setattr(L, name, ref)
+    _assert_same_bits(forward_pass(spec, params, x)[0], ours)

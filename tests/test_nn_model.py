@@ -1,5 +1,7 @@
 """Model graph assembly: shape inference, init, forward/backward plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,25 +206,93 @@ def test_train_step_calls_each_conv_kernel_once_per_layer_and_consumes_caches(mo
 
 
 def test_predict_runs_one_forward_per_chunk_of_rows(monkeypatch):
+    # The benchmark pins these counts: one forward per chunk of rows, and
+    # in it one call of each block kernel per layer of its type.
     spec = small_spec()
-    n_dropout = sum(isinstance(layer, Dropout) for layer in spec.layers)
+    per_forward = {
+        "forward_pass": 1,
+        "conv2d_forward": sum(isinstance(layer, Conv) for layer in spec.layers),
+        "batchnorm_forward": sum(isinstance(layer, BatchNorm) for layer in spec.layers),
+        "relu_forward": sum(isinstance(layer, ReLU) for layer in spec.layers),
+        "avgpool_forward": sum(isinstance(layer, AvgPool) for layer in spec.layers),
+        "dropout_forward": sum(isinstance(layer, Dropout) for layer in spec.layers),
+    }
     params = init_params(spec, np.random.default_rng(10))
     x = np.random.default_rng(11).standard_normal((PREDICT_ROWS + 1, 8, 8, 3)).astype(np.float32)
     whole = forward_pass(spec, params, x)[0].argmax(axis=1)
 
-    calls = {"forward_pass": 0, "dropout_forward": 0}
-    for module, name in ((M, "forward_pass"), (L, "dropout_forward")):
+    calls = dict.fromkeys(per_forward, 0)
+    for name in calls:
+        module = M if name == "forward_pass" else L
+
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     for rows, forwards in ((PREDICT_ROWS, 1), (PREDICT_ROWS + 1, 2)):
-        calls.update(forward_pass=0, dropout_forward=0)
+        calls.update(dict.fromkeys(calls, 0))
         probs = predict(spec, params, x[:rows])
         assert probs.shape == (rows, 4)
-        assert calls == {"forward_pass": forwards, "dropout_forward": forwards * n_dropout}
+        assert calls == {name: forwards * n for name, n in per_forward.items()}
         np.testing.assert_array_equal(probs.argmax(axis=1), whole[:rows])
+
+
+def _head(n_out=3):
+    return (Flatten(), Dense(units=n_out), Softmax())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec((6, 6, 3), (BatchNorm(), *_head()), 3),
+        ModelSpec((6, 6, 3), (ReLU(), *_head()), 3),
+        ModelSpec((6, 6, 3), (Dropout(rate=0.5), BatchNorm(), ReLU(), *_head()), 3),
+        ModelSpec((6, 6, 3), (Flatten(), ReLU(), Dense(units=3), Softmax()), 3),
+        basic_cnn_spec((16, 16, 3), 3, scale="micro"),
+        basic_cnn_spec((32, 32, 3), 3, scale="paper"),
+    ],
+    ids=["batchnorm", "relu", "dropout-batchnorm", "flatten-relu", "micro", "paper"],
+)
+def test_inference_never_writes_the_callers_array(spec):
+    # Inference batchnorm and ReLU overwrite activations the forward made,
+    # never the input or a view of it (dropout and flatten pass views on).
+    params = init_params(spec, np.random.default_rng(12))
+    for entry in params:
+        if "running_mean" in entry:
+            entry["running_mean"] += 0.5
+    x = np.random.default_rng(13).standard_normal((5, *spec.input_shape)).astype(np.float32)
+    before = x.tobytes()
+    probs = forward_pass(spec, params, x)[0]
+    assert x.tobytes() == before
+    np.testing.assert_array_equal(predict(spec, params, x), probs)
+    assert x.tobytes() == before
+
+
+def test_paper_preset_predict_holds_one_column_block(monkeypatch):
+    # The conv columns of one block are the only memory an inference
+    # forward adds to a layer's input and output; whole-batch columns (184 MB
+    # at block 2 here) would break the bound. On the measured OpenBLAS
+    # 0.3.31 the blocked forward also gives the whole-batch product's bits.
+    spec = basic_cnn_spec((100, 100, 3), 3, scale="paper")
+    params = init_params(spec, np.random.default_rng(14))
+    x = np.random.default_rng(15).standard_normal((64, 100, 100, 3)).astype(np.float32)
+    sizes = [64 * 4 * int(np.prod(s)) for s in [spec.input_shape, *shape_infer(spec)]]
+    bound = max(a + b for a, b in zip(sizes, sizes[1:])) + L.CONV_BLOCK_BYTES
+
+    def peak():
+        tracemalloc.start()
+        try:
+            probs = predict(spec, params, x)
+            return probs, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    probs, blocked = peak()
+    monkeypatch.setattr(L, "CONV_BLOCK_BYTES", x.nbytes * 1000)
+    whole_probs, whole = peak()
+    assert blocked < bound < whole
+    assert probs.tobytes() == whole_probs.tobytes()
 
 
 def test_predict_rejects_zero_rows():
