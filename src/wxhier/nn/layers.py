@@ -19,8 +19,7 @@ adjacent floats as single ``np.void`` items, which changes no value.
 array, which may be their input. A kernel never writes an array it was
 not given as ``out``; ``forward_pass`` passes a layer's input as ``out``
 only when it made that activation itself, never the caller's array or a
-view of it. Inference batchnorm with ``out`` runs its four elementwise
-steps one cache-sized block of rows at a time.
+view of it.
 
 The convolution and batchnorm kernels keep the reference summation
 order: every reduction and matrix product is the same numpy call on the
@@ -212,14 +211,6 @@ def conv2d_backward(
     return grad_x, grad_kernels, grad_bias
 
 
-# Bytes of rows per block of an inference batchnorm with ``out``: the block
-# stays in L2 (2 MB per core) across its four elementwise passes. On the
-# paper preset's first batchnorm (64 x 100 x 100 x 32 float32) it took 30 ms
-# in place, against 42 ms in place unblocked and 84 ms with a fresh output;
-# blocks of 256 KB to 1 MB timed alike.
-BATCHNORM_BLOCK_BYTES = 256 << 10
-
-
 def batchnorm_forward(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -236,10 +227,10 @@ def batchnorm_forward(
     In train mode it normalizes with batch statistics and blends them into
     the running statistics in place:
     ``running = (1 - momentum) * running + momentum * batch``.
-    Otherwise it normalizes with the running statistics. At inference an
-    ``out`` array of ``x``'s shape (``x`` itself allowed) receives the result
-    one block of ``BATCHNORM_BLOCK_BYTES`` of rows at a time, with the same
-    four steps in the same order, and no cache is kept.
+    Otherwise it normalizes with the running statistics. At inference a
+    C-contiguous ``out`` array of ``x``'s shape (``x`` itself allowed)
+    receives the result of the same four steps in the same order, and no
+    cache is kept.
     """
     if x.ndim != 4 or x.shape[3] != gamma.shape[0]:
         raise ShapeError(f"batchnorm expects (N, H, W, C={gamma.shape[0]}), got {x.shape}")
@@ -255,17 +246,13 @@ def batchnorm_forward(
         running_var *= 1.0 - momentum
         running_var += momentum * var
     elif out is not None:
-        mu_row = _row(running_mean.astype(x.dtype), w)
-        inv_std_row = _row(1.0 / np.sqrt(running_var.astype(x.dtype) + eps), w)
-        gamma_row, beta_row = _row(gamma, w), _row(beta, w)
-        src, dst = x.reshape(rows), np.reshape(out, rows, copy=False)
-        step = max(1, BATCHNORM_BLOCK_BYTES // (w * c * x.itemsize))
-        for i in range(0, n * h, step):
-            block = dst[i : i + step]
-            np.subtract(src[i : i + step], mu_row, out=block)
-            block *= inv_std_row
-            block *= gamma_row
-            block += beta_row
+        if out.shape != x.shape or not out.flags.c_contiguous:
+            raise ShapeError(f"batchnorm out must be C-contiguous {x.shape}, got {out.shape}")
+        dst = out.reshape(rows)  # a view, so the writes land in ``out``
+        np.subtract(x.reshape(rows), _row(running_mean.astype(x.dtype), w), out=dst)
+        dst *= _row(1.0 / np.sqrt(running_var.astype(x.dtype) + eps), w)
+        dst *= _row(gamma, w)
+        dst += _row(beta, w)
         return out, None
     else:
         d = x.reshape(rows) - _row(running_mean.astype(x.dtype), w)

@@ -548,9 +548,8 @@ def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, train):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_batchnorm_and_relu_write_out_bit_for_bit(monkeypatch, dtype):
-    # out= (a separate array or the input itself) gives the default call's
-    # bits; small batchnorm blocks make several blocks and a ragged last one.
+def test_batchnorm_and_relu_write_out_bit_for_bit(dtype):
+    # out= (a separate array or the input itself) gives the default call's bits
     rng = np.random.default_rng(19)
     for c in range(1, 17):
         n, h = int(rng.integers(1, 5)), int(rng.integers(1, 9))
@@ -562,20 +561,27 @@ def test_batchnorm_and_relu_write_out_bit_for_bit(monkeypatch, dtype):
         args = (gamma, beta, mean, var, 1e-5, 0.1, False)
         want_bn = batchnorm_forward(x, *args)[0]
         want_relu = relu_forward(x)[0]
-        row_bytes = w * c * x.itemsize
-        for budget in (1, 2 * row_bytes, L.BATCHNORM_BLOCK_BYTES):
-            for in_place in (False, True):
-                out = x.copy() if in_place else np.empty_like(x)
-                with monkeypatch.context() as m:
-                    m.setattr(L, "BATCHNORM_BLOCK_BYTES", budget)
-                    got, cache = batchnorm_forward(out if in_place else x, *args, out=out)
-                assert got is out and cache is None
-                _assert_same_bits(got, want_bn)
         for in_place in (False, True):
+            out = x.copy() if in_place else np.empty_like(x)
+            got, cache = batchnorm_forward(out if in_place else x, *args, out=out)
+            assert got is out and cache is None
+            _assert_same_bits(got, want_bn)
             out = x.copy() if in_place else np.empty_like(x)
             got, _ = relu_forward(out if in_place else x, out=out)
             assert got is out
             _assert_same_bits(got, want_relu)
+
+
+def test_batchnorm_rejects_an_out_it_cannot_write_as_rows():
+    # batchnorm writes ``out`` through an (N*H, W*C) view, which a strided
+    # or misshapen array cannot give without a copy that would take the writes
+    x = np.ones((2, 3, 5, 4), dtype=np.float32)
+    ones, zeros = np.ones(4, np.float32), np.zeros(4, np.float32)
+    args = (ones, zeros, zeros, ones, 1e-5, 0.1, False)
+    strided = np.empty((2, 3, 10, 4), np.float32)[:, :, ::2]
+    for out in (np.empty_like(x, order="F"), strided, np.empty((6, 5, 4), np.float32)):
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            batchnorm_forward(x, *args, out=out)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
