@@ -92,15 +92,21 @@ def load_manifest(data: bytes | str) -> list[ManifestEntry]:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"manifest is not UTF-8: {exc}") from None
-    rows = list(csv.reader(io.StringIO(data)))
-    rows = [r for r in rows if r]  # ignore blank lines
+    reader = csv.reader(io.StringIO(data))
+    rows = []  # (line number, row); blank lines are ignored
+    try:
+        for row in reader:
+            if row:
+                rows.append((reader.line_num, row))
+    except csv.Error as exc:  # e.g. a bare CR in an unquoted field, an over-long field
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError("empty manifest: missing header")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     if header not in (["path", "label"], ["path", "label", "channel_order"]):
         raise ParseError(f"bad manifest header {header!r}")
     entries = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
         path = row[0].strip()

@@ -22,20 +22,25 @@ only when it made that activation itself, never the caller's array or a
 view of it.
 
 The convolution and batchnorm kernels keep the reference summation
-order: every reduction and matrix product is the same numpy call on the
-same operands, and only the memory layout around them differs. Per-channel
-vectors are applied on the ``(N*H, W*C)`` view with the vector repeated
-``W`` times, so each elementwise loop runs over whole rows instead of
-``C`` floats at a time. Elementwise epilogues (conv bias, the batchnorm
-scale and shift, the avgpool divide) run in place on the array the
-kernel has just made, which saves an allocation per step without
-changing any sum. Retrained parameters are therefore bit-identical to
-those of the plain broadcasting kernels. The blocked inference conv is
-the one exception: it splits the rows of one product over several calls,
-and BLAS picks its kernel by a call's shape, so a row can round
-differently in a smaller call. On OpenBLAS 0.3.31 the micro and paper
-presets gave the whole-batch bits at every batch size tried (1-256 rows,
-32-100 px); tiny products split into one-image blocks did not.
+order: every matrix product is the same numpy call on the same operands,
+and every reduction adds the same operands in the same order, so only the
+memory layout around them differs. The per-channel sums of a training step
+(batchnorm's mean, variance and parameter gradients, the conv bias
+gradient) add the ``N*H*W`` rows in numpy's order through ``einsum``
+(``_channel_sum``), which runs the row adds without numpy's per-row call
+of a ``C``-long reduction loop. Per-channel vectors are applied on the
+``(N*H, W*C)`` view with the vector repeated ``W`` times, so each
+elementwise loop runs over whole rows instead of ``C`` floats at a time.
+Elementwise epilogues (conv bias, the batchnorm scale and shift, the
+avgpool divide) run in place on the array the kernel has just made, which
+saves an allocation per step without changing any sum. Retrained
+parameters are therefore bit-identical to those of the plain broadcasting
+kernels. The blocked inference conv is the one exception: it splits the
+rows of one product over several calls, and BLAS picks its kernel by a
+call's shape, so a row can round differently in a smaller call. On
+OpenBLAS 0.3.31 the micro and paper presets gave the whole-batch bits at
+every batch size tried (1-256 rows, 32-100 px); tiny products split into
+one-image blocks did not.
 """
 
 from __future__ import annotations
@@ -49,6 +54,20 @@ from ..errors import ShapeError
 def _row(vec: np.ndarray, w: int) -> np.ndarray:
     """``vec`` repeated ``w`` times: one row of an ``(N*H, W*C)`` view."""
     return vec[None].repeat(w, 0).reshape(-1)
+
+
+def _channel_sum(a: np.ndarray, c: int) -> np.ndarray:
+    """Per-channel sum of a C-contiguous ``(..., c)`` array, bit for bit
+    ``a.sum(axis=(0, 1, 2))`` of its NHWC form.
+
+    numpy reduces the ``(rows, c)`` view by adding one row at a time to the
+    accumulator, through a ufunc inner loop only ``c`` floats long; einsum
+    adds the same rows in the same order at a fraction of the cost. At
+    ``c == 1`` both switch to other orders (numpy sums pairwise) and their
+    bits differ, so that width keeps numpy's reduction.
+    """
+    rows = a.reshape(-1, c)
+    return np.einsum("ij->j", rows) if c > 1 else rows.sum(axis=0)
 
 
 def conv_output_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
@@ -191,7 +210,7 @@ def conv2d_backward(
         raise ShapeError(f"grad_out shape {grad_out.shape} != {(n, oh, ow, f)}")
 
     g = grad_out.reshape(n * oh * ow, f)
-    grad_bias = g.sum(axis=0)
+    grad_bias = _channel_sum(g, f)
 
     cols = _columns(x, k, stride, pad, cols)
     grad_kernels = (cols.T @ g).reshape(k, k, c, f)
@@ -227,26 +246,18 @@ def batchnorm_forward(
     In train mode it normalizes with batch statistics and blends them into
     the running statistics in place:
     ``running = (1 - momentum) * running + momentum * batch``.
-    Otherwise it normalizes with the running statistics. At inference a
-    C-contiguous ``out`` array of ``x``'s shape (``x`` itself allowed)
-    receives the result of the same four steps in the same order, and no
-    cache is kept.
+    Otherwise it normalizes with the running statistics and keeps no cache:
+    the result goes to ``out``, a C-contiguous array of ``x``'s shape
+    (``x`` itself allowed), or to a new one.
     """
     if x.ndim != 4 or x.shape[3] != gamma.shape[0]:
         raise ShapeError(f"batchnorm expects (N, H, W, C={gamma.shape[0]}), got {x.shape}")
     n, h, w, c = x.shape
     rows = (n * h, w * c)
-    if train:
-        mu = x.mean(axis=(0, 1, 2))
-        d = x.reshape(rows) - _row(mu, w)
-        # x.var bit for bit: np.var sums these same squares and divides by the count
-        var = (d * d).reshape(x.shape).sum(axis=(0, 1, 2)) / (n * h * w)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    elif out is not None:
-        if out.shape != x.shape or not out.flags.c_contiguous:
+    if not train:
+        if out is None:  # C order even for a strided ``x``: written through its row view
+            out = np.empty(x.shape, x.dtype)
+        elif out.shape != x.shape or not out.flags.c_contiguous:
             raise ShapeError(f"batchnorm out must be C-contiguous {x.shape}, got {out.shape}")
         dst = out.reshape(rows)  # a view, so the writes land in ``out``
         np.subtract(x.reshape(rows), _row(running_mean.astype(x.dtype), w), out=dst)
@@ -254,9 +265,16 @@ def batchnorm_forward(
         dst *= _row(gamma, w)
         dst += _row(beta, w)
         return out, None
-    else:
-        d = x.reshape(rows) - _row(running_mean.astype(x.dtype), w)
-        var = running_var.astype(x.dtype)
+    m = n * h * w
+    # x.mean and x.var bit for bit: each sums the same values in the same
+    # order and divides by the count
+    mu = _channel_sum(x, c) / m
+    d = x.reshape(rows) - _row(mu, w)
+    var = _channel_sum(d * d, c) / m
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = d  # normalized in place
     x_hat *= _row(inv_std, w)
@@ -273,8 +291,8 @@ def batchnorm_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, n
     inv_std = cache["inv_std"]
     n, h, w, c = x_hat.shape
     rows = (n * h, w * c)
-    grad_beta = grad_out.sum(axis=(0, 1, 2))
-    grad_gamma = (grad_out * x_hat).sum(axis=(0, 1, 2))
+    grad_beta = _channel_sum(grad_out, c)
+    grad_gamma = _channel_sum(grad_out * x_hat, c)
     m = n * h * w
     grad_x = grad_out.reshape(rows) - _row(grad_beta / m, w)
     grad_x -= x_hat.reshape(rows) * _row(grad_gamma / m, w)

@@ -118,6 +118,13 @@ def test_unknown_label_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_manifest_the_csv_reader_rejects_is_data_error(tmp_path, capsys):
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(b"path,label\na\rb.ppm,rain\n")  # a bare CR in an unquoted field
+    assert run("split", "--manifest", manifest, "--output-dir", tmp_path / "out") == 4
+    assert "data error: line 2" in capsys.readouterr().err
+
+
 def test_missing_class_is_data_error(small_data, tmp_path, capsys):
     entries = load_manifest((small_data / "manifest.csv").read_bytes())
     partial = tmp_path / "partial.csv"

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wxhier.dataset import (
@@ -15,7 +15,7 @@ from wxhier.dataset import (
     manifest_to_csv,
     stratified_split,
 )
-from wxhier.errors import EmptyManifestError, ParseError, UnknownLabelError
+from wxhier.errors import EmptyManifestError, ParseError, UnknownLabelError, WxhierError
 from wxhier.taxonomy import LEAF_CLASSES, default_taxonomy
 
 
@@ -68,6 +68,43 @@ def test_manifest_rejects_malformed(text, exc):
 def test_manifest_error_carries_line_number():
     with pytest.raises(UnknownLabelError, match="line 3"):
         load_manifest("path,label\na.ppm,rain\nb.ppm,hurricane\n")
+    with pytest.raises(UnknownLabelError, match="line 4"):  # blank lines count
+        load_manifest("path,label\n\na.ppm,rain\nb.ppm,hurricane\n")
+
+
+# A bare CR inside an unquoted field, and a field over the csv module's
+# 131072-character limit: both make the csv reader raise its own error.
+CSV_READER_ERRORS = [
+    b"path,label\na\rb.ppm,rain\n",
+    b"path,label\n" + b"x" * 131073 + b".ppm,rain\n",
+]
+
+
+@pytest.mark.parametrize("data", CSV_READER_ERRORS, ids=["bare-cr", "over-long-field"])
+def test_manifest_csv_reader_errors_are_parse_errors(data):
+    with pytest.raises(ParseError, match="line 2"):
+        load_manifest(data)
+
+
+_MANIFEST_ALPHABET = b'path,label,channel_order\r\n"\x00 rainhailRGB\xff'
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from(list(_MANIFEST_ALPHABET)), max_size=200).map(
+            lambda b: b"path,label,channel_order\n" + bytes(b)
+        ),
+    )
+)
+@example(CSV_READER_ERRORS[0])
+@example(CSV_READER_ERRORS[1])
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_manifest_bytes_raise_only_package_errors(data):
+    try:
+        load_manifest(data)
+    except WxhierError:
+        pass
 
 
 # ------------------------------------------------------------------- split

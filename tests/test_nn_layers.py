@@ -522,6 +522,26 @@ def test_conv_kernels_reject_columns_of_another_input():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_channel_sum_matches_numpy_sum_bit_for_bit(dtype):
+    # einsum adds the rows in numpy's order for every width above 1; at
+    # width 1 the two would sum in different orders, so the helper keeps
+    # numpy's reduction there
+    rng = np.random.default_rng(23)
+    shapes = [(1, 1, 1), (1, 1, 2), (1, 1, 7), (2, 2, 2), (1, 3, 3), (3, 1, 11), (1, 16, 16),
+              (4, 32, 32), (32, 16, 16), (32, 32, 32), (70, 32, 31)]
+    for c in (1, 2, 3, 8, 16, 256):
+        for n, h, w in shapes:
+            if n * h * w * c > 1 << 21:
+                continue
+            a = (rng.standard_normal((n, h, w, c)) * 3 + 1).astype(dtype)
+            a[rng.random(a.shape) < 0.05] = -0.0
+            _assert_same_bits(L._channel_sum(a, c), a.sum(axis=(0, 1, 2)))
+            _assert_same_bits(L._channel_sum(a.reshape(-1, c), c), a.sum(axis=(0, 1, 2)))
+    zeros = np.full((3, 2, 2, 4), -0.0, dtype)  # an all -0.0 channel sums to -0.0
+    _assert_same_bits(L._channel_sum(zeros, 4), zeros.sum(axis=(0, 1, 2)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("train", [True, False], ids=["train-True", "infer-True"])
 def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, train):
     rng = np.random.default_rng(17)
@@ -536,8 +556,15 @@ def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, train):
         out, cache = batchnorm_forward(x, gamma, beta, *ours, 1e-5, 0.1, train)
         ref_out, ref_cache = _ref_batchnorm_forward(x, gamma, beta, *theirs, 1e-5, 0.1, train)
         _assert_same_bits(out, ref_out)
-        for key in ("x_hat", "inv_std"):
-            _assert_same_bits(cache[key], ref_cache[key])
+        if train:
+            for key in ("x_hat", "inv_std"):
+                _assert_same_bits(cache[key], ref_cache[key])
+        else:  # inference keeps no cache; a given ``out`` receives the same bits
+            assert cache is None
+            given = np.empty_like(x)
+            got, cache = batchnorm_forward(x, gamma, beta, *ours, 1e-5, 0.1, train, out=given)
+            assert got is given and cache is None
+            _assert_same_bits(got, ref_out)
         for a, b in zip(ours, theirs):
             _assert_same_bits(a, b)
         grad_out = rng.standard_normal(x.shape).astype(dtype)
