@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +28,9 @@ import numpy as np
 
 from . import evaluate as ev
 from . import nn
-from .dataset import SplitSpec, load_manifest, manifest_to_csv, stratified_split, distribution_csv
+from .dataset import (
+    SplitSpec, csv_text, distribution_csv, load_manifest, manifest_to_csv, stratified_split
+)
 from .errors import ConfigError, FormatError, ShapeError, ValidationError, WxhierError
 from .hierarchy import (
     HierTrainConfig,
@@ -83,6 +86,10 @@ def _fraction(flag: str):
 
 def _below_one(flag: str):
     return _checked(float, f"{flag} must lie in [0, 1)", lambda v: 0.0 <= v < 1.0)
+
+
+def _vgg_scale(flag: str):
+    return _checked(float, f"{flag} must be finite and >= 1/8", lambda v: 0.125 <= v < math.inf)
 
 
 def _at_least(flag: str, low: int):
@@ -150,13 +157,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     flag("--arch", default="hierarchical", **_one_of("--arch", ARCHES))
     flag("--scale", default="micro", help="basic-cnn block preset",
          **_one_of("--scale", ("micro", "paper")))
-    flag("--width-scale", type=_checked(float, "--width-scale must be a number"), default=1.0,
+    flag("--width-scale", type=_vgg_scale("--width-scale"), default=1.0,
          help="vgg-style channel multiplier (>= 1/8)")
-    flag("--depth-scale", type=_checked(float, "--depth-scale must be a number"), default=1.0,
+    flag("--depth-scale", type=_vgg_scale("--depth-scale"), default=1.0,
          help="vgg-style stage-depth multiplier (>= 1/8)")
     flag("--epochs", type=_at_least("--epochs", 1), default=25)
-    flag("--learning-rate", type=_checked(float, "--learning-rate must be > 0", lambda v: v > 0),
-         default=0.01)
+    flag("--learning-rate", default=0.01, type=_checked(
+        float, "--learning-rate must be finite and > 0", lambda v: 0 < v < math.inf))
     flag("--momentum", type=_below_one("--momentum"), default=0.9)
     flag("--batch-size", type=_at_least("--batch-size", 1), default=32)
     flag("--dropout", type=_below_one("--dropout"), default=0.25)
@@ -274,9 +281,8 @@ def cmd_preprocess(args) -> int:
     out = _outdir(args)
     write_tensor(out / "tensors.wxt1", x)
     save_stats(out / "stats.json", stats)
-    lines = ["index,path,label"]
-    lines += [f"{i},{e.path},{e.leaf}" for i, e in enumerate(entries)]
-    (out / "labels.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [("index", "path", "label")] + [(i, e.path, e.leaf) for i, e in enumerate(entries)]
+    (out / "labels.csv").write_text(csv_text(rows), encoding="utf-8")
     print(f"wrote {x.shape} tensor batch to {out / 'tensors.wxt1'}")
     return 0
 
@@ -346,18 +352,9 @@ def cmd_predict(args) -> int:
         try:
             image = decode_ppm(Path(path).read_bytes())
             pred = predict_hierarchical(model, image, args.channel_order)
-            doc = {
-                "path": str(path),
-                "group": pred.group,
-                "group_probs": [float(v) for v in pred.group_probs],
-                "leaf": pred.leaf,
-                "leaf_probs": [float(v) for v in pred.leaf_probs],
-                "safety": pred.safety,
-                "safety_source": pred.safety_source,
-                "safety_probs": None
-                if pred.safety_probs is None
-                else [float(v) for v in pred.safety_probs],
-            }
+            doc = {"path": str(path)}
+            for key, value in vars(pred).items():  # arrays as lists of the same floats
+                doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
             successes += 1
         except (OSError, WxhierError) as exc:
             doc = {"path": str(path), "error": f"{type(exc).__name__}: {exc}"}

@@ -122,13 +122,16 @@ def load_manifest(data: bytes | str) -> list[ManifestEntry]:
     return entries
 
 
-def manifest_to_csv(entries: list[ManifestEntry]) -> str:
+def csv_text(rows) -> str:
+    """``rows`` as CSV text with ``\\n`` line ends, fields quoted where needed."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["path", "label", "channel_order"])
-    for e in entries:
-        writer.writerow([e.path, e.leaf, e.channel_order])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def manifest_to_csv(entries: list[ManifestEntry]) -> str:
+    rows = [(e.path, e.leaf, e.channel_order) for e in entries]
+    return csv_text([("path", "label", "channel_order"), *rows])
 
 
 def stratified_split(entries: list[ManifestEntry], spec: SplitSpec) -> SplitResult:
@@ -187,11 +190,9 @@ def class_distribution(entries: list[ManifestEntry], taxonomy: Taxonomy) -> Dist
 
 def distribution_csv(splits: dict[str, list[ManifestEntry]], taxonomy: Taxonomy) -> str:
     """Report rows ``leaf,count,group,split`` for external plotting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["leaf", "count", "group", "split"])
+    rows: list[tuple] = [("leaf", "count", "group", "split")]
     for split_name, entries in splits.items():
         dist = class_distribution(entries, taxonomy)
-        for leaf in LEAF_CLASSES:
-            writer.writerow([leaf, dist.per_leaf[leaf], group_of(leaf, taxonomy), split_name])
-    return buf.getvalue()
+        rows += [(leaf, dist.per_leaf[leaf], group_of(leaf, taxonomy), split_name)
+                 for leaf in LEAF_CLASSES]
+    return csv_text(rows)

@@ -191,25 +191,17 @@ def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPredictio
         if rows.size == 0:
             continue
         sub = model.sub_for_group(group)
-        leaf_probs = predict(sub.spec, sub.params, x[rows])
-        leaf_idx = leaf_probs.argmax(axis=1)
+        xg = x[rows]
+        leaf_probs = predict(sub.spec, sub.params, xg)
+        leaves = [sub.classes[p.argmax()] for p in leaf_probs]
         if group == "Cold":
             head = model.sub_cold_safety
-            safety_probs = predict(head.spec, head.params, x[rows])
-            safety_idx = safety_probs.argmax(axis=1)
-        for j, row in enumerate(rows):
-            leaf = sub.classes[leaf_idx[j]]
-            if group == "Cold":
-                safety = SAFETY_MODEL_CLASSES[safety_idx[j]]
-                source = "cold_model"
-                sprobs = safety_probs[j]
-            else:
-                safety = safety_of(leaf, model.taxonomy)
-                source = "taxonomy"
-                sprobs = None
-            preds[row] = HierPrediction(
-                group, group_probs[row], leaf, leaf_probs[j], safety, source, sprobs
-            )
+            safety_probs = predict(head.spec, head.params, xg)
+            verdicts = [(SAFETY_MODEL_CLASSES[p.argmax()], "cold_model", p) for p in safety_probs]
+        else:
+            verdicts = [(safety_of(leaf, model.taxonomy), "taxonomy", None) for leaf in leaves]
+        for row, leaf, probs, verdict in zip(rows, leaves, leaf_probs, verdicts):
+            preds[row] = HierPrediction(group, group_probs[row], leaf, probs, *verdict)
     return preds  # type: ignore[return-value]
 
 
@@ -405,10 +397,9 @@ def _digest(payloads) -> str:
 
 
 def bundle_content_hash(dirpath: str | Path) -> str:
-    """Recompute the digest over the bundle's payload files in pinned order."""
-    dirpath = Path(dirpath)
-    _read_bundle_manifest(dirpath)
-    return _digest((dirpath / name).read_bytes() for name in BUNDLE_FILES)
+    """Digest of the payload files, in pinned order, of a bundle directory
+    that ``load_hierarchical`` has accepted; ``bundle.json`` is not read."""
+    return _digest((Path(dirpath) / name).read_bytes() for name in BUNDLE_FILES)
 
 
 def _read_bundle_manifest(dirpath: Path) -> dict:

@@ -10,6 +10,8 @@ Dense/Softmax pair as the output stage.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ConfigError
 from .model import (
     AvgPool,
@@ -86,8 +88,8 @@ def vgg_style_spec(
     average pooling: it is the only pooling the layer set carries, and at
     these depths the choice does not alter the architecture shape.
     """
-    if width_scale < 0.125 or depth_scale < 0.125:
-        raise ConfigError(f"scales must be >= 1/8, got width={width_scale} depth={depth_scale}")
+    if not (0.125 <= width_scale < math.inf and 0.125 <= depth_scale < math.inf):
+        raise ConfigError(f"scales must be finite, >= 1/8: width {width_scale} depth {depth_scale}")
     layers: list[LayerSpec] = []
     for depth, width in zip(_VGG_DEPTHS, _VGG_WIDTHS):
         n_convs = max(1, round(depth * depth_scale))

@@ -9,11 +9,12 @@ reference the fast path is tested against.
 
 Both conv kernels take the ``im2col`` matrix as ``cols``, so a training
 step builds each conv layer's columns once; without it they build their
-own. At inference the model passes no columns, and ``conv2d_forward``
-gathers them for one block of whole images at a time and multiplies each
-block into its rows of the output, so only one block of columns is ever
-alive. The patch gather and the input gradient's tap copies move runs of
-adjacent floats as single ``np.void`` items, which changes no value.
+own. ``conv2d_forward`` is one loop over blocks of whole images. A
+training step's columns are one block, never split; at inference the
+loop gathers the columns of one block at a time, so only one block of
+them is ever alive. The patch gather and the input gradient's tap copies
+move runs of adjacent floats as single ``np.void`` items, which changes
+no value.
 
 ``batchnorm_forward`` (at inference) and ``relu_forward`` take an ``out``
 array, which may be their input. A kernel never writes an array it was
@@ -35,8 +36,8 @@ Elementwise epilogues (conv bias, the batchnorm scale and shift, the
 avgpool divide) run in place on the array the kernel has just made, which
 saves an allocation per step without changing any sum. Retrained
 parameters are therefore bit-identical to those of the plain broadcasting
-kernels. The blocked inference conv is the one exception: it splits the
-rows of one product over several calls, and BLAS picks its kernel by a
+kernels. The inference conv is the one exception: it may split the rows
+of one product over several calls, and BLAS picks its kernel by a
 call's shape, so a row can round differently in a smaller call. On
 OpenBLAS 0.3.31 the micro and paper presets gave the whole-batch bits at
 every batch size tried (1-256 rows, 32-100 px); tiny products split into
@@ -76,6 +77,14 @@ def conv_output_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, 
     if h + 2 * pad < k or w + 2 * pad < k or oh < 1 or ow < 1:
         raise ShapeError(f"kernel {k} with pad {pad} does not fit input {h}x{w}")
     return oh, ow
+
+
+def pool_output_hw(h: int, w: int, window: int, stride: int) -> tuple[int, int]:
+    if window < 1 or stride < 1:
+        raise ShapeError(f"bad pool window/stride {window}/{stride}")
+    if h < window or w < window:
+        raise ShapeError(f"pool window {window} does not fit input {h}x{w}")
+    return (h - window) // stride + 1, (w - window) // stride + 1
 
 
 def _check_conv_args(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int) -> None:
@@ -141,10 +150,10 @@ def conv2d_forward(
 ) -> np.ndarray:
     """Cross-correlation with zero padding; x (N,H,W,C), kernels (k,k,C,F).
 
-    With ``cols`` (a training step's ``im2col(x, ...)``) this is one matrix
-    product. Without, each block of whole images of at most
-    ``CONV_BLOCK_BYTES`` of columns is gathered and multiplied into its own
-    rows of the output, so no more than one block of columns is alive.
+    One loop multiplies each block of whole images' columns into its rows
+    of the output. With ``cols`` (a training step's ``im2col(x, ...)``) the
+    batch is one block, never split. Without, each block gathers at most
+    ``CONV_BLOCK_BYTES`` of columns, so only one block of them is alive.
     """
     _check_conv_args(x, kernels, stride, pad)
     n, h, w, c = x.shape
@@ -152,15 +161,13 @@ def conv2d_forward(
     oh, ow = conv_output_hw(h, w, k, stride, pad)
     kmat = kernels.reshape(k * k * c, f)
     bias_row = _row(bias, ow)
-    if cols is not None:
-        out = (_columns(x, k, stride, pad, cols) @ kmat).reshape(n * oh, ow * f)
-        out += bias_row
-        return out.reshape(n, oh, ow, f)
     out = np.empty((n, oh, ow, f), dtype=np.result_type(x, kernels))
     step = max(1, CONV_BLOCK_BYTES // (oh * ow * k * k * c * x.itemsize))
-    for i in range(0, n, step):
+    if cols is not None:  # the whole batch is one block
+        step = max(1, n)
+    for i in range(0, n, step):  # each block's columns die with its product
         block = out[i : i + step]
-        np.matmul(im2col(x[i : i + step], k, stride, pad), kmat, out=block.reshape(-1, f))
+        np.matmul(_columns(x[i : i + step], k, stride, pad, cols), kmat, out=block.reshape(-1, f))
         block = block.reshape(-1, ow * f)
         block += bias_row
     return out
@@ -312,13 +319,8 @@ def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
 def avgpool_forward(x: np.ndarray, window: int, stride: int) -> np.ndarray:
     if x.ndim != 4:
         raise ShapeError(f"avgpool input must be (N, H, W, C), got {x.shape}")
-    if window < 1 or stride < 1:
-        raise ShapeError(f"bad pool window/stride {window}/{stride}")
     n, h, w, c = x.shape
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
-    if h < window or w < window or oh < 1 or ow < 1:
-        raise ShapeError(f"pool window {window} does not fit input {h}x{w}")
+    oh, ow = pool_output_hw(h, w, window, stride)
     out = np.zeros((n, oh, ow, c), dtype=x.dtype)
     for dy in range(window):
         for dx in range(window):

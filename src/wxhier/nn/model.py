@@ -180,10 +180,7 @@ class AvgPool(LayerSpec):
 
     def out_shape(self, shape):
         _need_rank(shape, 3, "avgpool")
-        if shape[0] < self.window or shape[1] < self.window:
-            raise ShapeError(f"pool window {self.window} does not fit {shape}")
-        oh = (shape[0] - self.window) // self.stride + 1
-        ow = (shape[1] - self.window) // self.stride + 1
+        oh, ow = L.pool_output_hw(shape[0], shape[1], self.window, self.stride)
         return (oh, ow, shape[2])
 
     def forward(self, x, entry, rng, owned):

@@ -9,11 +9,12 @@ bit-identical parameters.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, DegenerateError, ShapeError
 from .model import (
     ModelSpec,
     Params,
@@ -36,8 +37,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -100,6 +101,7 @@ def train(
     """Train the model; returns final parameters and per-epoch history.
 
     ``y_train``/``y_val`` are integer class labels in ``[0, n_out)``.
+    A parameter that is not finite after an epoch is a ``DegenerateError``.
     """
     y_train = np.asarray(y_train)
     if x_train.shape[0] == 0:
@@ -131,6 +133,8 @@ def train(
                     entry[k] += ventry[k]
             loss_sum += loss * idx.shape[0]
             hit_sum += int((probs.argmax(axis=1) == y_train[idx]).sum())
+        if not all(np.isfinite(v).all() for entry in params for v in entry.values()):
+            raise DegenerateError(f"parameters became non-finite in epoch {epoch}")
         val_acc = None
         if x_val is not None and x_val.shape[0]:
             val_acc = evaluate_accuracy(spec, params, x_val, np.asarray(y_val))

@@ -1,5 +1,9 @@
 """Command-line surface: exit codes, artifacts, precedence, isolation."""
 
+import argparse
+import csv
+import importlib
+import io
 import json
 import os
 import re
@@ -14,7 +18,7 @@ import pytest
 from wxhier import cli, hierarchy, nn
 from wxhier.cli import main
 from wxhier.dataset import SplitSpec, load_manifest, stratified_split
-from wxhier.errors import ShapeError
+from wxhier.errors import ShapeError, WxhierError
 from wxhier.evaluate import compare_models, evaluate_hierarchical_tensors
 from wxhier.hierarchy import (
     HierTrainConfig,
@@ -23,8 +27,10 @@ from wxhier.hierarchy import (
     load_hierarchical,
     load_image_tensors,
     load_standardized,
+    predict_hierarchical,
     train_hierarchical,
 )
+from wxhier.imageio import decode_ppm
 from wxhier.preprocess import NormalizationStats
 from wxhier.taxonomy import LEAF_CLASSES, Taxonomy, default_taxonomy, serialize_taxonomy
 
@@ -218,6 +224,41 @@ def test_predict_cold_route_has_safety_fields(small_bundle, small_data, capsys):
         assert len(d["safety_probs"]) == 2
 
 
+def test_predict_lines_equal_predict_hierarchical(small_bundle, small_data, tmp_path, capsys):
+    # each line is the path plus every field of the in-process prediction,
+    # arrays as lists of the same floats, keys sorted
+    bad = tmp_path / "unreadable.ppm"
+    bad.write_bytes(b"P6 4 4 255\n")  # header without pixels
+    images = [*sorted((small_data / "snow").glob("*.ppm")), small_data / "rain" / "000.ppm", bad]
+    assert run("predict", "--bundle", small_bundle, *images) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(images)
+    model = load_hierarchical(small_bundle)
+    sources = []
+    for path, line in zip(images, lines):
+        try:
+            pred = predict_hierarchical(model, decode_ppm(path.read_bytes()))
+        except WxhierError as exc:
+            want = {"path": str(path), "error": f"{type(exc).__name__}: {exc}"}
+        else:
+            want = {
+                "path": str(path),
+                "group": pred.group,
+                "group_probs": [float(v) for v in pred.group_probs],
+                "leaf": pred.leaf,
+                "leaf_probs": [float(v) for v in pred.leaf_probs],
+                "safety": pred.safety,
+                "safety_source": pred.safety_source,
+                "safety_probs": None
+                if pred.safety_probs is None
+                else [float(v) for v in pred.safety_probs],
+            }
+        assert json.loads(line) == want
+        assert line == json.dumps(want, sort_keys=True)
+        sources.append(want.get("safety_source", "error"))
+    assert {"cold_model", "taxonomy"} <= set(sources) and sources[-1] == "error"
+
+
 def test_predict_all_failures_exit_4(small_bundle, tmp_path, capsys):
     assert run("predict", "--bundle", small_bundle, tmp_path / "a.ppm", tmp_path / "b.ppm") == 4
     lines = capsys.readouterr().out.strip().splitlines()
@@ -371,6 +412,22 @@ def test_stats_and_preprocess_round_trip(small_data, tmp_path):
     assert len(labels) == 89
 
 
+def test_preprocess_labels_csv_quotes_paths_with_commas(small_data, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, src in (("a,b.ppm", "rain/000.ppm"), ("plain.ppm", "snow/000.ppm")):
+        (data / name).write_bytes((small_data / src).read_bytes())
+    manifest = data / "m.csv"
+    manifest.write_text('path,label\n"a,b.ppm",rain\nplain.ppm,snow\n')
+    assert run("preprocess", "--manifest", manifest, "--output-dir", tmp_path / "out",
+               "--input-size", 8) == 0
+    text = (tmp_path / "out" / "labels.csv").read_text(encoding="utf-8")
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["index", "path", "label"], ["0", "a,b.ppm", "rain"], ["1", "plain.ppm", "snow"]
+    ]
+    assert text.endswith("\n1,plain.ppm,snow\n")  # unquoted paths keep their bytes
+
+
 def test_synth_subcommand(tmp_path):
     assert run("synth", "--output-dir", tmp_path / "ds",
                "--per-class", 2, "--image-size", 24, "--seed", 3) == 0
@@ -389,6 +446,21 @@ def test_train_flat_writes_history(small_data, tmp_path, capsys):
     assert history[0] == "epoch,train_loss,train_acc,val_acc"
     assert len(history) == 3
     assert "final validation accuracy" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("arch", ["hierarchical", "softmax-flat"])
+def test_train_diverging_parameters_exit_4_and_write_nothing(small_data, tmp_path, monkeypatch,
+                                                             capsys, arch):
+    def inf_gradient(probs, targets):
+        return 0.0, np.full_like(probs, np.inf)
+
+    monkeypatch.setattr(importlib.import_module("wxhier.nn.train"), "cross_entropy", inf_gradient)
+    rc = run("train", "--manifest", small_data / "manifest.csv", "--root", small_data,
+             "--output-dir", tmp_path / "out", "--arch", arch, "--epochs", 1, "--input-size", 8)
+    assert rc == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_hierarchical_bundle_has_five_models(small_bundle):
@@ -419,6 +491,10 @@ def _config(tmp_path, doc):
         ("train", "epochs", 0),
         ("train", "batch_size", 0),
         ("train", "learning_rate", 0.0),
+        ("train", "learning_rate", "inf"),
+        ("train", "learning_rate", "nan"),
+        ("train", "width_scale", "nan"),
+        ("train", "depth_scale", "inf"),
         ("train", "momentum", 1.0),
         ("train", "momentum", -0.1),
         ("train", "dropout", 1.0),
@@ -634,6 +710,19 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == set(cli._COMMANDS)
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_flag_table_matches_the_parser():
+    # README "Command line" lists each subcommand's flags, besides --config and --help
+    text = README.read_text().split("\n## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {name: set(re.findall(r"--[a-z][a-z-]*", flags))
+             for name, flags in re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", text, re.M)}
+    parser, _ = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unlisted = {"-h", "--help", "--config"}
+    defined = {name: {opt for action in p._actions for opt in action.option_strings} - unlisted
+               for name, p in subparsers.choices.items()}
+    assert table == defined
 
 
 def test_readme_comparison_recipe_matches_in_process_table(small_data, tmp_path):

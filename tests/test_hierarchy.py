@@ -220,6 +220,15 @@ def test_bundle_save_is_deterministic(random_model, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_load_parses_bundle_json_once(random_model, tmp_path, monkeypatch):
+    save_hierarchical(random_model, tmp_path / "bundle")
+    calls = []
+    read = hierarchy._read_bundle_manifest
+    monkeypatch.setattr(hierarchy, "_read_bundle_manifest", lambda d: calls.append(d) or read(d))
+    load_hierarchical(tmp_path / "bundle")
+    assert calls == [tmp_path / "bundle"]
+
+
 def test_bundle_tamper_detected(random_model, tmp_path):
     save_hierarchical(random_model, tmp_path / "bundle")
     target = tmp_path / "bundle" / "sub_dusty.wxm1"

@@ -1,5 +1,7 @@
 """Architecture presets: block structure, depth counting, scaling rules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,9 @@ def test_vgg_minimum_scale_enforced():
         vgg_style_spec((64, 64, 3), 11, width_scale=0.1)
     with pytest.raises(ConfigError):
         vgg_style_spec((64, 64, 3), 11, depth_scale=0.0)
+    for bad in ({"width_scale": math.nan}, {"depth_scale": math.inf}):  # round() would raise
+        with pytest.raises(ConfigError, match="finite"):
+            vgg_style_spec((64, 64, 3), 11, **bad)
     vgg_style_spec((64, 64, 3), 11, width_scale=0.125)  # boundary accepted
 
 

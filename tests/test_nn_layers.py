@@ -446,30 +446,33 @@ def _assert_same_bits(got, want):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_conv_kernels_match_broadcasting_reference_bit_for_bit(dtype, stride, pad, k):
     # im2col against the sliding-window gather, and both kernels with and
-    # without the precomputed columns against the reference kernels
+    # without the precomputed columns against the reference kernels, on two
+    # images and on none
     rng = np.random.default_rng(100 * stride + 10 * pad + k)
     for c in range(1, 17):
         f = int(rng.integers(1, 17))
         h = int(rng.integers(k, k + 6))
         w = int(rng.integers(k, k + 6)) | 1  # odd widths
-        x = rng.standard_normal((2, h, w, c)).astype(dtype)
-        x[0, 0, -1, 0] = -0.0
+        x2 = rng.standard_normal((2, h, w, c)).astype(dtype)
+        x2[0, 0, -1, 0] = -0.0
         kern = rng.standard_normal((k, k, c, f)).astype(dtype)
         bias = rng.standard_normal(f).astype(dtype)
         oh, ow = conv_output_hw(h, w, k, stride, pad)
-        cols = L.im2col(x, k, stride, pad)
-        _assert_same_bits(cols, _ref_im2col(x, k, stride, pad).reshape(2 * oh * ow, k * k * c))
-        want = _ref_conv2d_forward(x, kern, bias, stride, pad)
-        _assert_same_bits(conv2d_forward(x, kern, bias, stride, pad), want)
-        _assert_same_bits(conv2d_forward(x, kern, bias, stride, pad, cols=cols), want)
-        grad_out = rng.standard_normal(want.shape).astype(dtype)
-        want = _ref_conv2d_backward(x, kern, grad_out, stride, pad)
-        for got in (
-            conv2d_backward(x, kern, grad_out, stride, pad),
-            conv2d_backward(x, kern, grad_out, stride, pad, cols=cols),
-        ):
-            for g, r in zip(got, want):
-                _assert_same_bits(g, r)
+        grad_out2 = rng.standard_normal((2, oh, ow, f)).astype(dtype)
+        for n in (2, 0):
+            x, grad_out = x2[:n], grad_out2[:n]
+            cols = L.im2col(x, k, stride, pad)
+            _assert_same_bits(cols, _ref_im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c))
+            want = _ref_conv2d_forward(x, kern, bias, stride, pad)
+            _assert_same_bits(conv2d_forward(x, kern, bias, stride, pad), want)
+            _assert_same_bits(conv2d_forward(x, kern, bias, stride, pad, cols=cols), want)
+            want = _ref_conv2d_backward(x, kern, grad_out, stride, pad)
+            for got in (
+                conv2d_backward(x, kern, grad_out, stride, pad),
+                conv2d_backward(x, kern, grad_out, stride, pad, cols=cols),
+            ):
+                for g, r in zip(got, want):
+                    _assert_same_bits(g, r)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

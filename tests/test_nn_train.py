@@ -1,11 +1,12 @@
 """Training loop: loss, SGD with momentum, determinism, history export."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from wxhier.errors import ConfigError, ShapeError
+from wxhier.errors import ConfigError, DegenerateError, ShapeError
 from wxhier.nn import (
     Dense,
     EpochStats,
@@ -42,6 +43,9 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, learning_rate=0.0)
+    for rate in (math.nan, math.inf):  # nan <= 0 is false, and inf > 0
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(epochs=1, learning_rate=rate)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, momentum=1.0)
     with pytest.raises(ConfigError):
@@ -89,6 +93,19 @@ def test_training_separates_toy_blobs():
     assert evaluate_accuracy(spec, params, x, y) == 1.0
     assert history[-1].train_loss < history[0].train_loss
     assert len(history) == 20
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_parameters_end_training(monkeypatch):
+    # an infinite logit gradient turns the dense weights into inf and nan
+    def inf_gradient(probs, targets):
+        return 0.0, np.full_like(probs, np.inf)
+
+    # ``wxhier.nn.train`` the attribute is the function; the module is in sys.modules
+    monkeypatch.setattr(importlib.import_module("wxhier.nn.train"), "cross_entropy", inf_gradient)
+    x, y = toy_blobs()
+    with pytest.raises(DegenerateError, match="non-finite in epoch 1"):
+        train(softmax_flat_spec((2, 2, 1), 2), x, y, TrainConfig(epochs=3))
 
 
 def test_training_is_bit_deterministic():
