@@ -1,5 +1,5 @@
-"""Command-line pipeline: split, stats, preprocess, train, predict, evaluate,
-compare, synth.
+"""Command-line pipeline: split, preprocess, train, predict, evaluate, compare,
+synth.
 
 Each option is defined once, as an argparse flag with its default and a
 ``type`` that converts and range-checks the value.  ``--config FILE``
@@ -37,14 +37,13 @@ from .hierarchy import (
     bundle_content_hash,
     leaf_labels,
     load_hierarchical,
-    load_image_tensors,
     load_standardized,
     predict_hierarchical,
     save_hierarchical,
     train_hierarchical,
 )
-from .imageio import decode_ppm
-from .preprocess import compute_stats, load_stats, save_stats
+from .imageio import CHANNEL_ORDERS, decode_ppm
+from .preprocess import load_stats, save_stats
 from .synthetic import DEFAULT_PER_CLASS, DEFAULT_SEED, DEFAULT_SIZE, generate_dataset
 from .taxonomy import LEAF_CLASSES, default_taxonomy, load_taxonomy
 from .tensorio import write_tensor
@@ -136,19 +135,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     p, flag = command(
         "split", "stratified train/val/test manifests", "--manifest", "--output-dir", "--taxonomy"
     )
-    flag("--seed", type=_SEED, default=0)
-    flag("--test-fraction", type=_fraction("--test-fraction"), default=0.30)
-    flag("--val-fraction", type=_fraction("--val-fraction"), default=0.20,
-         help="fraction of the train pool used for val")
-
-    p, flag = command("stats", "compute normalization statistics over a manifest",
-                      "--manifest", "--output-dir", "--root")
-    flag("--input-size", type=_INPUT_SIZE, default=32,
-         help="square resize applied before the statistics")
+    flag("--seed", type=_SEED, default=SplitSpec.seed)
+    flag("--test-fraction", type=_fraction("--test-fraction"), default=SplitSpec.test_fraction)
+    flag("--val-fraction", type=_fraction("--val-fraction"),
+         default=SplitSpec.val_fraction_of_train, help="fraction of the train pool used for val")
 
     p, flag = command("preprocess", "resize + standardize a manifest into one tensor file",
                       "--manifest", "--output-dir", "--root")
-    flag("--stats", type=Path, help="stats JSON (default: compute from this manifest)")
+    flag("--stats", type=Path, help="stats.json to reuse (default: compute from this manifest)")
     flag("--input-size", type=_INPUT_SIZE, default=32)
 
     p, flag = command("train", "train a model or the hierarchical bundle",
@@ -156,23 +150,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     flag("--val-manifest", type=Path, help="held-out manifest for per-epoch accuracy")
     flag("--arch", default="hierarchical", **_one_of("--arch", ARCHES))
     flag("--scale", default="micro", help="basic-cnn block preset",
-         **_one_of("--scale", ("micro", "paper")))
+         **_one_of("--scale", tuple(nn.BASIC_FILTERS)))
     flag("--width-scale", type=_vgg_scale("--width-scale"), default=1.0,
          help="vgg-style channel multiplier (>= 1/8)")
     flag("--depth-scale", type=_vgg_scale("--depth-scale"), default=1.0,
          help="vgg-style stage-depth multiplier (>= 1/8)")
     flag("--epochs", type=_at_least("--epochs", 1), default=25)
-    flag("--learning-rate", default=0.01, type=_checked(
+    flag("--learning-rate", default=HierTrainConfig.learning_rate, type=_checked(
         float, "--learning-rate must be finite and > 0", lambda v: 0 < v < math.inf))
-    flag("--momentum", type=_below_one("--momentum"), default=0.9)
-    flag("--batch-size", type=_at_least("--batch-size", 1), default=32)
-    flag("--dropout", type=_below_one("--dropout"), default=0.25)
+    flag("--momentum", type=_below_one("--momentum"), default=HierTrainConfig.momentum)
+    flag("--batch-size", type=_at_least("--batch-size", 1), default=HierTrainConfig.batch_size)
+    flag("--dropout", type=_below_one("--dropout"), default=HierTrainConfig.dropout)
     flag("--input-size", type=_INPUT_SIZE, default=32)
-    flag("--seed", type=_SEED, default=0)
+    flag("--seed", type=_SEED, default=HierTrainConfig.seed)
 
     p, flag = command("predict", "classify images with a trained bundle")
     flag("--bundle", type=Path, required=True, help="bundle directory from train")
-    flag("--channel-order", default="RGB", **_one_of("--channel-order", ("RGB", "BGR")))
+    flag("--channel-order", default="RGB", **_one_of("--channel-order", CHANNEL_ORDERS))
     p.add_argument("images", nargs="+", type=Path)
 
     p, flag = command("evaluate", "score a bundle against a test manifest",
@@ -261,16 +255,6 @@ def cmd_split(args) -> int:
         f"split {len(entries)} entries -> train {len(split.train)}, "
         f"val {len(split.val)}, test {len(split.test)} (seed {args.seed})"
     )
-    return 0
-
-
-def cmd_stats(args) -> int:
-    entries, root = _entries_and_root(args)
-    x = load_image_tensors(entries, (args.input_size, args.input_size), root)
-    stats = compute_stats(x)
-    out = _outdir(args)
-    save_stats(out / "stats.json", stats)
-    print(f"stats over {len(entries)} images: mean {stats.mean:.6f}, std {stats.std:.6f}")
     return 0
 
 
@@ -434,7 +418,6 @@ def cmd_synth(args) -> int:
 
 _COMMANDS = {
     "split": cmd_split,
-    "stats": cmd_stats,
     "preprocess": cmd_preprocess,
     "train": cmd_train,
     "predict": cmd_predict,

@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyManifestError, ParseError, UnknownLabelError
+from .imageio import CHANNEL_ORDERS
 from .taxonomy import COARSE_GROUPS, LEAF_CLASSES, LEAF_INDEX, Taxonomy, group_of
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-CHANNEL_ORDERS = ("RGB", "BGR")
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,8 @@ def load_manifest(data: bytes | str) -> list[ManifestEntry]:
         label = row[1].strip()
         if not path:
             raise ParseError(f"line {lineno}: empty path")
+        if "\0" in path:  # no file system takes it
+            raise ParseError(f"line {lineno}: NUL byte in path")
         if label not in LEAF_INDEX:
             raise UnknownLabelError(f"line {lineno}: unknown label {label!r}")
         order = row[2].strip() if len(row) == 3 else "RGB"

@@ -7,13 +7,12 @@ is reported as ``None`` (undefined), never as 0.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ManifestEntry
+from .dataset import ManifestEntry, csv_text
 from .errors import EmptyMatrixError, LabelRangeError
 from .hierarchy import (
     GROUP_ROLES,
@@ -118,11 +117,8 @@ def accuracy_of(cm: ConfusionMatrix) -> float:
 
 def confusion_to_csv(cm: ConfusionMatrix) -> str:
     """Grid CSV: header = predicted labels, one row per true label."""
-    buf = io.StringIO()
-    buf.write("true\\pred," + ",".join(cm.labels) + "\n")
-    for label, row in zip(cm.labels, cm.counts):
-        buf.write(label + "," + ",".join(str(int(v)) for v in row) + "\n")
-    return buf.getvalue()
+    rows = [(label, *(int(v) for v in row)) for label, row in zip(cm.labels, cm.counts)]
+    return csv_text([("true\\pred", *cm.labels), *rows])
 
 
 def format_percent(value: float) -> str:
@@ -132,11 +128,8 @@ def format_percent(value: float) -> str:
 
 def compare_models(rows: list[tuple[str, float]]) -> str:
     """CSV table of model name vs accuracy, in input order."""
-    buf = io.StringIO()
-    buf.write("model,accuracy,accuracy_percent\n")
-    for name, acc in rows:
-        buf.write(f"{name},{acc:.6f},{format_percent(acc)}\n")
-    return buf.getvalue()
+    body = [(name, f"{acc:.6f}", format_percent(acc)) for name, acc in rows]
+    return csv_text([("model", "accuracy", "accuracy_percent"), *body])
 
 
 # -------------------------------------------------- hierarchical evaluation

@@ -15,6 +15,8 @@ from .errors import ParseError
 
 _WHITESPACE = b" \t\n\r\v\f"
 
+CHANNEL_ORDERS = ("RGB", "BGR")  # the pixel orders an image may be stored in
+
 
 @dataclass(frozen=True)
 class ImageU8:

@@ -1,10 +1,12 @@
-"""From-scratch NHWC neural-network engine: layers, models, training."""
+"""From-scratch NHWC neural-network engine: layers, models, training.
+
+The names imported here are its public interface.
+"""
 
 from .archs import (
+    BASIC_FILTERS,
     basic_cnn_spec,
     conv_layer_count,
-    count_hidden_layers,
-    dense_layer_count,
     softmax_flat_spec,
     vgg_style_spec,
 )
@@ -39,44 +41,3 @@ from .train import (
     one_hot_matrix,
     train,
 )
-
-__all__ = [
-    "AvgPool",
-    "BatchNorm",
-    "Conv",
-    "Dense",
-    "Dropout",
-    "EpochStats",
-    "Flatten",
-    "GradCheckReport",
-    "LayerSpec",
-    "ModelSpec",
-    "Params",
-    "ReLU",
-    "Softmax",
-    "TrainConfig",
-    "backward_from_logits",
-    "basic_cnn_spec",
-    "clone_params",
-    "conv_layer_count",
-    "count_hidden_layers",
-    "cross_entropy",
-    "dense_layer_count",
-    "evaluate_accuracy",
-    "forward_pass",
-    "gradient_check",
-    "history_to_csv",
-    "init_params",
-    "load_model",
-    "model_from_bytes",
-    "model_to_bytes",
-    "one_hot_matrix",
-    "predict",
-    "relu_margin",
-    "save_model",
-    "shape_infer",
-    "softmax_flat_spec",
-    "train",
-    "vgg_style_spec",
-    "zero_grads",
-]

@@ -27,7 +27,7 @@ from .model import (
 )
 
 # filters per block for each named scale
-_BASIC_FILTERS = {
+BASIC_FILTERS = {
     "micro": (8, 16),
     "paper": (32, 64, 128, 256, 256),
 }
@@ -36,11 +36,6 @@ _BASIC_FILTERS = {
 _VGG_DEPTHS = (2, 2, 3, 3, 3)
 _VGG_WIDTHS = (64, 128, 256, 512, 512)
 _VGG_DENSE = 4096
-
-
-def count_hidden_layers(spec: ModelSpec) -> int:
-    """Layers strictly between the input and the Dense+Softmax output."""
-    return len(spec.layers) - 2
 
 
 def softmax_flat_spec(input_shape: tuple[int, int, int], n_out: int) -> ModelSpec:
@@ -58,10 +53,10 @@ def basic_cnn_spec(
     stride 2.  'paper' has 26 hidden layers at 100x100x3; 'micro' is a
     2-block variant small enough for tests.
     """
-    if scale not in _BASIC_FILTERS:
-        raise ConfigError(f"scale must be one of {sorted(_BASIC_FILTERS)}, got {scale!r}")
+    if scale not in BASIC_FILTERS:
+        raise ConfigError(f"scale must be one of {sorted(BASIC_FILTERS)}, got {scale!r}")
     layers: list[LayerSpec] = []
-    for filters in _BASIC_FILTERS[scale]:
+    for filters in BASIC_FILTERS[scale]:
         layers += [
             Conv(filters=filters, kernel=3, stride=1, padding=1),
             BatchNorm(),
@@ -104,7 +99,3 @@ def vgg_style_spec(
 
 def conv_layer_count(spec: ModelSpec) -> int:
     return sum(isinstance(layer, Conv) for layer in spec.layers)
-
-
-def dense_layer_count(spec: ModelSpec) -> int:
-    return sum(isinstance(layer, Dense) for layer in spec.layers)

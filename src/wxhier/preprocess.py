@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, FormatError
-from .imageio import ImageU8, bgr_to_rgb, to_tensor
+from .imageio import CHANNEL_ORDERS, ImageU8, bgr_to_rgb, to_tensor
 
 DEFAULT_WINDOW = 3
 
@@ -149,10 +149,10 @@ def model_input(img: ImageU8, channel_order: str, out_hw: tuple[int, int]) -> np
 
     RGB order, float32 on the 0..255 scale, Lanczos-resized to ``out_hw``.
     """
+    if channel_order not in CHANNEL_ORDERS:
+        raise DimensionError(f"unknown channel order {channel_order!r}")
     if channel_order == "BGR":
         img = bgr_to_rgb(img)
-    elif channel_order != "RGB":
-        raise DimensionError(f"unknown channel order {channel_order!r}")
     return resize_lanczos(to_tensor(img), out_hw[0], out_hw[1])
 
 

@@ -38,7 +38,7 @@ SAFETY_INDEX: dict[str, int] = {name: i for i, name in enumerate(SAFETY_LEVELS)}
 
 @dataclass(frozen=True)
 class Taxonomy:
-    """Total maps leaf -> coarse group and leaf -> safety level.
+    """Total maps leaf -> coarse group and leaf -> safety level, plus a one-line version tag.
 
     Immutable after construction; safe to share across threads.
     """
@@ -50,6 +50,8 @@ class Taxonomy:
     def __post_init__(self):
         _check_total_map(self.leaf_to_group, COARSE_GROUPS, "groups")
         _check_total_map(self.leaf_to_safety, SAFETY_LEVELS, "safety")
+        if "\n" in self.version:
+            raise ValidationError(f"version must be one line, got {self.version!r}")
 
 
 def _check_total_map(mapping: dict[str, str], targets: tuple[str, ...], section: str) -> None:
@@ -102,9 +104,9 @@ def load_taxonomy(file_bytes: bytes | str) -> Taxonomy:
 
     The document has two mandatory sections, ``[groups]`` and ``[safety]``,
     each mapping every leaf identifier to exactly one target identifier,
-    plus an optional ``[meta]`` section with a ``version`` tag.  The parser
-    is strict: unknown sections, unknown keys, duplicates and missing
-    leaves are all rejected.
+    plus an optional ``[meta]`` section with a one-line ``version`` tag.  The
+    parser is strict: unknown sections (``[DEFAULT]`` too), unknown keys,
+    duplicates and missing leaves are all rejected.
     """
     if isinstance(file_bytes, bytes):
         try:
@@ -114,7 +116,8 @@ def load_taxonomy(file_bytes: bytes | str) -> Taxonomy:
     else:
         text = file_bytes
 
-    parser = configparser.ConfigParser(strict=True, interpolation=None)
+    # default_section="" names no section a header can open, so [DEFAULT] is unknown
+    parser = configparser.ConfigParser(strict=True, interpolation=None, default_section="")
     parser.optionxform = str  # keep identifiers case-sensitive
     try:
         parser.read_string(text)

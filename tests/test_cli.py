@@ -131,6 +131,13 @@ def test_manifest_the_csv_reader_rejects_is_data_error(tmp_path, capsys):
     assert "data error: line 2" in capsys.readouterr().err
 
 
+def test_nul_byte_in_manifest_path_is_data_error(tmp_path, capsys):
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(b"path,label\na\0b.ppm,rain\n")
+    assert run("preprocess", "--manifest", manifest, "--output-dir", tmp_path / "out") == 4
+    assert "data error: line 2: NUL byte in path" in capsys.readouterr().err
+
+
 def test_missing_class_is_data_error(small_data, tmp_path, capsys):
     entries = load_manifest((small_data / "manifest.csv").read_bytes())
     partial = tmp_path / "partial.csv"
@@ -396,18 +403,21 @@ def test_compare_bad_entry_shape(small_data, tmp_path):
 # -------------------------------------------------------------------- misc
 
 def test_stats_and_preprocess_round_trip(small_data, tmp_path):
-    assert run("stats", "--manifest", small_data / "manifest.csv",
-               "--output-dir", tmp_path, "--input-size", 12) == 0
-    doc = json.loads((tmp_path / "stats.json").read_text())
-    assert doc["sample_count"] == 88 * 12 * 12 * 3
-    assert run("preprocess", "--manifest", small_data / "manifest.csv",
-               "--output-dir", tmp_path, "--input-size", 12,
-               "--stats", tmp_path / "stats.json") == 0
     from wxhier.tensorio import read_tensor
 
-    batch = read_tensor(tmp_path / "tensors.wxt1")
-    assert batch.shape == (88, 12, 12, 3)
-    labels = (tmp_path / "labels.csv").read_text().strip().splitlines()
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("preprocess", "--manifest", small_data / "manifest.csv",
+               "--output-dir", first, "--input-size", 12) == 0
+    doc = json.loads((first / "stats.json").read_text())
+    assert doc["sample_count"] == 88 * 12 * 12 * 3
+    # the stats.json a run wrote, given back, reproduces that run
+    assert run("preprocess", "--manifest", small_data / "manifest.csv",
+               "--output-dir", again, "--input-size", 12,
+               "--stats", first / "stats.json") == 0
+    for name in ("stats.json", "tensors.wxt1", "labels.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+    assert read_tensor(again / "tensors.wxt1").shape == (88, 12, 12, 3)
+    labels = (again / "labels.csv").read_text().strip().splitlines()
     assert labels[0] == "index,path,label"
     assert len(labels) == 89
 
@@ -499,7 +509,7 @@ def _config(tmp_path, doc):
         ("train", "momentum", -0.1),
         ("train", "dropout", 1.0),
         ("train", "input_size", 3),
-        ("stats", "input_size", 3),
+        ("preprocess", "input_size", 3),
         ("synth", "per_class", 0),
         ("synth", "image_size", 7),
     ],
@@ -582,7 +592,6 @@ def test_config_output_dir_beats_env_var(small_data, tmp_path, monkeypatch):
     [
         ("split", "--root"),
         ("synth", "--root"),
-        ("stats", "--taxonomy"),
         ("preprocess", "--taxonomy"),
         ("evaluate", "--taxonomy"),
         ("compare", "--taxonomy"),
@@ -596,7 +605,6 @@ def test_removed_no_op_flags_exit_2(tmp_path, capsys, command, flag):
     rest = {
         "split": ["--manifest", "m.csv"],
         "synth": [],
-        "stats": ["--manifest", "m.csv"],
         "preprocess": ["--manifest", "m.csv"],
         "evaluate": ["--manifest", "m.csv", "--bundle", "b"],
         "compare": ["--manifest", "m.csv", "a=x", "b=y"],
@@ -611,7 +619,6 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
     data = common | {"--manifest", "--output-dir"}
     expected = {
         "split": data | {"--taxonomy", "--seed", "--test-fraction", "--val-fraction"},
-        "stats": data | {"--root", "--input-size"},
         "preprocess": data | {"--root", "--stats", "--input-size"},
         "train": data | {
             "--taxonomy", "--root", "--val-manifest", "--arch", "--scale", "--width-scale",

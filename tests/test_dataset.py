@@ -57,6 +57,7 @@ def test_manifest_blank_lines_ignored():
         ("path,label\nimg.ppm,tornado\n", UnknownLabelError),
         ("path,label\nimg.ppm\n", ParseError),  # column count
         ("path,label\n,hail\n", ParseError),  # empty path
+        ("path,label\nimg\0.ppm,hail\n", ParseError),  # no file system takes a NUL
         ("path,label,channel_order\nimg.ppm,hail,RBG\n", ParseError),
     ],
 )

@@ -1,5 +1,7 @@
 """Confusion-matrix arithmetic, metric reports, hierarchical scoring."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -99,6 +101,14 @@ def test_compare_models_table():
     assert lines[0] == "model,accuracy,accuracy_percent"
     assert lines[1] == "flat,0.500000,50.00%"
     assert lines[2] == "hier,0.803800,80.38%"
+
+
+def test_compare_models_names_with_commas_and_quotes_round_trip():
+    names = ["a,b", 'say "hi"', "plain"]
+    table = compare_models([(name, 0.5) for name in names])
+    rows = list(csv.reader(io.StringIO(table)))
+    assert [row[0] for row in rows[1:]] == names
+    assert {len(row) for row in rows} == {3}
 
 
 # ------------------------------------------------------- hierarchical eval

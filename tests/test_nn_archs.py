@@ -17,8 +17,6 @@ from wxhier.nn import (
     Softmax,
     basic_cnn_spec,
     conv_layer_count,
-    count_hidden_layers,
-    dense_layer_count,
     forward_pass,
     init_params,
     shape_infer,
@@ -31,14 +29,15 @@ def test_flat_spec_structure():
     spec = softmax_flat_spec((8, 8, 3), 11)
     kinds = [type(l) for l in spec.layers]
     assert kinds == [Flatten, Dense, Softmax]
-    assert count_hidden_layers(spec) == 1  # just the flatten
+    assert len(spec.layers) - 2 == 1  # just the flatten; the Dense+Softmax head is not hidden
     assert shape_infer(spec)[-1] == (11,)
 
 
 def test_paper_preset_has_26_hidden_layers():
     # 5 blocks of conv/bn/relu/pool/dropout plus flatten, head excluded
     spec = basic_cnn_spec((100, 100, 3), 11, scale="paper")
-    assert count_hidden_layers(spec) == 26
+    assert [type(l) for l in spec.layers[-2:]] == [Dense, Softmax]
+    assert len(spec.layers) - 2 == 26
     filters = [l.filters for l in spec.layers if isinstance(l, Conv)]
     assert filters == [32, 64, 128, 256, 256]
     assert shape_infer(spec)[-1] == (11,)
@@ -48,7 +47,7 @@ def test_micro_preset_structure():
     spec = basic_cnn_spec((16, 16, 3), 4, scale="micro")
     filters = [l.filters for l in spec.layers if isinstance(l, Conv)]
     assert filters == [8, 16]
-    assert count_hidden_layers(spec) == 11  # 2 blocks of 5 + flatten
+    assert len(spec.layers) - 2 == 11  # 2 blocks of 5 + flatten
     kinds = [type(l) for l in spec.layers[:5]]
     assert kinds == [Conv, BatchNorm, ReLU, AvgPool, Dropout]
 
@@ -73,7 +72,7 @@ def test_basic_cnn_input_too_small_for_blocks():
 def test_vgg_full_scale_counts():
     spec = vgg_style_spec((64, 64, 3), 11)
     assert conv_layer_count(spec) == 13
-    assert dense_layer_count(spec) == 3  # two hidden + the head
+    assert sum(isinstance(l, Dense) for l in spec.layers) == 3  # two hidden + the head
     assert shape_infer(spec)[-1] == (11,)
 
 
@@ -88,8 +87,7 @@ def test_vgg_width_scaling():
 def test_vgg_depth_scaling():
     shallow = vgg_style_spec((64, 64, 3), 11, depth_scale=0.25)
     assert conv_layer_count(shallow) == 5  # one conv per stage survives
-    full_hidden = count_hidden_layers(vgg_style_spec((64, 64, 3), 11))
-    assert count_hidden_layers(shallow) < full_hidden
+    assert len(shallow.layers) < len(vgg_style_spec((64, 64, 3), 11).layers)
 
 
 def test_vgg_minimum_scale_enforced():

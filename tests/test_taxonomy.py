@@ -4,8 +4,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wxhier.errors import ParseError, ValidationError
+from wxhier.errors import ParseError, ValidationError, WxhierError
 from wxhier.taxonomy import (
     COARSE_GROUPS,
     LEAF_CLASSES,
@@ -135,3 +137,46 @@ def test_load_rejects_garbage():
         load_taxonomy("not a config at all\x00")
     with pytest.raises(ParseError):
         load_taxonomy(b"\xff\xfe invalid utf8 \xff")
+
+
+@pytest.mark.parametrize("version", ["v1\n  v2", "v1\n\n  v2"])
+def test_load_rejects_a_version_that_spans_lines(version):
+    # serialize_taxonomy would write it as lines that load_taxonomy rejects
+    text = serialize_taxonomy(default_taxonomy()).replace("default-v1", version)
+    with pytest.raises(ValidationError, match="version"):
+        load_taxonomy(text)
+
+
+@pytest.mark.parametrize("default", ["[DEFAULT]\n", "[DEFAULT]\nversion = v2\n"])
+@pytest.mark.parametrize("with_meta", [False, True])
+def test_load_rejects_a_default_section(default, with_meta):
+    text = serialize_taxonomy(default_taxonomy())
+    if not with_meta:
+        text = text.split("\n\n", 1)[1]
+    with pytest.raises(ValidationError, match="DEFAULT"):
+        load_taxonomy(default + text)
+
+
+# a version value, perhaps continued onto indented lines
+_VERSION = st.lists(st.text(max_size=6), min_size=1, max_size=3).map("\n ".join)
+_LINES = st.lists(
+    st.one_of(
+        st.sampled_from(["[meta]", "[groups]", "[safety]", "[DEFAULT]", "[extra]", "", "# c"]),
+        st.builds("{} = {}".format, st.sampled_from([*LEAF_CLASSES, "version"]),
+                  st.sampled_from([*COARSE_GROUPS, *SAFETY_LEVELS, "v2"])),
+        st.text(max_size=8),  # free text; indented, it continues the line above
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_VERSION, _LINES, _LINES)
+def test_accepted_taxonomy_text_round_trips(version, head, tail):
+    body = serialize_taxonomy(default_taxonomy()).replace("default-v1", version)
+    doc = "\n".join([*head, body, *tail]).encode("utf-8", "surrogatepass")
+    try:
+        t = load_taxonomy(doc)
+    except WxhierError:  # the only rejection allowed
+        return
+    assert load_taxonomy(serialize_taxonomy(t).encode("utf-8")) == t
