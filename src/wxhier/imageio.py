@@ -1,4 +1,4 @@
-"""Binary PPM (P6) decode/encode and byte-image <-> float tensor conversion.
+"""Binary PPM (P6) decode/encode and the byte image it holds.
 
 PPM is the only on-disk raster format; JPEG/PNG collections must be
 converted to P6 with an outside tool before they enter a manifest.
@@ -102,8 +102,3 @@ def encode_ppm(img: ImageU8) -> bytes:
 def bgr_to_rgb(img: ImageU8) -> ImageU8:
     """Reverse the per-pixel channel order (an involution)."""
     return ImageU8(np.ascontiguousarray(img.pixels[:, :, ::-1]))
-
-
-def to_tensor(img: ImageU8) -> np.ndarray:
-    """Cast to float32, shape (H, W, 3), values kept on the 0..255 scale."""
-    return img.pixels.astype(np.float32)

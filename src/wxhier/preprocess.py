@@ -3,14 +3,17 @@
 The resampler is separable (horizontal pass then vertical pass) with
 pixel-center alignment, clamp-to-edge sampling and per-output-pixel weight
 renormalization, so constant images stay exactly constant and a same-size
-resize is the identity.  Each pass builds the weights of every output
-pixel at once, then adds each pixel's taps in source order.  Standardization
-subtracts the training-set mean and divides by its standard deviation; the
-two scalars are persisted so inference uses the exact training statistics.
+resize is the identity.  Inputs come in a few recurring sizes, so the taps
+and weights of each (source size, target size) pair are planned once and
+kept read-only in a bounded cache; a pass only gathers and adds each output
+pixel's taps in source order.  Standardization subtracts the training-set
+mean and divides by its standard deviation; the two scalars are persisted
+so inference uses the exact training statistics.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, FormatError
-from .imageio import CHANNEL_ORDERS, ImageU8, bgr_to_rgb, to_tensor
+from .imageio import CHANNEL_ORDERS, ImageU8, bgr_to_rgb
 
 DEFAULT_WINDOW = 3
 
@@ -40,31 +43,55 @@ def lanczos_kernel(x, a: int = DEFAULT_WINDOW):
     return out
 
 
-def _resample(x: np.ndarray, n_dst: int, a: int) -> np.ndarray:
-    """One separable pass: resample the n_src rows of x to n_dst rows.
+# Resample plans kept, one per (source size, target size, window); a plan
+# of n_dst output rows holds 2 * a * n_dst taps and as many weights. Five
+# recurring source sizes, as in serving, need at most ten.
+RESAMPLE_PLANS = 64
 
-    Each output row adds its 2a renormalized, edge-clamped kernel taps in source order,
-    never fused or regrouped as in a BLAS product, so its bits match on every machine.
+
+@functools.lru_cache(maxsize=RESAMPLE_PLANS)
+def _resample_plan(n_src: int, n_dst: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(taps, weights)``, both ``(n_dst, 2a)``, of one pass.
+
+    Row i lists the edge-clamped source rows of output row i in source order
+    and their renormalized kernel weights. Taps clamped onto one edge row
+    pool their weight into the last of them; the others weigh 0.
     """
-    src = (np.arange(n_dst) + 0.5) * (len(x) / n_dst) - 0.5
+    src = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
     taps = np.floor(src).astype(np.int64)[:, None] + np.arange(1 - a, a + 1)
     w = lanczos_kernel(src[:, None] - taps, a)
     w /= w.sum(axis=1, keepdims=True)
-    taps = np.clip(taps, 0, len(x) - 1)
-    for k in range(1, 2 * a):  # taps clamped onto one edge row pool their weight
+    taps = np.clip(taps, 0, n_src - 1)
+    for k in range(1, 2 * a):
         edge = taps[:, k] == taps[:, k - 1]
         w[edge, k] += w[edge, k - 1]
         w[edge, k - 1] = 0.0
+    taps.flags.writeable = False
+    w.flags.writeable = False
+    return taps, w
+
+
+def _resample(x: np.ndarray, n_dst: int, a: int) -> np.ndarray:
+    """One separable pass: resample the n_src rows of float64 x to n_dst rows.
+
+    Each output row adds its 2a planned taps in source order, never fused or
+    regrouped as in a BLAS product, so its bits match on every machine.
+    """
+    taps, w = _resample_plan(len(x), n_dst, a)
     out = x[taps[:, 0]] * w[:, :1]
-    for k in range(1, 2 * a):
-        out += x[taps[:, k]] * w[:, k : k + 1]
+    term = np.empty_like(out)  # one product buffer per pass
+    for k in range(1, 2 * a):  # taps are in range: "clip" only skips a buffered check
+        np.take(x, taps[:, k], axis=0, out=term, mode="clip")
+        term *= w[:, k : k + 1]
+        out += term
     return out
 
 
 def resize_lanczos(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize an (H, W, C) float tensor to (out_h, out_w, C).
+    """Resize an (H, W, C) array of bytes or floats to float32 (out_h, out_w, C).
 
-    Operates on raw-sample-scale values: the output is clamped to [0, 255].
+    Reads the samples as float64 (exact for bytes and float32) and operates
+    on raw-sample-scale values: the output is clamped to [0, 255].
     """
     if out_h < 1 or out_w < 1:
         raise DimensionError(f"target size must be positive, got {out_h}x{out_w}")
@@ -153,7 +180,7 @@ def model_input(img: ImageU8, channel_order: str, out_hw: tuple[int, int]) -> np
         raise DimensionError(f"unknown channel order {channel_order!r}")
     if channel_order == "BGR":
         img = bgr_to_rgb(img)
-    return resize_lanczos(to_tensor(img), out_hw[0], out_hw[1])
+    return resize_lanczos(img.pixels, out_hw[0], out_hw[1])
 
 
 def preprocess_pipeline(

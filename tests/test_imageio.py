@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wxhier.errors import ParseError
-from wxhier.imageio import ImageU8, _read_token, bgr_to_rgb, decode_ppm, encode_ppm, to_tensor
+from wxhier.imageio import ImageU8, _read_token, bgr_to_rgb, decode_ppm, encode_ppm
 
 pixel_arrays = hnp.arrays(
     dtype=np.uint8,
@@ -157,11 +157,3 @@ def test_bgr_to_rgb_swaps_channels():
     pixels[0, 0] = (10, 20, 30)
     swapped = bgr_to_rgb(ImageU8(pixels))
     assert swapped.pixels[0, 0].tolist() == [30, 20, 10]
-
-
-def test_to_tensor_scale_and_dtype():
-    pixels = np.full((2, 3, 3), 255, dtype=np.uint8)
-    t = to_tensor(ImageU8(pixels))
-    assert t.dtype == np.float32
-    assert t.shape == (2, 3, 3)
-    assert float(t.max()) == 255.0  # raw byte scale, no division

@@ -442,7 +442,7 @@ def _assert_same_bits(got, want):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("pad", [0, 1, 2])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_conv_kernels_match_broadcasting_reference_bit_for_bit(dtype, stride, pad, k):
     # im2col against the sliding-window gather, and both kernels with and

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from wxhier import preprocess
 from wxhier.errors import DegenerateError, DimensionError, FormatError, WxhierError
 from wxhier.imageio import ImageU8
 from wxhier.preprocess import (
@@ -159,6 +160,29 @@ def test_resize_output_dtype_and_shape():
     out = resize_lanczos(np.zeros((4, 4, 3)), 2, 6)
     assert out.shape == (2, 6, 3)
     assert out.dtype == np.float32
+
+
+def test_each_size_pair_plans_its_pass_once(monkeypatch):
+    calls = []
+
+    def counting(x, a):
+        calls.append(a)
+        return lanczos_kernel(x, a)
+
+    monkeypatch.setattr(preprocess, "lanczos_kernel", counting)
+    preprocess._resample_plan.cache_clear()
+    img = np.random.default_rng(3).integers(0, 256, size=(37, 53, 3), dtype=np.uint8)
+    first = resize_lanczos(img, 20, 30)
+    assert len(calls) == 2  # one plan per pass: 53 -> 30 wide, 37 -> 20 high
+    for _ in range(3):
+        assert resize_lanczos(img, 20, 30).tobytes() == first.tobytes()
+    assert len(calls) == 2
+    resize_lanczos(img[:36], 20, 30)  # a new height pair, the same width pair
+    assert len(calls) == 3
+    taps, weights = preprocess._resample_plan(37, 20, DEFAULT_WINDOW)
+    for plan_array in (taps, weights):
+        with pytest.raises(ValueError):
+            plan_array[0, 0] = 0
 
 
 def test_resize_rejects_bad_args():
