@@ -1,11 +1,12 @@
 """Finite-difference verification of every backward pass.
 
 Central differences around each trainable scalar, against the analytic
-gradient from ``backward_from_logits``.  Every evaluation runs in train
-mode, the only mode that keeps the caches backward reads, and is made
-repeatable by fixing the dropout seed per loss call and working on a
-private copy of the parameters, so the only visible dependence is the
-perturbed parameter and the caller's arrays are never written.
+gradient from ``backward_from_logits``.  Each loss is a train-mode walk
+that keeps no caches, its dropout masks drawn from a fixed seed.  One walk
+records each layer's input and generator state; perturbing layer ``i``
+cannot change its input, so each of its losses reruns only layers ``i``
+onward, with a whole forward's steps and bits.  All of it works on a
+private copy of the parameters, so the caller's arrays are never written.
 
 ReLU is piecewise linear: a perturbation that pushes a pre-activation
 across zero breaks the Taylor argument behind finite differences.
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ShapeError
 from .model import ModelSpec, Params, ReLU, backward_from_logits, clone_params, forward_pass
 from .train import cross_entropy, one_hot_matrix
 
@@ -30,17 +32,15 @@ class GradCheckReport:
     worst: str
 
 
-def _loss(
-    spec: ModelSpec,
-    params: Params,
-    x: np.ndarray,
-    targets: np.ndarray,
-    dropout_seed: int,
-) -> float:
-    rng = np.random.default_rng(dropout_seed)
-    probs, _ = forward_pass(spec, params, x, rng)
-    loss, _ = cross_entropy(probs, targets)
-    return loss
+def _walk(spec, params, x, rng, start=0, record=None):
+    """Train-mode forward from layer ``start``; ``record`` gets each input and rng state."""
+    if start == 0 and x.shape[1:] != spec.input_shape:
+        raise ShapeError(f"input must be (N, {spec.input_shape}), got {x.shape}")
+    for layer, entry in zip(spec.layers[start:], params[start:]):
+        if record is not None:
+            record.append((x, rng.bit_generator.state))
+        x, _ = layer.forward(x, entry, rng, False)
+    return x
 
 
 def gradient_check(
@@ -79,6 +79,12 @@ def gradient_check(
         fd_params = clone_params(params, fd_dtype)
         fd_x = x.astype(fd_dtype)
         fd_targets = targets.astype(fd_dtype)
+    rng, record = np.random.default_rng(dropout_seed), []
+    _walk(spec, fd_params, fd_x, rng, record=record)
+
+    def loss_from(i: int) -> float:
+        layer_input, rng.bit_generator.state = record[i]
+        return cross_entropy(_walk(spec, fd_params, layer_input, rng, i), fd_targets)[0]
 
     per_param: dict[str, float] = {}
     for i, layer in enumerate(spec.layers):
@@ -89,17 +95,15 @@ def gradient_check(
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + epsilon
-                plus = _loss(spec, fd_params, fd_x, fd_targets, dropout_seed)
+                plus = loss_from(i)
                 arr[idx] = orig - epsilon
-                minus = _loss(spec, fd_params, fd_x, fd_targets, dropout_seed)
+                minus = loss_from(i)
                 arr[idx] = orig
                 fd = (plus - minus) / (2.0 * epsilon)
                 an = float(analytic[idx])
                 rel = abs(fd - an) / max(abs(fd) + abs(an), floor)
                 worst = max(worst, rel)
             per_param[f"{i}:{key}"] = worst
-    if not per_param:
-        return GradCheckReport({}, 0.0, "")
     worst_name = max(per_param, key=per_param.get)
     return GradCheckReport(per_param, per_param[worst_name], worst_name)
 
@@ -111,11 +115,7 @@ def relu_margin(
     dropout_seed: int = 0,
 ) -> float:
     """Smallest |pre-activation| feeding any ReLU; inf when there is none."""
-    params = clone_params(params)
-    rng = np.random.default_rng(dropout_seed)
-    _, caches = forward_pass(spec, params, x, rng)
-    margin = np.inf
-    for layer, cache in zip(spec.layers, caches):
-        if isinstance(layer, ReLU):
-            margin = min(margin, float(np.abs(cache).min()))
-    return margin
+    record: list = []
+    _walk(spec, clone_params(params), x, np.random.default_rng(dropout_seed), record=record)
+    inputs = [inp for layer, (inp, _) in zip(spec.layers, record) if isinstance(layer, ReLU)]
+    return min((float(np.abs(inp).min()) for inp in inputs), default=np.inf)

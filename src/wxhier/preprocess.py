@@ -96,8 +96,8 @@ def resize_lanczos(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     if out_h < 1 or out_w < 1:
         raise DimensionError(f"target size must be positive, got {out_h}x{out_w}")
     img = np.asarray(img)
-    if img.ndim != 3:
-        raise DimensionError(f"expected (H, W, C) tensor, got shape {img.shape}")
+    if img.ndim != 3 or 0 in img.shape[:2]:
+        raise DimensionError(f"expected (H, W, C) tensor with H, W >= 1, got shape {img.shape}")
     h, w, c = img.shape
     data = img.astype(np.float64)
     if w != out_w:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from wxhier.errors import ShapeError
 from wxhier.nn import (
     Dense,
+    Dropout,
     Flatten,
     ModelSpec,
     ReLU,
@@ -14,7 +16,10 @@ from wxhier.nn import (
     init_params,
     relu_margin,
 )
+from wxhier.nn import layers as L
 from wxhier.nn.gradcheck import GradCheckReport
+from wxhier.nn.model import backward_from_logits, clone_params, forward_pass
+from wxhier.nn.train import cross_entropy, one_hot_matrix
 
 
 def dense_spec():
@@ -125,3 +130,88 @@ def test_checks_leave_the_callers_arrays_untouched():
     gradient_check(spec, params, x, labels, epsilon=1e-5, floor=1e-5, dropout_seed=1)
     assert current() == before
     assert x.tobytes() == x_before
+
+
+# ------------------------------------- parity with whole forwards per loss
+
+def full_forward_reference(spec, params, x, labels, epsilon, floor, seed, fd_dtype):
+    """``per_param`` and the ReLU margin, with a whole train-mode forward per loss."""
+    targets = one_hot_matrix(labels, spec.n_out, dtype=x.dtype)
+    checked = clone_params(params)
+    probs, caches = forward_pass(spec, checked, x, np.random.default_rng(seed))
+    _, grads = backward_from_logits(spec, checked, caches, cross_entropy(probs, targets)[1])
+    fd_params = clone_params(checked, fd_dtype)
+    fd_x, fd_targets = x.astype(fd_dtype), targets.astype(fd_dtype)
+
+    def loss():
+        fd_probs, _ = forward_pass(spec, fd_params, fd_x, np.random.default_rng(seed))
+        return cross_entropy(fd_probs, fd_targets)[0]
+
+    per_param = {}
+    for i, layer in enumerate(spec.layers):
+        for key in layer.trainable:
+            arr, worst = fd_params[i][key], 0.0
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+                arr[idx] = orig + epsilon
+                plus = loss()
+                arr[idx] = orig - epsilon
+                minus = loss()
+                arr[idx] = orig
+                fd = (plus - minus) / (2.0 * epsilon)
+                an = float(grads[i][key][idx])
+                worst = max(worst, abs(fd - an) / max(abs(fd) + abs(an), floor))
+            per_param[f"{i}:{key}"] = worst
+
+    _, caches = forward_pass(spec, clone_params(params), x, np.random.default_rng(seed))
+    relu_inputs = [c for layer, c in zip(spec.layers, caches) if isinstance(layer, ReLU)]
+    return per_param, min(float(np.abs(c).min()) for c in relu_inputs)
+
+
+@pytest.mark.parametrize(
+    "dtype, fd_dtype, floor",
+    [(np.float32, np.float64, 1e-3), (np.float64, None, 1e-5)],
+)
+def test_reruns_match_whole_forwards_bit_for_bit(dtype, fd_dtype, floor):
+    # each perturbed loss reruns only the layers from the perturbed one on;
+    # it must give the very bits of a whole forward, dropout masks included
+    spec = basic_cnn_spec((8, 8, 3), 3, scale="micro", dropout=0.5)
+    assert any(isinstance(layer, Dropout) for layer in spec.layers)
+    params, x, labels = make_case(spec, 8, n=3, dtype=dtype)
+    report = gradient_check(
+        spec, params, x, labels, epsilon=1e-5, floor=floor, dropout_seed=5, fd_dtype=fd_dtype
+    )
+    per_param, margin = full_forward_reference(
+        spec, params, x, labels, 1e-5, floor, 5, fd_dtype or dtype
+    )
+    assert report.per_param == per_param
+    assert relu_margin(spec, params, x, dropout_seed=5) == margin
+
+
+def test_perturbed_losses_skip_the_layers_before_the_parameter(monkeypatch):
+    # flatten is layer 0 and has no parameters: it runs in the analytic
+    # pass and in the recording walk, never again per perturbed scalar
+    calls = []
+    original = L.flatten_forward
+
+    def counted(x):
+        calls.append(x.shape)
+        return original(x)
+
+    monkeypatch.setattr(L, "flatten_forward", counted)
+    spec = dense_spec()
+    params, x, labels = make_case(spec, 0)
+    gradient_check(spec, params, x, labels, epsilon=1e-6)
+    assert len(calls) == 2
+
+
+def test_checks_reject_a_transposed_input():
+    # dropout and flatten accept any shape and dense any flat width, so
+    # only the input check stops a transposed (N, W, H, C) batch
+    spec = ModelSpec((2, 3, 1), (Dropout(rate=0.5), Flatten(), Dense(3), Softmax()), 3)
+    params, x, labels = make_case(spec, 0)
+    x = x.transpose(0, 2, 1, 3)
+    with pytest.raises(ShapeError):
+        relu_margin(spec, params, x)
+    with pytest.raises(ShapeError):
+        gradient_check(spec, params, x, labels)

@@ -190,6 +190,9 @@ def test_resize_rejects_bad_args():
         resize_lanczos(np.zeros((4, 4, 3)), 0, 4)
     with pytest.raises(DimensionError):
         resize_lanczos(np.zeros((4, 4)), 2, 2)
+    for empty in ((0, 5, 3), (5, 0, 3)):
+        with pytest.raises(DimensionError):
+            resize_lanczos(np.zeros(empty), 4, 4)
 
 
 # --------------------------------------------- bit parity with the reference
