@@ -2,14 +2,17 @@
 synth.
 
 Each option is defined once, as an argparse flag with its default and a
-``type`` that converts and range-checks the value.  ``--config FILE``
-names a JSON object keyed by the long option names with underscores
-(``test_fraction``).  Its entries are inserted as flags right after the
-subcommand, so they pass the same checks and a flag given on the command
-line wins.  A key that only other subcommands take is ignored, so one file
-can serve several of them; a key that no subcommand takes is an error.
-Precedence is flag > config file > ``$WXHIER_OUTPUT_DIR`` (for
-``--output-dir``) > built-in default.
+``type`` that converts the text.  The object the value configures
+(``SplitSpec``, ``HierTrainConfig``, a model spec) checks it, and each
+command builds those objects before it reads a file.  ``train`` rejects
+a setting that its ``--arch`` does not read (``ARCHES``).  ``--config
+FILE`` names a JSON object keyed by the long option names with
+underscores (``test_fraction``).  Its entries are inserted as flags right
+after the subcommand, so they pass the same checks and a flag given on
+the command line wins.  A key that only other subcommands take is
+ignored, so one file can serve several of them; a key that no subcommand
+takes is an error.  Precedence is flag > config file >
+``$WXHIER_OUTPUT_DIR`` (for ``--output-dir``) > built-in default.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O failure, 4 data
 problem (malformed/missing content), 5 internal error.
@@ -19,9 +22,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +53,12 @@ from .tensorio import write_tensor
 
 ENV_OUTPUT_DIR = "WXHIER_OUTPUT_DIR"
 
-ARCHES = ("hierarchical", "softmax-flat", "basic-cnn", "vgg-style")
+ARCHES = {
+    "hierarchical": ("taxonomy", "scale", "dropout"),
+    "softmax-flat": (),
+    "basic-cnn": ("scale", "dropout"),
+    "vgg-style": ("width_scale", "depth_scale"),
+}
 
 
 def _checked(convert, rule: str, ok=lambda value: True):
@@ -79,23 +87,16 @@ def _one_of(flag: str, names: tuple[str, ...]) -> dict:
     return {"type": _checked(str, rule, names.__contains__), "metavar": "{" + ",".join(names) + "}"}
 
 
-def _fraction(flag: str):
-    return _checked(float, f"{flag} must lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0)
-
-
-def _below_one(flag: str):
-    return _checked(float, f"{flag} must lie in [0, 1)", lambda v: 0.0 <= v < 1.0)
-
-
-def _vgg_scale(flag: str):
-    return _checked(float, f"{flag} must be finite and >= 1/8", lambda v: 0.125 <= v < math.inf)
+def _number(flag: str, convert=float):
+    kind = "an integer" if convert is int else "a number"
+    return _checked(convert, f"{flag} must be {kind}")
 
 
 def _at_least(flag: str, low: int):
     return _checked(int, f"{flag} must be an integer >= {low}", lambda v: v >= low)
 
 
-_SEED = _checked(int, "--seed must be an integer")
+_SEED = _number("--seed", int)
 _INPUT_SIZE = _at_least("--input-size", 4)
 
 
@@ -136,8 +137,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
         "split", "stratified train/val/test manifests", "--manifest", "--output-dir", "--taxonomy"
     )
     flag("--seed", type=_SEED, default=SplitSpec.seed)
-    flag("--test-fraction", type=_fraction("--test-fraction"), default=SplitSpec.test_fraction)
-    flag("--val-fraction", type=_fraction("--val-fraction"),
+    flag("--test-fraction", type=_number("--test-fraction"), default=SplitSpec.test_fraction)
+    flag("--val-fraction", type=_number("--val-fraction"),
          default=SplitSpec.val_fraction_of_train, help="fraction of the train pool used for val")
 
     p, flag = command("preprocess", "resize + standardize a manifest into one tensor file",
@@ -148,19 +149,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     p, flag = command("train", "train a model or the hierarchical bundle",
                       "--manifest", "--output-dir", "--taxonomy", "--root")
     flag("--val-manifest", type=Path, help="held-out manifest for per-epoch accuracy")
-    flag("--arch", default="hierarchical", **_one_of("--arch", ARCHES))
-    flag("--scale", default="micro", help="basic-cnn block preset",
-         **_one_of("--scale", tuple(nn.BASIC_FILTERS)))
-    flag("--width-scale", type=_vgg_scale("--width-scale"), default=1.0,
-         help="vgg-style channel multiplier (>= 1/8)")
-    flag("--depth-scale", type=_vgg_scale("--depth-scale"), default=1.0,
-         help="vgg-style stage-depth multiplier (>= 1/8)")
-    flag("--epochs", type=_at_least("--epochs", 1), default=25)
-    flag("--learning-rate", default=HierTrainConfig.learning_rate, type=_checked(
-        float, "--learning-rate must be finite and > 0", lambda v: 0 < v < math.inf))
-    flag("--momentum", type=_below_one("--momentum"), default=HierTrainConfig.momentum)
-    flag("--batch-size", type=_at_least("--batch-size", 1), default=HierTrainConfig.batch_size)
-    flag("--dropout", type=_below_one("--dropout"), default=HierTrainConfig.dropout)
+    flag("--arch", default="hierarchical", **_one_of("--arch", tuple(ARCHES)))
+    flag("--scale", help=f"hierarchical and basic-cnn block preset "
+         f"(default {HierTrainConfig.scale})", **_one_of("--scale", tuple(nn.BASIC_FILTERS)))
+    flag("--width-scale", type=_number("--width-scale"),
+         help="vgg-style channel multiplier (default 1)")
+    flag("--depth-scale", type=_number("--depth-scale"),
+         help="vgg-style stage-depth multiplier (default 1)")
+    flag("--epochs", type=_number("--epochs", int), default=25)
+    flag("--learning-rate", type=_number("--learning-rate"), default=HierTrainConfig.learning_rate)
+    flag("--momentum", type=_number("--momentum"), default=HierTrainConfig.momentum)
+    flag("--batch-size", type=_number("--batch-size", int), default=HierTrainConfig.batch_size)
+    flag("--dropout", type=_number("--dropout"), help=f"hierarchical and basic-cnn dropout "
+         f"rate (default {HierTrainConfig.dropout})")
     flag("--input-size", type=_INPUT_SIZE, default=32)
     flag("--seed", type=_SEED, default=HierTrainConfig.seed)
 
@@ -240,11 +241,11 @@ def _outdir(args) -> Path:
 # ---------------------------------------------------------------- commands
 
 def cmd_split(args) -> int:
-    entries = load_manifest(args.manifest.read_bytes())
-    taxonomy = _taxonomy_for(args)
     spec = SplitSpec(
         test_fraction=args.test_fraction, val_fraction_of_train=args.val_fraction, seed=args.seed
     )
+    entries = load_manifest(args.manifest.read_bytes())
+    taxonomy = _taxonomy_for(args)
     split = stratified_split(entries, spec)
     out = _outdir(args)
     parts = {"train": split.train, "val": split.val, "test": split.test}
@@ -271,19 +272,20 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _train_flat(args, cfg: HierTrainConfig, train_entries, val_entries, root) -> int:
-    input_shape = (*cfg.input_hw, 3)
-    n_out = len(LEAF_CLASSES)
+def _flat_spec(arch: str, cfg: HierTrainConfig, given: dict) -> nn.ModelSpec:
+    input_shape, n_out = (*cfg.input_hw, 3), len(LEAF_CLASSES)
+    if arch == "basic-cnn":
+        return cfg.spec(n_out)
+    if arch == "softmax-flat":
+        return nn.softmax_flat_spec(input_shape, n_out)
     try:
-        if args.arch == "softmax-flat":
-            spec = nn.softmax_flat_spec(input_shape, n_out)
-        elif args.arch == "basic-cnn":
-            spec = nn.basic_cnn_spec(input_shape, n_out, scale=cfg.scale, dropout=cfg.dropout)
-        else:
-            spec = nn.vgg_style_spec(input_shape, n_out, args.width_scale, args.depth_scale)
+        scales = {key: value for key, value in given.items() if key in ARCHES[arch]}
+        return nn.vgg_style_spec(input_shape, n_out, **scales)
     except ShapeError as exc:
-        msg = f"--input-size {cfg.input_hw[0]} does not fit {args.arch}: {exc}"
-        raise ConfigError(msg) from None
+        raise ConfigError(f"--input-size {cfg.input_hw[0]} does not fit {arch}: {exc}") from None
+
+
+def _train_flat(args, cfg: HierTrainConfig, spec, train_entries, val_entries, root) -> int:
     x_train, stats = load_standardized(train_entries, cfg.input_hw, root)
     x_val = load_standardized(val_entries, cfg.input_hw, root, stats)[0] if val_entries else None
     y_val = leaf_labels(val_entries) if val_entries else None
@@ -298,22 +300,20 @@ def _train_flat(args, cfg: HierTrainConfig, train_entries, val_entries, root) ->
 
 
 def cmd_train(args) -> int:
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    unread = sorted(set().union(*ARCHES.values()).difference(ARCHES[args.arch]) & set(given))
+    if unread:
+        flags = ", ".join("--" + key.replace("_", "-") for key in unread)
+        raise ConfigError(f"--arch {args.arch} does not read {flags}")
+    names = {f.name for f in fields(HierTrainConfig)} & set(given)
+    cfg = HierTrainConfig(input_hw=(args.input_size,) * 2, **{key: given[key] for key in names})
+    spec = None if args.arch == "hierarchical" else _flat_spec(args.arch, cfg, given)
     train_entries, root = _entries_and_root(args)
     val_entries = []
     if args.val_manifest is not None:
         val_entries = load_manifest(args.val_manifest.read_bytes())
-    cfg = HierTrainConfig(
-        input_hw=(args.input_size, args.input_size),
-        scale=args.scale,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        batch_size=args.batch_size,
-        dropout=args.dropout,
-        seed=args.seed,
-    )
-    if args.arch != "hierarchical":
-        return _train_flat(args, cfg, train_entries, val_entries, root)
+    if spec is not None:
+        return _train_flat(args, cfg, spec, train_entries, val_entries, root)
 
     taxonomy = _taxonomy_for(args)
     model, histories = train_hierarchical(train_entries, taxonomy, cfg, val_entries, root)

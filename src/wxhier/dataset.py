@@ -22,7 +22,7 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EmptyManifestError, ParseError, UnknownLabelError
+from .errors import ConfigError, EmptyManifestError, ParseError, UnknownLabelError
 from .imageio import CHANNEL_ORDERS
 from .taxonomy import COARSE_GROUPS, LEAF_CLASSES, LEAF_INDEX, Taxonomy, group_of
 
@@ -47,7 +47,7 @@ class SplitSpec:
         for name in ("test_fraction", "val_fraction_of_train"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
-                raise ParseError(f"{name} must lie in (0, 1), got {value}")
+                raise ConfigError(f"{name} must lie in (0, 1), got {value}")
 
 
 @dataclass(frozen=True)

@@ -235,13 +235,25 @@ def joint_leaf_batch(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, kw_only=True)
 class HierTrainConfig(TrainConfig):
-    """The training run of all five models: a ``TrainConfig``, range-checked
-    when built, plus the shape the five models share.
+    """The training run of all five models: a ``TrainConfig`` plus the basic
+    CNN the five models share, all checked when built.
     """
 
     input_hw: tuple[int, int] = (100, 100)
-    scale: str = "paper"  # basic-CNN scale for all five models
+    scale: str = "micro"  # basic-CNN block preset of every model
     dropout: float = 0.25
+
+    def __post_init__(self):
+        super().__post_init__()
+        try:
+            self.spec(1)
+        except ShapeError as exc:
+            h, w = self.input_hw
+            msg = f"input size {h}x{w} does not fit the {self.scale!r} preset: {exc}"
+            raise ConfigError(msg) from None
+
+    def spec(self, n_out: int) -> ModelSpec:
+        return basic_cnn_spec((*self.input_hw, 3), n_out, scale=self.scale, dropout=self.dropout)
 
     def train_config(self, role_index: int) -> HierTrainConfig:
         # distinct but pinned seed per model
@@ -296,11 +308,11 @@ def train_hierarchical(
 ) -> tuple[HierarchicalModel, dict[str, list[EpochStats]]]:
     """Train all five models; returns the model and per-role histories.
 
-    Each role trains on the rows and labels ``role_targets`` gives it.
-    A role that lacks one of its classes in the training entries, or
-    that the taxonomy gives no class, raises ``MissingClassError`` before
-    any image is decoded.  One NormalizationStats, computed on the
-    resized training tensors, is shared by all five.
+    Each role trains ``cfg.spec`` on the rows and labels ``role_targets``
+    gives it.  A role that lacks one of its classes in the training data,
+    or that the taxonomy gives no class, raises ``MissingClassError``
+    before any image is decoded.  All five share one NormalizationStats,
+    computed on the resized training tensors.
     """
     classes = role_classes(taxonomy)
     val_entries = val_entries or []
@@ -318,17 +330,6 @@ def train_hierarchical(
     ]
     if missing:
         raise MissingClassError(f"training data lacks classes: {', '.join(missing)}")
-    input_shape = (cfg.input_hw[0], cfg.input_hw[1], 3)
-    try:  # before any image is decoded
-        specs = {
-            role: basic_cnn_spec(input_shape, len(names), scale=cfg.scale, dropout=cfg.dropout)
-            for role, names in classes.items()
-        }
-    except ShapeError as exc:
-        raise ConfigError(
-            f"input size {cfg.input_hw[0]}x{cfg.input_hw[1]} does not fit the "
-            f"{cfg.scale!r} preset: {exc}"
-        ) from None
 
     x_train, stats = load_standardized(train_entries, cfg.input_hw, root)
     x_val = load_standardized(val_entries, cfg.input_hw, root, stats)[0] if val_entries else None
@@ -337,10 +338,11 @@ def train_hierarchical(
     for i, role in enumerate(MODEL_ROLES):
         (rows, y), (vrows, yv) = targets[role]
         xv, yv = (_rows_of(x_val, vrows), yv) if vrows.size else (None, None)
+        spec = cfg.spec(len(classes[role]))
         params, histories[role] = train(
-            specs[role], _rows_of(x_train, rows), y, cfg.train_config(i), xv, yv
+            spec, _rows_of(x_train, rows), y, cfg.train_config(i), xv, yv
         )
-        subs[role] = SubModel(specs[role], params, classes[role])
+        subs[role] = SubModel(spec, params, classes[role])
     return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats), histories
 
 

@@ -153,15 +153,18 @@ def model_from_bytes(
         raise FormatError(f"{len(data) - offset} trailing bytes after parameters")
     stats = header.get("stats")
     stats = None if stats is None else stats_from_dict(stats)
-    return spec, params, stats, _labels_from_header(header)
+    return spec, params, stats, _labels_from_header(header, spec.n_out)
 
 
-def _labels_from_header(header: dict) -> list[str] | None:
+def _labels_from_header(header: dict, n_out: int) -> list[str] | None:
+    """The header's output names: none, or one distinct name per output."""
     labels = header.get("labels")
     if labels is not None and not (
-        isinstance(labels, list) and all(isinstance(name, str) for name in labels)
+        isinstance(labels, list)
+        and all(isinstance(name, str) for name in labels)
+        and len(labels) == len(set(labels)) == n_out
     ):
-        raise FormatError(f"model header labels must be a list of names, got {labels!r}")
+        raise FormatError(f"model header labels must be {n_out} distinct names, got {labels!r}")
     return labels
 
 

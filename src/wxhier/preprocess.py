@@ -196,10 +196,13 @@ def stats_to_dict(s: NormalizationStats) -> dict:
 
 
 def stats_from_dict(doc) -> NormalizationStats:
-    """Inverse of ``stats_to_dict``; any fault in ``doc`` is a ``FormatError``."""
+    """Inverse of ``stats_to_dict``, coercing nothing; any fault is a ``FormatError``."""
     try:
-        return NormalizationStats(float(doc["mean"]), float(doc["std"]), int(doc["sample_count"]))
-    except (KeyError, TypeError, ValueError, OverflowError, DegenerateError) as exc:
+        mean, std, count = doc["mean"], doc["std"], doc["sample_count"]
+        if {type(mean), type(std)} - {int, float} or type(count) is not int:
+            raise FormatError("normalization stats need numbers and an integer sample_count")
+        return NormalizationStats(float(mean), float(std), count)
+    except (KeyError, TypeError, OverflowError, DegenerateError) as exc:
         raise FormatError(f"bad normalization stats: {exc}") from None
 
 

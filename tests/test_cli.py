@@ -388,6 +388,32 @@ def test_compare_flat_models_on_empty_manifest_exits_4(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_STATS = NormalizationStats(127.5, 64.0, 2)
+
+
+@pytest.mark.parametrize(
+    "n_out, labels, stats, message",
+    [
+        pytest.param(3, list(LEAF_CLASSES), _STATS, "3 distinct names", id="more-names"),
+        pytest.param(3, ["dew", "dew", "dew"], _STATS, "3 distinct names", id="repeated-name"),
+        pytest.param(11, list(LEAF_CLASSES), None, "lacks stats or class names", id="no-stats"),
+        pytest.param(11, None, _STATS, "lacks stats or class names", id="no-names"),
+        pytest.param(3, ["dew", "fog_smog", "frost"], _STATS, "does not know class",
+                     id="missing-leaf"),
+    ],
+)
+def test_compare_unusable_flat_model_exits_4(small_data, tmp_path, capsys, n_out, labels, stats,
+                                            message):
+    spec = nn.softmax_flat_spec((16, 16, 3), n_out)
+    flat = tmp_path / "flat.wxm1"
+    nn.save_model(flat, spec, nn.init_params(spec, np.random.default_rng(0)), stats, labels)
+    rc = run("compare", "--manifest", small_data / "manifest.csv", "--root", small_data,
+             "--output-dir", tmp_path / "out", f"a={flat}", f"b={flat}")
+    assert rc == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_requires_two_models(small_data, tmp_path):
     rc = run("compare", "--manifest", small_data / "manifest.csv",
              "--output-dir", tmp_path, "only=one")
@@ -634,6 +660,75 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
     for command, flags in expected.items():
         assert run(command, "--help") == 0
         assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == flags, command
+
+
+# the (arch, setting) pairs that train does not read, and a valid value of each setting
+UNREAD_SETTINGS = [
+    ("hierarchical", "width_scale"), ("hierarchical", "depth_scale"),
+    ("basic-cnn", "taxonomy"), ("basic-cnn", "width_scale"), ("basic-cnn", "depth_scale"),
+    ("vgg-style", "taxonomy"), ("vgg-style", "scale"), ("vgg-style", "dropout"),
+    ("softmax-flat", "taxonomy"), ("softmax-flat", "scale"), ("softmax-flat", "dropout"),
+    ("softmax-flat", "width_scale"), ("softmax-flat", "depth_scale"),
+]
+SETTING_VALUES = {"taxonomy": "missing.cfg", "scale": "paper", "dropout": 0.5,
+                  "width_scale": 0.5, "depth_scale": 0.5}
+
+
+@pytest.mark.parametrize("arch, key", UNREAD_SETTINGS)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_rejects_settings_its_arch_does_not_read(tmp_path, capsys, arch, key, source):
+    # neither the manifest nor the taxonomy exists, so reading either would exit 3
+    value = SETTING_VALUES[key]
+    if key == "taxonomy":
+        value = str(tmp_path / value)
+    flag = "--" + key.replace("_", "-")
+    argv = ["train", "--manifest", tmp_path / "missing.csv", "--output-dir", tmp_path / "out",
+            "--arch", arch]
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        argv += ["--config", _config(tmp_path, {key: value})]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag in err
+    assert not (tmp_path / "out").exists()
+
+
+def _dropout_rates(spec):
+    return {layer.rate for layer in spec.layers if isinstance(layer, nn.Dropout)}
+
+
+def _conv_filters(spec):
+    return [layer.filters for layer in spec.layers if isinstance(layer, nn.Conv)]
+
+
+def test_each_arch_trains_with_its_own_settings(small_data, tmp_path):
+    t = default_taxonomy()
+    taxonomy = Taxonomy(t.leaf_to_group, {**t.leaf_to_safety, "rain": "Dangerous"})
+    (tmp_path / "taxonomy.cfg").write_text(serialize_taxonomy(taxonomy))
+    data = ["--manifest", small_data / "manifest.csv", "--root", small_data, "--epochs", 1]
+    settings = {
+        "hierarchical": ["--taxonomy", tmp_path / "taxonomy.cfg", "--scale", "micro",
+                         "--dropout", 0.5, "--input-size", 8],
+        "basic-cnn": ["--scale", "micro", "--dropout", 0.5, "--input-size", 8],
+        "vgg-style": ["--width-scale", 0.125, "--depth-scale", 0.125, "--input-size", 32],
+        "softmax-flat": ["--input-size", 8],
+    }
+    for arch, flags in settings.items():
+        assert run("train", *data, "--output-dir", tmp_path / arch, "--arch", arch, *flags) == 0
+
+    model = load_hierarchical(tmp_path / "hierarchical" / "bundle")
+    assert model.taxonomy == taxonomy
+    for role in hierarchy.MODEL_ROLES:
+        spec = getattr(model, role).spec
+        assert _conv_filters(spec) == [8, 16] and _dropout_rates(spec) == {0.5}
+    basic = nn.load_model(tmp_path / "basic-cnn" / "model.wxm1")[0]
+    assert _conv_filters(basic) == [8, 16] and _dropout_rates(basic) == {0.5}
+    vgg = nn.load_model(tmp_path / "vgg-style" / "model.wxm1")[0]
+    assert _conv_filters(vgg) == [8, 16, 32, 64, 64]
+    assert [layer.units for layer in vgg.layers if isinstance(layer, nn.Dense)] == [512, 512, 11]
+    flat = nn.load_model(tmp_path / "softmax-flat" / "model.wxm1")[0]
+    assert [layer.kind for layer in flat.layers] == ["flatten", "dense", "softmax"]
 
 
 @pytest.mark.parametrize("arch", ["hierarchical", "basic-cnn"])

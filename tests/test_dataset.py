@@ -15,7 +15,9 @@ from wxhier.dataset import (
     manifest_to_csv,
     stratified_split,
 )
-from wxhier.errors import EmptyManifestError, ParseError, UnknownLabelError, WxhierError
+from wxhier.errors import (
+    ConfigError, EmptyManifestError, ParseError, UnknownLabelError, WxhierError
+)
 from wxhier.taxonomy import LEAF_CLASSES, default_taxonomy
 
 
@@ -178,9 +180,9 @@ def test_split_empty_manifest():
 
 
 def test_split_spec_validation():
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError):
         SplitSpec(test_fraction=0.0)
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError):
         SplitSpec(val_fraction_of_train=1.0)
 
 

@@ -299,6 +299,8 @@ def _primary(doc, name):
         pytest.param(lambda doc: json.dumps(_names(doc, lambda i: "a\0b")).encode(),
                      id="nul-file-name"),
         pytest.param(lambda doc: b"[" * 100_000, id="deep-nesting"),
+        pytest.param(lambda doc: json.dumps({k: v for k, v in doc.items() if k != "content_hash"})
+                     .encode(), id="no-content-hash"),
         # payload names must be plain file names inside the bundle directory
         pytest.param(lambda doc: json.dumps(_names(doc, lambda i: ".")).encode(), id="dot-name"),
         pytest.param(lambda doc: json.dumps(_names(doc, lambda i: "..")).encode(),

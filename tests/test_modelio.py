@@ -160,6 +160,11 @@ def test_unknown_layer_kind_rejected():
         set_field(("stats", "mean"), float("nan")),
         set_field(("stats",), [1.0, 2.0, 10]),
         set_field(("labels",), "abcde"),
+        # one distinct name per output, or no names at all
+        set_field(("labels",), ["a", "b", "c", "d"]),
+        set_field(("labels",), ["a", "b", "c", "d", "e", "f"]),
+        set_field(("labels",), ["a", "b", "c", "d", "a"]),
+        set_field(("labels",), ["a", "b", "c", "d", 5]),
     ]
     for edit in edits:
         with pytest.raises(FormatError):

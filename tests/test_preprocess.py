@@ -407,6 +407,14 @@ def test_stats_json_rejects_garbage():
         pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": 1}', id="one-sample"),
         pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": Infinity}', id="inf-count"),
         pytest.param('{"mean": "x", "std": 1.0, "sample_count": 2}', id="string-mean"),
+        # JSON numbers, and an integer count, are required: nothing is coerced
+        pytest.param('{"mean": "127.5", "std": 1.0, "sample_count": 2}', id="numeric-string-mean"),
+        pytest.param('{"mean": true, "std": 1.0, "sample_count": 2}', id="bool-mean"),
+        pytest.param('{"mean": 1.0, "std": true, "sample_count": 2}', id="bool-std"),
+        pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": 2.9}', id="fractional-count"),
+        pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": 2.0}', id="float-count"),
+        pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": "2"}', id="string-count"),
+        pytest.param('{"mean": true, "std": 2, "sample_count": 2.9}', id="all-coercible"),
         pytest.param("[1, 2, 3]", id="not-an-object"),
         pytest.param(b'\xff\xfe{"mean"', id="bad-utf"),
         pytest.param(b"[" * 100_000, id="deep-nesting"),
