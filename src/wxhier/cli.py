@@ -426,6 +426,17 @@ _COMMANDS = {
     "synth": cmd_synth,
 }
 
+# Library fields set by a flag whose dest is not the field's name.
+_DEST_OF_FIELD = {"val_fraction_of_train": "val_fraction"}
+
+
+def _as_flag(message: str, dests: set[str]) -> str:
+    """``message`` with a leading library field name written as the flag that sets it."""
+    field, sep, rest = message.partition(" ")
+    dest = _DEST_OF_FIELD.get(field, field)
+    return f"--{dest.replace('_', '-')} {rest}" if sep and dest in dests else message
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, keys = build_parser()
@@ -435,7 +446,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors and --help
         return exc.code if isinstance(exc.code, int) else 2
     except ConfigError as exc:
-        print(f"wxhier: configuration error: {exc}", file=sys.stderr)
+        message = _as_flag(str(exc), set().union(*keys.values()))
+        print(f"wxhier: configuration error: {message}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"wxhier: I/O error: {exc}", file=sys.stderr)

@@ -71,7 +71,7 @@ def gradient_check(
     rng = np.random.default_rng(dropout_seed)
     probs, caches = forward_pass(spec, params, x, rng)
     _, grad_logits = cross_entropy(probs, targets)
-    _, grads = backward_from_logits(spec, params, caches, grad_logits)
+    grads = backward_from_logits(spec, params, caches, grad_logits)
 
     if fd_dtype is None:
         fd_params, fd_x, fd_targets = params, x, targets

@@ -7,14 +7,19 @@ lowering of Chellapilla et al. 2006); the plain nested-loop
 implementation stays available as ``conv2d_forward_naive`` and is the
 reference the fast path is tested against.
 
-Both conv kernels take the ``im2col`` matrix as ``cols``, so a training
-step builds each conv layer's columns once; without it they build their
-own. ``conv2d_forward`` is one loop over blocks of whole images. A
-training step's columns are one block, never split; at inference the
-loop gathers the columns of one block at a time, so only one block of
-them is ever alive. The patch gather and the input gradient's tap copies
-move runs of adjacent floats as single ``np.void`` items, which changes
-no value.
+The conv backward is split the way cuDNN splits BackwardFilter and
+BackwardData (Chetlur et al. 2014, arXiv:1410.0759):
+``conv2d_backward`` returns the kernel and bias gradients and
+``conv2d_backward_input`` the input gradient, so the first layer of a
+model, whose input gradient no one reads, never builds it.
+``conv2d_forward`` and ``conv2d_backward`` take the ``im2col`` matrix as
+``cols``, so a training step builds each conv layer's columns once;
+without it they build their own. ``conv2d_forward`` is one loop over
+blocks of whole images. A training step's columns are one block, never
+split; at inference the loop gathers the columns of one block at a time,
+so only one block of them is ever alive. The patch gather and the input
+gradient's tap copies move runs of adjacent floats as single ``np.void``
+items, which changes no value.
 
 ``batchnorm_forward`` (at inference) and ``relu_forward`` take an ``out``
 array, which may be their input. A kernel never writes an array it was
@@ -87,13 +92,13 @@ def pool_output_hw(h: int, w: int, window: int, stride: int) -> tuple[int, int]:
     return (h - window) // stride + 1, (w - window) // stride + 1
 
 
-def _check_conv_args(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int) -> None:
-    if x.ndim != 4:
-        raise ShapeError(f"conv input must be (N, H, W, C), got {x.shape}")
+def _check_conv_args(x_shape: tuple, kernels: np.ndarray, stride: int, pad: int) -> None:
+    if len(x_shape) != 4:
+        raise ShapeError(f"conv input must be (N, H, W, C), got {tuple(x_shape)}")
     if kernels.ndim != 4 or kernels.shape[0] != kernels.shape[1]:
         raise ShapeError(f"kernels must be (k, k, C_in, filters), got {kernels.shape}")
-    if x.shape[3] != kernels.shape[2]:
-        raise ShapeError(f"channel mismatch: input {x.shape[3]}, kernels {kernels.shape[2]}")
+    if x_shape[3] != kernels.shape[2]:
+        raise ShapeError(f"channel mismatch: input {x_shape[3]}, kernels {kernels.shape[2]}")
     if stride < 1 or pad < 0:
         raise ShapeError(f"bad stride/pad {stride}/{pad}")
 
@@ -158,7 +163,7 @@ def conv2d_forward(
     batch is one block, never split. Without, each block gathers at most
     ``CONV_BLOCK_BYTES`` of columns, so only one block of them is alive.
     """
-    _check_conv_args(x, kernels, stride, pad)
+    _check_conv_args(x.shape, kernels, stride, pad)
     n, h, w, c = x.shape
     k, f = kernels.shape[0], kernels.shape[3]
     oh, ow = conv_output_hw(h, w, k, stride, pad)
@@ -180,7 +185,7 @@ def conv2d_forward_naive(
     x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1, pad: int = 0
 ) -> np.ndarray:
     """Reference nested-loop convolution; slow, for verification only."""
-    _check_conv_args(x, kernels, stride, pad)
+    _check_conv_args(x.shape, kernels, stride, pad)
     n, h, w, c = x.shape
     k, f = kernels.shape[0], kernels.shape[3]
     oh, ow = conv_output_hw(h, w, k, stride, pad)
@@ -210,9 +215,13 @@ def conv2d_backward(
     pad: int = 0,
     *,
     cols: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. input, kernels and bias."""
-    _check_conv_args(x, kernels, stride, pad)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients w.r.t. kernels and bias (the filter half of the backward).
+
+    The input gradient is ``conv2d_backward_input``'s, so a caller that has
+    no use for it (the first layer of a model) never builds it.
+    """
+    _check_conv_args(x.shape, kernels, stride, pad)
     n, h, w, c = x.shape
     k, f = kernels.shape[0], kernels.shape[3]
     oh, ow = conv_output_hw(h, w, k, stride, pad)
@@ -224,20 +233,37 @@ def conv2d_backward(
 
     cols = _columns(x, k, stride, pad, cols)
     grad_kernels = (cols.T @ g).reshape(k, k, c, f)
+    return grad_kernels, grad_bias
+
+
+def conv2d_backward_input(
+    grad_out: np.ndarray,
+    kernels: np.ndarray,
+    x_shape: tuple[int, ...],
+    stride: int = 1,
+    pad: int = 0,
+) -> np.ndarray:
+    """Gradient w.r.t. the input of shape ``x_shape`` (the data half)."""
+    _check_conv_args(x_shape, kernels, stride, pad)
+    n, h, w, c = x_shape
+    k, f = kernels.shape[0], kernels.shape[3]
+    oh, ow = conv_output_hw(h, w, k, stride, pad)
+    if grad_out.shape != (n, oh, ow, f):
+        raise ShapeError(f"grad_out shape {grad_out.shape} != {(n, oh, ow, f)}")
 
     # One product for all taps: a product per tap rounds differently in some
     # BLAS tail kernels. Copying each tap out contiguously, one void item of
     # ``c`` floats per pixel, lets the scatter add whole rows of ``ow * c``
     # floats (stride 1) instead of ``c`` at a time.
+    g = grad_out.reshape(n * oh * ow, f)
     dcols = g @ kernels.reshape(k * k * c, f).T
     taps = dcols.view(np.dtype((np.void, c * dcols.itemsize))).reshape(n, oh, ow, k, k, 1)
-    dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dcols.dtype)
     for ky in range(k):
         for kx in range(k):
             tap = np.ascontiguousarray(taps[:, :, :, ky, kx]).view(dcols.dtype)  # (n, oh, ow, c)
             dxp[:, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride, :] += tap
-    grad_x = dxp[:, pad : pad + h, pad : pad + w, :] if pad else dxp
-    return grad_x, grad_kernels, grad_bias
+    return dxp[:, pad : pad + h, pad : pad + w, :] if pad else dxp
 
 
 def batchnorm_forward(

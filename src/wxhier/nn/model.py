@@ -39,7 +39,9 @@ class LayerSpec:
     true only at inference and only when ``x`` is an activation that
     ``forward_pass`` made, never the caller's array or a view of it; the
     step may then overwrite ``x``.
-    ``backward`` returns the input gradient and the trainable gradients.
+    ``backward`` returns the input gradient and the trainable gradients;
+    ``param_grads`` returns only the trainable gradients, and is what the
+    first layer of a model runs, since no one reads its input gradient.
     ``Softmax``, always the last layer, has no backward step.
     """
 
@@ -55,6 +57,9 @@ class LayerSpec:
 
     def init(self, shape: Shape, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
         return {}
+
+    def param_grads(self, grad, entry, cache) -> dict[str, np.ndarray]:
+        return self.backward(grad, entry, cache)[1]
 
 
 class _WeightBias(LayerSpec):
@@ -76,9 +81,11 @@ class Conv(_WeightBias):
     """Convolution over NHWC input.
 
     In train mode forward builds the im2col columns once, passes them to
-    the kernel and caches ``(x, cols)``; backward consumes that cache, so a
-    training step builds each conv layer's columns once. At inference the
-    kernel builds them itself, one block of images at a time.
+    the kernel and caches ``(x, cols)``; the filter gradient consumes that
+    cache, so a training step builds each conv layer's columns once. At
+    inference the kernel builds them itself, one block of images at a time.
+    ``backward`` runs the filter and the data kernel; ``param_grads`` runs
+    the filter kernel alone.
     """
 
     kind = "conv"
@@ -110,12 +117,16 @@ class Conv(_WeightBias):
         out = L.conv2d_forward(x, entry["w"], entry["b"], self.stride, self.padding, cols=cols)
         return out, (x, cols)
 
-    def backward(self, grad, entry, cache):
+    def param_grads(self, grad, entry, cache):
         x, cols = cache
-        grad, gw, gb = L.conv2d_backward(
-            x, entry["w"], grad, self.stride, self.padding, cols=cols
-        )
-        return grad, {"w": gw, "b": gb}
+        gw, gb = L.conv2d_backward(x, entry["w"], grad, self.stride, self.padding, cols=cols)
+        return {"w": gw, "b": gb}
+
+    def backward(self, grad, entry, cache):
+        grads = self.param_grads(grad, entry, cache)
+        x_shape = cache[0].shape
+        grad = L.conv2d_backward_input(grad, entry["w"], x_shape, self.stride, self.padding)
+        return grad, grads
 
 
 @dataclass(frozen=True)
@@ -351,20 +362,24 @@ def zero_grads(spec: ModelSpec, params: Params) -> Params:
 
 def backward_from_logits(
     spec: ModelSpec, params: Params, caches: list, grad_logits: np.ndarray
-) -> tuple[np.ndarray, Params]:
-    """Backpropagate from the gradient w.r.t. the final Dense output.
+) -> Params:
+    """Trainable gradients, backpropagated from the final Dense output's.
 
     The closing Softmax is skipped: its gradient is fused into the
-    cross-entropy term that produces ``grad_logits``.  Backward consumes
+    cross-entropy term that produces ``grad_logits``.  The first layer runs
+    ``param_grads``, so the input gradient of the model (for a conv, its
+    ``g @ K.T`` product and tap scatters) is never built.  Backward consumes
     the caches: each entry becomes ``None`` once its layer has run, so
     activations and conv columns are freed as soon as they are read.
     """
     grads: Params = [{} for _ in spec.layers]
     grad = grad_logits
-    for i in range(len(spec.layers) - 2, -1, -1):
+    for i in range(len(spec.layers) - 2, 0, -1):
         grad, grads[i] = spec.layers[i].backward(grad, params[i], caches[i])
         caches[i] = None
-    return grad, grads
+    grads[0] = spec.layers[0].param_grads(grad, params[0], caches[0])
+    caches[0] = None
+    return grads
 
 
 PREDICT_ROWS = 256  # rows per inference forward: bounds the activations held

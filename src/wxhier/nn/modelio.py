@@ -103,7 +103,7 @@ def model_to_bytes(
 ) -> bytes:
     header = spec_to_dict(spec)
     header["stats"] = None if stats is None else stats_to_dict(stats)
-    header["labels"] = labels
+    header["labels"] = _check_labels(labels, spec.n_out)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     buf = io.BytesIO()
     buf.write(MAGIC)
@@ -153,18 +153,22 @@ def model_from_bytes(
         raise FormatError(f"{len(data) - offset} trailing bytes after parameters")
     stats = header.get("stats")
     stats = None if stats is None else stats_from_dict(stats)
-    return spec, params, stats, _labels_from_header(header, spec.n_out)
+    return spec, params, stats, _check_labels(header.get("labels"), spec.n_out)
 
 
-def _labels_from_header(header: dict, n_out: int) -> list[str] | None:
-    """The header's output names: none, or one distinct name per output."""
-    labels = header.get("labels")
+def _check_labels(labels, n_out: int) -> list[str] | None:
+    """``labels`` when they are none, or a list of one distinct name per output.
+
+    The one rule for a model's output names, applied when a model is
+    written and when one is read, so no writer makes a file its reader
+    refuses.
+    """
     if labels is not None and not (
         isinstance(labels, list)
         and all(isinstance(name, str) for name in labels)
         and len(labels) == len(set(labels)) == n_out
     ):
-        raise FormatError(f"model header labels must be {n_out} distinct names, got {labels!r}")
+        raise FormatError(f"model labels must be {n_out} distinct names, got {labels!r}")
     return labels
 
 

@@ -125,7 +125,7 @@ def train(
             xb, yb = x_train[idx], targets_all[idx]
             probs, caches = forward_pass(spec, params, xb, rng)
             loss, grad_logits = cross_entropy(probs, yb)
-            _, grads = backward_from_logits(spec, params, caches, grad_logits)
+            grads = backward_from_logits(spec, params, caches, grad_logits)
             for entry, ventry, gentry in zip(params, velocity, grads):
                 for k in ventry:
                     ventry[k] *= cfg.momentum

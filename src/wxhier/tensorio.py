@@ -1,7 +1,9 @@
 """WXT1 binary tensor container.
 
 Layout: magic ``WXT1``, little-endian u32 rank, u32 dims[rank], then the
-raw little-endian float32 payload in row-major order.
+raw little-endian float32 payload in row-major order.  The rank is at most
+``MAX_RANK``: the writer refuses a deeper array, the reader a deeper frame.
+A dimension must fit its u32, which only a zero-size array can exceed.
 """
 
 from __future__ import annotations
@@ -10,13 +12,19 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 
 MAGIC = b"WXT1"
+MAX_RANK = 8
 
 
 def tensor_to_bytes(array: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(array, dtype="<f4")
+    if arr.ndim > MAX_RANK or max(arr.shape) >= 1 << 32:
+        raise ShapeError(
+            f"tensor shape {arr.shape} does not fit the container: "
+            f"rank at most {MAX_RANK}, each dimension below 2**32"
+        )
     header = MAGIC + struct.pack("<I", arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     return header + arr.tobytes()
@@ -31,7 +39,7 @@ def tensor_from_bytes(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
         raise FormatError("truncated tensor header")
     (rank,) = struct.unpack_from("<I", data, offset)
     offset += 4
-    if rank > 8:
+    if rank > MAX_RANK:
         raise FormatError(f"implausible tensor rank {rank}")
     if offset + 4 * rank > len(data):
         raise FormatError("truncated tensor dims")

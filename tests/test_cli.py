@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -391,6 +392,16 @@ def test_compare_flat_models_on_empty_manifest_exits_4(tmp_path, capsys):
 _STATS = NormalizationStats(127.5, 64.0, 2)
 
 
+def _save_with_labels(path, spec, params, stats, labels):
+    """A model file whose header holds ``labels`` as given, even ones the writer refuses."""
+    blob = nn.model_to_bytes(spec, params, stats)
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + header_len])
+    header["labels"] = labels
+    raw = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])
+
+
 @pytest.mark.parametrize(
     "n_out, labels, stats, message",
     [
@@ -406,7 +417,7 @@ def test_compare_unusable_flat_model_exits_4(small_data, tmp_path, capsys, n_out
                                             message):
     spec = nn.softmax_flat_spec((16, 16, 3), n_out)
     flat = tmp_path / "flat.wxm1"
-    nn.save_model(flat, spec, nn.init_params(spec, np.random.default_rng(0)), stats, labels)
+    _save_with_labels(flat, spec, nn.init_params(spec, np.random.default_rng(0)), stats, labels)
     rc = run("compare", "--manifest", small_data / "manifest.csv", "--root", small_data,
              "--output-dir", tmp_path / "out", f"a={flat}", f"b={flat}")
     assert rc == 4
@@ -551,8 +562,27 @@ def test_bad_option_value_is_config_error(tmp_path, capsys, command, key, value,
     else:
         argv += ["--config", _config(tmp_path, {key: value})]
     assert run(*argv) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "--" + key.replace("_", "-") in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_library_range_errors_name_the_flag(tmp_path, capsys, source):
+    # SplitSpec and TrainConfig state these rules under their own field
+    # names; the message names the flag that set the value
+    cases = [
+        ("split", "val_fraction", 1, "--val-fraction must lie in (0, 1), got 1.0"),
+        ("train", "learning_rate", 0, "--learning-rate must be finite and > 0, got 0.0"),
+    ]
+    for command, key, value, message in cases:
+        argv = [command, "--output-dir", tmp_path / "out", "--manifest", tmp_path / "missing.csv"]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            argv += ["--config", _config(tmp_path, {key: value})]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"wxhier: configuration error: {message}\n"
 
 
 @pytest.mark.parametrize(

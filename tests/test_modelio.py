@@ -180,6 +180,22 @@ def test_unknown_layer_kind_rejected():
         model_from_bytes(patch_header(cnn_blob, set_field(("layers", 1, "epsilon"), -1.0)))
 
 
+@pytest.mark.parametrize(
+    "labels",
+    ["abcde", ["a", "b", "c", "d"], ["a", "b", "c", "d", "e", "f"], ["a", "b", "c", "d", "a"],
+     ["a", "b", "c", "d", 5]],
+    ids=["string", "too-few", "too-many", "repeated", "not-a-name"],
+)
+def test_writer_refuses_the_labels_the_reader_refuses(tmp_path, labels):
+    # the same rule as ``test_unknown_layer_kind_rejected``'s label edits
+    spec, params = make_model()
+    with pytest.raises(FormatError, match="5 distinct names"):
+        model_to_bytes(spec, params, None, labels)
+    with pytest.raises(FormatError, match="5 distinct names"):
+        save_model(tmp_path / "m.wxm1", spec, params, None, labels)
+    assert not (tmp_path / "m.wxm1").exists()
+
+
 def test_deeply_nested_header_is_format_error():
     spec, params = make_model()
     with pytest.raises(FormatError):

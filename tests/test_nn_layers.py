@@ -16,6 +16,7 @@ from wxhier.nn.layers import (
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
+    conv2d_backward_input,
     conv2d_forward,
     conv2d_forward_naive,
     conv_output_hw,
@@ -102,7 +103,8 @@ def test_conv_gradients_match_fd():
     def loss():
         return float((conv2d_forward(x, kern, bias, stride=1, pad=0) * r).sum())
 
-    grad_x, grad_k, grad_b = conv2d_backward(x, kern, r, stride=1, pad=0)
+    grad_k, grad_b = conv2d_backward(x, kern, r, stride=1, pad=0)
+    grad_x = conv2d_backward_input(r, kern, x.shape, stride=1, pad=0)
     np.testing.assert_allclose(grad_x, fd_grad(loss, x), rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(grad_k, fd_grad(loss, kern), rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(grad_b, fd_grad(loss, bias), rtol=1e-6, atol=1e-8)
@@ -119,7 +121,8 @@ def test_conv_gradients_with_stride_and_pad():
     def loss():
         return float((conv2d_forward(x, kern, bias, stride=2, pad=1) * r).sum())
 
-    grad_x, grad_k, _ = conv2d_backward(x, kern, r, stride=2, pad=1)
+    grad_k, _ = conv2d_backward(x, kern, r, stride=2, pad=1)
+    grad_x = conv2d_backward_input(r, kern, x.shape, stride=2, pad=1)
     np.testing.assert_allclose(grad_x, fd_grad(loss, x), rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(grad_k, fd_grad(loss, kern), rtol=1e-6, atol=1e-8)
 
@@ -132,6 +135,12 @@ def test_conv_shape_errors():
         conv2d_forward(x, np.zeros((3, 3, 5, 1)), np.zeros(1))  # channel mismatch
     with pytest.raises(ShapeError):
         conv2d_backward(x, np.zeros((3, 3, 2, 1)), np.zeros((1, 1, 1, 1)))
+    with pytest.raises(ShapeError):
+        conv2d_backward_input(np.zeros((1, 1, 1, 1)), np.zeros((3, 3, 2, 1)), x.shape)
+    with pytest.raises(ShapeError):  # channel mismatch
+        conv2d_backward_input(np.zeros((1, 2, 2, 1)), np.zeros((3, 3, 5, 1)), x.shape)
+    with pytest.raises(ShapeError):  # not NHWC
+        conv2d_backward_input(np.zeros((1, 2, 2, 1)), np.zeros((3, 3, 2, 1)), (4, 4, 2))
 
 
 # --------------------------------------------------------------- batchnorm
@@ -384,15 +393,22 @@ def _ref_conv2d_backward(x, kernels, grad_out, stride=1, pad=0, cols=None):
     grad_bias = g.sum(axis=0)
     cols = _ref_im2col(x, k, stride, pad).reshape(n * oh * ow, k * k * c)
     grad_kernels = (cols.T @ g).reshape(k, k, c, f)
+    return grad_kernels, grad_bias
+
+
+def _ref_conv2d_backward_input(grad_out, kernels, x_shape, stride=1, pad=0):
+    n, h, w, c = x_shape
+    k, f = kernels.shape[0], kernels.shape[3]
+    oh, ow = conv_output_hw(h, w, k, stride, pad)
+    g = grad_out.reshape(n * oh * ow, f)
     dcols = (g @ kernels.reshape(k * k * c, f).T).reshape(n, oh, ow, k, k, c)
-    dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dcols.dtype)
     for ky in range(k):
         for kx in range(k):
             dxp[:, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride, :] += dcols[
                 :, :, :, ky, kx, :
             ]
-    grad_x = dxp[:, pad : pad + h, pad : pad + w, :] if pad else dxp
-    return grad_x, grad_kernels, grad_bias
+    return dxp[:, pad : pad + h, pad : pad + w, :] if pad else dxp
 
 
 def _ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, eps, momentum, train, out=None):
@@ -471,8 +487,13 @@ def test_conv_kernels_match_broadcasting_reference_bit_for_bit(dtype, stride, pa
                 conv2d_backward(x, kern, grad_out, stride, pad),
                 conv2d_backward(x, kern, grad_out, stride, pad, cols=cols),
             ):
+                assert len(got) == len(want) == 2
                 for g, r in zip(got, want):
                     _assert_same_bits(g, r)
+            _assert_same_bits(
+                conv2d_backward_input(grad_out, kern, x.shape, stride, pad),
+                _ref_conv2d_backward_input(grad_out, kern, x.shape, stride, pad),
+            )
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -638,6 +659,7 @@ def test_training_with_reference_kernels_is_bit_identical(monkeypatch):
     for name, ref in [
         ("conv2d_forward", _ref_conv2d_forward),
         ("conv2d_backward", _ref_conv2d_backward),
+        ("conv2d_backward_input", _ref_conv2d_backward_input),
         ("batchnorm_forward", _ref_batchnorm_forward),
         ("batchnorm_backward", _ref_batchnorm_backward),
         ("avgpool_forward", _ref_avgpool_forward),

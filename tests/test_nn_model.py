@@ -16,6 +16,7 @@ from wxhier.nn import (
     ModelSpec,
     ReLU,
     Softmax,
+    TrainConfig,
     backward_from_logits,
     basic_cnn_spec,
     clone_params,
@@ -25,6 +26,8 @@ from wxhier.nn import (
     predict,
     relu_margin,
     shape_infer,
+    softmax_flat_spec,
+    train,
     zero_grads,
 )
 from wxhier.nn import layers as L
@@ -160,7 +163,7 @@ def test_backward_produces_grads_for_trainables():
     x = np.random.default_rng(6).standard_normal((4, 8, 8, 3)).astype(np.float32)
     probs, caches = forward_pass(spec, params, x, np.random.default_rng(7))
     grad_logits = probs - np.eye(4, dtype=np.float32)[np.zeros(4, dtype=int)]
-    _, grads = backward_from_logits(spec, params, caches, grad_logits)
+    grads = backward_from_logits(spec, params, caches, grad_logits)
     assert set(grads[0]) == {"w", "b"}
     assert set(grads[1]) == {"gamma", "beta"}
     assert set(grads[6]) == {"w", "b"}
@@ -170,9 +173,11 @@ def test_backward_produces_grads_for_trainables():
 
 def test_train_step_calls_each_conv_kernel_once_per_layer_and_consumes_caches(monkeypatch):
     # The benchmark tracer wraps the conv kernels: one step must make one
-    # conv2d_forward call (one array out) and one conv2d_backward call (three
-    # arrays out) per conv layer, with the shared columns passed as a keyword.
-    calls = {"conv2d_forward": [], "conv2d_backward": []}
+    # conv2d_forward call (one array out) and one conv2d_backward call (the
+    # kernel and bias gradients) per conv layer, with the shared columns
+    # passed as a keyword, and one conv2d_backward_input call per conv layer
+    # but the first, whose input gradient is never built.
+    calls = {"conv2d_forward": [], "conv2d_backward": [], "conv2d_backward_input": []}
     for name, seen in calls.items():
         def counted(*args, _kernel=getattr(L, name), _seen=seen, **kwargs):
             out = _kernel(*args, **kwargs)
@@ -188,12 +193,15 @@ def test_train_step_calls_each_conv_kernel_once_per_layer_and_consumes_caches(mo
     grad_logits = probs - np.eye(4, dtype=np.float32)[np.arange(6) % 4]
     backward_from_logits(spec, params, caches, grad_logits)
     assert n_conv >= 2
-    assert [len(v) for v in calls.values()] == [n_conv, n_conv]
+    assert isinstance(spec.layers[0], Conv)
+    assert [len(v) for v in calls.values()] == [n_conv, n_conv, n_conv - 1]
     for n_args, keywords, out in calls["conv2d_forward"]:
         assert (n_args, keywords) == (5, ["cols"]) and isinstance(out, np.ndarray)
     for n_args, keywords, out in calls["conv2d_backward"]:
-        assert (n_args, keywords) == (5, ["cols"]) and len(out) == 3
+        assert (n_args, keywords) == (5, ["cols"]) and len(out) == 2
         assert all(isinstance(a, np.ndarray) for a in out)
+    for n_args, keywords, out in calls["conv2d_backward_input"]:
+        assert (n_args, keywords) == (5, []) and isinstance(out, np.ndarray)
     assert len(caches) == len(spec.layers) and all(c is None for c in caches)
 
     # the checks built on train-mode caches still hold
@@ -203,6 +211,43 @@ def test_train_step_calls_each_conv_kernel_once_per_layer_and_consumes_caches(mo
     assert relu_margin(spec, params, x) > 0.0
     report = gradient_check(spec, params, x, np.array([0, 3]), epsilon=1e-5, floor=1e-5)
     assert report.max_rel_err < 1e-5, report.worst
+
+
+def _batchnorm_first_spec():
+    return ModelSpec(
+        input_shape=(6, 6, 2),
+        layers=(BatchNorm(), Conv(filters=3, kernel=3, padding=1), ReLU(), Flatten(),
+                Dense(units=3), Softmax()),
+        n_out=3,
+    )
+
+
+@pytest.mark.parametrize("make_spec", [lambda: softmax_flat_spec((6, 6, 2), 3),
+                                       _batchnorm_first_spec], ids=["flatten", "batchnorm"])
+def test_a_first_layer_other_than_conv_trains_through_the_default_param_grads(make_spec):
+    # The first layer runs ``param_grads``; a layer type that keeps the
+    # default runs its whole ``backward`` and drops the input gradient.
+    spec = make_spec()
+    assert not isinstance(spec.layers[0], Conv)
+    params = init_params(spec, np.random.default_rng(12), dtype=np.float64)
+    x = np.random.default_rng(13).standard_normal((5, 6, 6, 2))
+    probs, caches = forward_pass(spec, params, x, np.random.default_rng(14))
+    grads = backward_from_logits(spec, params, caches, probs - np.eye(3)[np.arange(5) % 3])
+    assert [set(g) for g in grads] == [set(layer.trainable) for layer in spec.layers]
+    assert all(c is None for c in caches)
+    report = gradient_check(spec, params, x, np.arange(5) % 3, epsilon=1e-5, floor=1e-5)
+    assert report.max_rel_err < 1e-5, report.worst
+    assert set(report.per_param) == {
+        f"{i}:{key}" for i, layer in enumerate(spec.layers) for key in layer.trainable
+    }
+
+    y = np.random.default_rng(15).integers(0, 3, 20)
+    xs = np.random.default_rng(16).standard_normal((20, 6, 6, 2)).astype(np.float32)
+    trained, history = train(spec, xs, y, TrainConfig(epochs=2, batch_size=8, seed=1))
+    assert len(history) == 2 and all(np.isfinite(h.train_loss) for h in history)
+    first = init_params(spec, np.random.default_rng(1))
+    assert all(not np.array_equal(trained[i][k], first[i][k])
+               for i, layer in enumerate(spec.layers) for k in layer.trainable)
 
 
 def test_predict_runs_one_forward_per_chunk_of_rows(monkeypatch):

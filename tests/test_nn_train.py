@@ -148,7 +148,7 @@ def test_momentum_update_matches_manual_loop():
         xb, tb = x[order], targets_all[order]
         probs, caches = forward_pass(spec, manual, xb, rng)
         _, grad = cross_entropy(probs, tb)
-        _, grads = backward_from_logits(spec, manual, caches, grad.astype(np.float32))
+        grads = backward_from_logits(spec, manual, caches, grad.astype(np.float32))
         for entry, gentry, ventry in zip(manual, grads, velocity):
             for key in entry:
                 ventry[key] = 0.9 * ventry[key] - 0.1 * gentry[key]

@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wxhier.errors import FormatError
-from wxhier.tensorio import MAGIC, read_tensor, tensor_from_bytes, tensor_to_bytes, write_tensor
+from wxhier.errors import FormatError, ShapeError
+from wxhier.tensorio import (
+    MAGIC,
+    MAX_RANK,
+    read_tensor,
+    tensor_from_bytes,
+    tensor_to_bytes,
+    write_tensor,
+)
 
 finite_f32 = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, width=32
@@ -82,6 +89,19 @@ def test_rank_limit_on_read():
     data = MAGIC + struct.pack("<I", 9) + struct.pack("<9I", *([1] * 9)) + b"\x00" * 4
     with pytest.raises(FormatError, match="rank"):
         tensor_from_bytes(data)
+
+
+def test_writer_refuses_the_shapes_the_reader_cannot_frame():
+    # the deepest rank and the widest u32 dimension round-trip; one more of
+    # either is refused on write, as a deeper rank is on read
+    deepest = np.arange(2, dtype=np.float32).reshape((1,) * (MAX_RANK - 1) + (2,))
+    widest = np.zeros((0, (1 << 32) - 1), dtype=np.float32)
+    for arr in (deepest, widest):
+        again, _ = tensor_from_bytes(tensor_to_bytes(arr))
+        assert again.shape == arr.shape and again.tobytes() == arr.tobytes()
+    for shape in ((1,) * (MAX_RANK + 1), (0, 1 << 32)):
+        with pytest.raises(ShapeError, match="does not fit the container"):
+            tensor_to_bytes(np.zeros(shape, dtype=np.float32))
 
 
 def test_trailing_bytes_rejected_by_file_reader(tmp_path):
