@@ -41,6 +41,7 @@ from .hierarchy import (
     leaf_labels,
     load_hierarchical,
     load_standardized,
+    predict_batch,
     predict_hierarchical,
     save_hierarchical,
     train_hierarchical,
@@ -49,7 +50,7 @@ from .imageio import CHANNEL_ORDERS, decode_ppm
 from .preprocess import load_stats, save_stats
 from .synthetic import DEFAULT_PER_CLASS, DEFAULT_SEED, DEFAULT_SIZE, generate_dataset
 from .taxonomy import LEAF_CLASSES, default_taxonomy, load_taxonomy
-from .tensorio import write_tensor
+from .tensorio import tensor_to_bytes
 
 ENV_OUTPUT_DIR = "WXHIER_OUTPUT_DIR"
 
@@ -139,7 +140,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     flag("--seed", type=_SEED, default=SplitSpec.seed)
     flag("--test-fraction", type=_number("--test-fraction"), default=SplitSpec.test_fraction)
     flag("--val-fraction", type=_number("--val-fraction"),
-         default=SplitSpec.val_fraction_of_train, help="fraction of the train pool used for val")
+         default=SplitSpec.val_fraction, help="fraction of the train pool used for val")
 
     p, flag = command("preprocess", "resize + standardize a manifest into one tensor file",
                       "--manifest", "--output-dir", "--root")
@@ -242,7 +243,7 @@ def _outdir(args) -> Path:
 
 def cmd_split(args) -> int:
     spec = SplitSpec(
-        test_fraction=args.test_fraction, val_fraction_of_train=args.val_fraction, seed=args.seed
+        test_fraction=args.test_fraction, val_fraction=args.val_fraction, seed=args.seed
     )
     entries = load_manifest(args.manifest.read_bytes())
     taxonomy = _taxonomy_for(args)
@@ -264,7 +265,7 @@ def cmd_preprocess(args) -> int:
     stats = load_stats(args.stats) if args.stats else None
     x, stats = load_standardized(entries, (args.input_size, args.input_size), root, stats)
     out = _outdir(args)
-    write_tensor(out / "tensors.wxt1", x)
+    (out / "tensors.wxt1").write_bytes(tensor_to_bytes(x))
     save_stats(out / "stats.json", stats)
     rows = [("index", "path", "label")] + [(i, e.path, e.leaf) for i, e in enumerate(entries)]
     (out / "labels.csv").write_text(csv_text(rows), encoding="utf-8")
@@ -383,6 +384,14 @@ def _flat_leaf_accuracy(model_path: Path, entries, root) -> float:
     return nn.evaluate_accuracy(spec, params, x, y)
 
 
+def _bundle_leaf_accuracy(bundle: Path, entries, root) -> float:
+    """End-to-end leaf accuracy of one routed pass, as ``evaluate`` reports it."""
+    model = load_hierarchical(bundle)
+    x, _ = load_standardized(entries, model.input_hw, root, model.stats)
+    hits = sum(p.leaf == e.leaf for p, e in zip(predict_batch(model, x), entries))
+    return hits / len(entries)
+
+
 def cmd_compare(args) -> int:
     pairs = []
     for item in args.models:
@@ -396,9 +405,7 @@ def cmd_compare(args) -> int:
     rows = []
     for name, path in pairs:
         if path.is_dir():
-            model = load_hierarchical(path)
-            report = ev.evaluate_hierarchical(model, entries, root)
-            rows.append((name, report.e2e_leaf_accuracy))
+            rows.append((name, _bundle_leaf_accuracy(path, entries, root)))
         else:
             rows.append((name, _flat_leaf_accuracy(path, entries, root)))
     table = ev.compare_models(rows)
@@ -426,14 +433,9 @@ _COMMANDS = {
     "synth": cmd_synth,
 }
 
-# Library fields set by a flag whose dest is not the field's name.
-_DEST_OF_FIELD = {"val_fraction_of_train": "val_fraction"}
-
-
 def _as_flag(message: str, dests: set[str]) -> str:
     """``message`` with a leading library field name written as the flag that sets it."""
-    field, sep, rest = message.partition(" ")
-    dest = _DEST_OF_FIELD.get(field, field)
+    dest, sep, rest = message.partition(" ")
     return f"--{dest.replace('_', '-')} {rest}" if sep and dest in dests else message
 
 

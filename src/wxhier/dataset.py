@@ -1,4 +1,4 @@
-"""Manifest loading, deterministic stratified splitting, class distribution.
+"""Manifest entries and their CSV form, deterministic stratified splitting.
 
 The split shuffle uses splitmix64 + Fisher-Yates with unbiased rejection
 sampling, fully specified here so the same (manifest, seed) pair produces
@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
-from .errors import ConfigError, EmptyManifestError, ParseError, UnknownLabelError
+from .errors import ConfigError, EmptyManifestError, ParseError, UnknownLabelError, WxhierError
 from .imageio import CHANNEL_ORDERS
-from .taxonomy import COARSE_GROUPS, LEAF_CLASSES, LEAF_INDEX, Taxonomy, group_of
+from .taxonomy import LEAF_CLASSES, LEAF_INDEX, Taxonomy, group_of
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -32,19 +34,38 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One manifest row; every entry reads back from ``manifest_to_csv`` as made.
+
+    The reader strips each field, and no file system takes a NUL in a path.
+    """
+
     path: str
     leaf: str
     channel_order: str = "RGB"
+
+    def __post_init__(self):
+        if not self.path:
+            raise ParseError("empty path")
+        if self.path != self.path.strip():
+            raise ParseError(f"path {self.path!r} has surrounding whitespace")
+        if "\0" in self.path:
+            raise ParseError("NUL byte in path")
+        if len(self.path) > csv.field_size_limit():
+            raise ParseError(f"path longer than {csv.field_size_limit()} characters")
+        if self.leaf not in LEAF_INDEX:
+            raise UnknownLabelError(f"unknown label {self.leaf!r}")
+        if self.channel_order not in CHANNEL_ORDERS:
+            raise ParseError(f"unknown channel order {self.channel_order!r}")
 
 
 @dataclass(frozen=True)
 class SplitSpec:
     test_fraction: float = 0.30
-    val_fraction_of_train: float = 0.20
+    val_fraction: float = 0.20  # of the train pool
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("test_fraction", "val_fraction_of_train"):
+        for name in ("test_fraction", "val_fraction"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {value}")
@@ -108,26 +129,21 @@ def load_manifest(data: bytes | str) -> list[ManifestEntry]:
     for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
-        path = row[0].strip()
-        label = row[1].strip()
-        if not path:
-            raise ParseError(f"line {lineno}: empty path")
-        if "\0" in path:  # no file system takes it
-            raise ParseError(f"line {lineno}: NUL byte in path")
-        if label not in LEAF_INDEX:
-            raise UnknownLabelError(f"line {lineno}: unknown label {label!r}")
-        order = row[2].strip() if len(row) == 3 else "RGB"
-        if order not in CHANNEL_ORDERS:
-            raise ParseError(f"line {lineno}: unknown channel order {order!r}")
-        entries.append(ManifestEntry(path, label, order))
+        try:
+            entries.append(ManifestEntry(*(cell.strip() for cell in row)))
+        except WxhierError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     return entries
 
 
 def csv_text(rows) -> str:
-    """``rows`` as CSV text with ``\\n`` line ends, fields quoted where needed."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    """``rows`` as CSV text with ``\\n`` line ends, fields quoted where needed.
+
+    Told ``\\r\\n`` line ends, the writer quotes a field holding a ``\\r`` too.
+    """
+    records: list[str] = []
+    csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n").writerows(rows)
+    return "".join(record[:-2] + "\n" for record in records)
 
 
 def manifest_to_csv(entries: list[ManifestEntry]) -> str:
@@ -139,7 +155,7 @@ def stratified_split(entries: list[ManifestEntry], spec: SplitSpec) -> SplitResu
     """Per-class seeded shuffle, then floor-sized test and val cuts.
 
     Per class of size n: floor(n * test_fraction) entries go to test, the
-    remainder form the train pool; floor(pool * val_fraction_of_train) go
+    remainder form the train pool; floor(pool * val_fraction) go
     to val, the rest to train.  Output lists keep the original manifest
     order.  Deterministic given (entries order, seed).
     """
@@ -149,7 +165,7 @@ def stratified_split(entries: list[ManifestEntry], spec: SplitSpec) -> SplitResu
     # arithmetic keeps floor(10 * 0.3) == 3 instead of flooring a float
     # that landed just below the true product.
     test_frac = Fraction(str(spec.test_fraction))
-    val_frac = Fraction(str(spec.val_fraction_of_train))
+    val_frac = Fraction(str(spec.val_fraction))
     train_idx: list[int] = []
     val_idx: list[int] = []
     test_idx: list[int] = []
@@ -172,28 +188,11 @@ def stratified_split(entries: list[ManifestEntry], spec: SplitSpec) -> SplitResu
     )
 
 
-@dataclass(frozen=True)
-class Distribution:
-    per_leaf: dict[str, int]
-    per_group: dict[str, int]
-    total: int
-
-
-def class_distribution(entries: list[ManifestEntry], taxonomy: Taxonomy) -> Distribution:
-    per_leaf = {leaf: 0 for leaf in LEAF_CLASSES}
-    for e in entries:
-        per_leaf[e.leaf] += 1
-    per_group = {g: 0 for g in COARSE_GROUPS}
-    for leaf, count in per_leaf.items():
-        per_group[group_of(leaf, taxonomy)] += count
-    return Distribution(per_leaf, per_group, len(entries))
-
-
 def distribution_csv(splits: dict[str, list[ManifestEntry]], taxonomy: Taxonomy) -> str:
     """Report rows ``leaf,count,group,split`` for external plotting."""
     rows: list[tuple] = [("leaf", "count", "group", "split")]
     for split_name, entries in splits.items():
-        dist = class_distribution(entries, taxonomy)
-        rows += [(leaf, dist.per_leaf[leaf], group_of(leaf, taxonomy), split_name)
+        counts = Counter(e.leaf for e in entries)
+        rows += [(leaf, counts[leaf], group_of(leaf, taxonomy), split_name)
                  for leaf in LEAF_CLASSES]
     return csv_text(rows)

@@ -13,7 +13,7 @@ Each of the five bundle roles has one definition of its classes
 per-group evaluation matrices all read them.
 
 ``load_standardized`` is the one data path from manifest entries to a
-standardized batch: training (train and val sets), evaluation, flat-model
+standardized batch: training (train and val sets), evaluation, model
 scoring in ``wxhier compare`` and ``wxhier preprocess`` all call it.
 """
 

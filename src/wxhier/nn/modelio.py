@@ -16,7 +16,8 @@ Tensor payloads are float32, matching the training dtype.  The layer
 classes in ``model`` define each ``kind`` and its parameter shapes; this
 module only maps kinds to classes through ``LAYER_TYPES``.  Every decode
 fault, including a header that describes an impossible model and
-non-finite parameters, surfaces as ``FormatError``.
+non-finite parameters, surfaces as ``FormatError``; the writer refuses
+labels and parameters through the reader's own checks.
 """
 
 from __future__ import annotations
@@ -111,8 +112,9 @@ def model_to_bytes(
     buf.write(np.uint32(len(header_bytes)).tobytes())
     buf.write(header_bytes)
     for layer, entry, shape in zip(spec.layers, params, M.input_shapes(spec)):
-        for key in layer.param_shapes(shape):
-            buf.write(tensor_to_bytes(entry[key].astype(np.float32)))
+        for key, want in layer.param_shapes(shape).items():
+            arr = _check_param(layer, key, entry[key].astype(np.float32), want)
+            buf.write(tensor_to_bytes(arr))
     return buf.getvalue()
 
 
@@ -143,11 +145,7 @@ def model_from_bytes(
         entry: dict[str, np.ndarray] = {}
         for key, want in layer.param_shapes(shape).items():
             arr, offset = tensor_from_bytes(data, offset)
-            if arr.shape != want:
-                raise FormatError(f"{layer.kind} {key} shape {arr.shape} != spec's {want}")
-            if not np.isfinite(arr).all():
-                raise FormatError(f"{layer.kind} {key} holds non-finite values")
-            entry[key] = arr
+            entry[key] = _check_param(layer, key, arr, want)
         params.append(entry)
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after parameters")
@@ -170,6 +168,15 @@ def _check_labels(labels, n_out: int) -> list[str] | None:
     ):
         raise FormatError(f"model labels must be {n_out} distinct names, got {labels!r}")
     return labels
+
+
+def _check_param(layer: M.LayerSpec, key: str, arr: np.ndarray, want) -> np.ndarray:
+    """``arr`` if it has the shape ``want`` and finite values; writer and reader both check."""
+    if arr.shape != want:
+        raise FormatError(f"{layer.kind} {key} shape {arr.shape} != spec's {want}")
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{layer.kind} {key} holds non-finite values")
+    return arr
 
 
 def save_model(

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, FormatError
+from .errors import DegenerateError, DimensionError, FormatError, ValidationError, WxhierError
 from .imageio import CHANNEL_ORDERS, ImageU8, bgr_to_rgb
 
 DEFAULT_WINDOW = 3
@@ -117,6 +117,8 @@ class NormalizationStats:
     sample_count: int
 
     def __post_init__(self):
+        if (type(self.mean), type(self.std), type(self.sample_count)) != (float, float, int):
+            raise ValidationError(f"need float mean and std and an int count, got {self!r}")
         if not (math.isfinite(self.mean) and math.isfinite(self.std) and self.std > 0):
             raise DegenerateError(f"need finite mean, positive std; got {self.mean}, {self.std}")
         if self.sample_count < 2:
@@ -196,13 +198,11 @@ def stats_to_dict(s: NormalizationStats) -> dict:
 
 
 def stats_from_dict(doc) -> NormalizationStats:
-    """Inverse of ``stats_to_dict``, coercing nothing; any fault is a ``FormatError``."""
+    """Inverse of ``stats_to_dict`` (integer moments read as floats); faults are ``FormatError``."""
     try:
-        mean, std, count = doc["mean"], doc["std"], doc["sample_count"]
-        if {type(mean), type(std)} - {int, float} or type(count) is not int:
-            raise FormatError("normalization stats need numbers and an integer sample_count")
-        return NormalizationStats(float(mean), float(std), count)
-    except (KeyError, TypeError, OverflowError, DegenerateError) as exc:
+        mean, std = (float(v) if type(v) is int else v for v in (doc["mean"], doc["std"]))
+        return NormalizationStats(mean, std, doc["sample_count"])
+    except (KeyError, TypeError, OverflowError, WxhierError) as exc:
         raise FormatError(f"bad normalization stats: {exc}") from None
 
 

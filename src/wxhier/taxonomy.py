@@ -50,8 +50,8 @@ class Taxonomy:
     def __post_init__(self):
         _check_total_map(self.leaf_to_group, COARSE_GROUPS, "groups")
         _check_total_map(self.leaf_to_safety, SAFETY_LEVELS, "safety")
-        if "\n" in self.version:
-            raise ValidationError(f"version must be one line, got {self.version!r}")
+        if "\n" in self.version or self.version != self.version.strip():  # as the reader gives it
+            raise ValidationError(f"version must be one unpadded line, got {self.version!r}")
 
 
 def _check_total_map(mapping: dict[str, str], targets: tuple[str, ...], section: str) -> None:

@@ -54,16 +54,3 @@ def tensor_from_bytes(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     arr = np.frombuffer(data[offset:end], dtype="<f4").reshape(dims)
     return arr.copy(), end
 
-
-def write_tensor(path, array: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(array))
-
-
-def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    arr, end = tensor_from_bytes(data)
-    if end != len(data):
-        raise FormatError(f"{path}: {len(data) - end} trailing bytes after tensor")
-    return arr

@@ -331,6 +331,9 @@ def test_evaluate_empty_manifest_exits_4(small_bundle, tmp_path, capsys):
 
 # ----------------------------------------------------------------- compare
 
+_STATS = NormalizationStats(127.5, 64.0, 2)
+
+
 def test_compare_four_rows(small_bundle, small_data, tmp_path, capsys):
     flat_out = tmp_path / "flat"
     rc = run("train", "--manifest", small_data / "manifest.csv", "--root", small_data,
@@ -349,12 +352,35 @@ def test_compare_four_rows(small_bundle, small_data, tmp_path, capsys):
     assert lines[1] == lines[3].replace("hier2", "hier")
 
 
+def test_compare_scores_a_bundle_with_one_routed_pass(small_bundle, small_data, tmp_path,
+                                                     monkeypatch):
+    from wxhier import evaluate
+
+    entries = load_manifest((small_data / "manifest.csv").read_bytes())
+    report = evaluate.evaluate_hierarchical(load_hierarchical(small_bundle), entries, small_data)
+
+    def refuse(*args):
+        raise AssertionError("compare ran the whole evaluation")
+
+    monkeypatch.setattr(evaluate, "evaluate_hierarchical", refuse)
+    monkeypatch.setattr(evaluate, "evaluate_hierarchical_tensors", refuse)
+    rc = run("compare", "--manifest", small_data / "manifest.csv", "--root", small_data,
+             "--output-dir", tmp_path, f"a={small_bundle}", f"b={small_bundle}")
+    assert rc == 0
+    want = compare_models([("a", report.e2e_leaf_accuracy), ("b", report.e2e_leaf_accuracy)])
+    assert (tmp_path / "comparison.csv").read_text() == want
+
+
 def test_compare_corrupt_model_exits_4(small_data, tmp_path, capsys):
     spec = nn.softmax_flat_spec((16, 16, 3), len(LEAF_CLASSES))
     params = nn.init_params(spec, np.random.default_rng(0))
-    params[1]["w"][0, 0] = np.nan
+    blob = bytearray(nn.model_to_bytes(spec, params, _STATS, list(LEAF_CLASSES)))
+    # the writer refuses a NaN weight, so the file gets one in the first
+    # weight's payload, past the header and the 16-byte rank-2 tensor frame
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    struct.pack_into("<f", blob, 12 + header_len + 16, np.nan)
     bad = tmp_path / "nan.wxm1"
-    nn.save_model(bad, spec, params, NormalizationStats(127.5, 64.0, 2), list(LEAF_CLASSES))
+    bad.write_bytes(bytes(blob))
     rc = run("compare", "--manifest", small_data / "manifest.csv", "--root", small_data,
              "--output-dir", tmp_path, f"a={bad}", f"b={bad}")
     assert rc == 4
@@ -387,9 +413,6 @@ def test_compare_flat_models_on_empty_manifest_exits_4(tmp_path, capsys):
     assert rc == 4
     assert "lists no images" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-_STATS = NormalizationStats(127.5, 64.0, 2)
 
 
 def _save_with_labels(path, spec, params, stats, labels):
@@ -440,7 +463,7 @@ def test_compare_bad_entry_shape(small_data, tmp_path):
 # -------------------------------------------------------------------- misc
 
 def test_stats_and_preprocess_round_trip(small_data, tmp_path):
-    from wxhier.tensorio import read_tensor
+    from wxhier.tensorio import tensor_from_bytes
 
     first, again = tmp_path / "first", tmp_path / "again"
     assert run("preprocess", "--manifest", small_data / "manifest.csv",
@@ -453,7 +476,9 @@ def test_stats_and_preprocess_round_trip(small_data, tmp_path):
                "--stats", first / "stats.json") == 0
     for name in ("stats.json", "tensors.wxt1", "labels.csv"):
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
-    assert read_tensor(again / "tensors.wxt1").shape == (88, 12, 12, 3)
+    data = (again / "tensors.wxt1").read_bytes()
+    tensors, end = tensor_from_bytes(data)
+    assert end == len(data) and tensors.shape == (88, 12, 12, 3)
     labels = (again / "labels.csv").read_text().strip().splitlines()
     assert labels[0] == "index,path,label"
     assert len(labels) == 89

@@ -1,5 +1,7 @@
 """Manifest CSV parsing and the deterministic stratified split."""
 
+import csv
+import io
 import math
 
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from wxhier.dataset import (
     ManifestEntry,
     SplitSpec,
-    class_distribution,
     distribution_csv,
     load_manifest,
     manifest_to_csv,
@@ -132,7 +133,7 @@ def test_split_is_a_partition(counts, seed):
 @settings(max_examples=60, deadline=None)
 def test_split_fractions_within_one_entry(counts, seed):
     entries = manifest_for(counts)
-    split = stratified_split(entries, SplitSpec(test_fraction=0.30, val_fraction_of_train=0.20, seed=seed))
+    split = stratified_split(entries, SplitSpec(test_fraction=0.30, val_fraction=0.20, seed=seed))
     for leaf, n in counts.items():
         n_test = sum(e.leaf == leaf for e in split.test)
         n_val = sum(e.leaf == leaf for e in split.val)
@@ -183,7 +184,7 @@ def test_split_spec_validation():
     with pytest.raises(ConfigError):
         SplitSpec(test_fraction=0.0)
     with pytest.raises(ConfigError):
-        SplitSpec(val_fraction_of_train=1.0)
+        SplitSpec(val_fraction=1.0)
 
 
 def test_tiny_classes_survive():
@@ -195,13 +196,16 @@ def test_tiny_classes_survive():
 
 # ------------------------------------------------------------ distribution
 
-def test_class_distribution_counts():
+def test_distribution_csv_counts():
     t = default_taxonomy()
     entries = manifest_for({"rain": 3, "snow": 2, "sandstorm": 4})
-    dist = class_distribution(entries, t)
-    assert dist.per_leaf["rain"] == 3
-    assert dist.per_leaf["dew"] == 0
-    assert dist.per_group == {"Rainy": 3, "Dusty": 4, "Cold": 2}
+    rows = list(csv.reader(io.StringIO(distribution_csv({"train": entries, "test": []}, t))))
+    counts = {(leaf, split): int(n) for leaf, n, _, split in rows[1:]}
+    assert counts[("rain", "train")] == 3 and counts[("sandstorm", "train")] == 4
+    assert counts[("dew", "train")] == 0
+    assert sum(n for (_, split), n in counts.items() if split == "train") == len(entries)
+    assert set(n for (_, split), n in counts.items() if split == "test") == {0}
+    assert {leaf: group for leaf, _, group, _ in rows[1:]} == t.leaf_to_group
 
 
 def test_distribution_csv_shape():

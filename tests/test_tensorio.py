@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wxhier.errors import FormatError, ShapeError
-from wxhier.tensorio import (
-    MAGIC,
-    MAX_RANK,
-    read_tensor,
-    tensor_from_bytes,
-    tensor_to_bytes,
-    write_tensor,
-)
+from wxhier.tensorio import MAGIC, MAX_RANK, tensor_from_bytes, tensor_to_bytes
 
 finite_f32 = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, width=32
@@ -103,20 +96,3 @@ def test_writer_refuses_the_shapes_the_reader_cannot_frame():
         with pytest.raises(ShapeError, match="does not fit the container"):
             tensor_to_bytes(np.zeros(shape, dtype=np.float32))
 
-
-def test_trailing_bytes_rejected_by_file_reader(tmp_path):
-    path = tmp_path / "t.wxt1"
-    path.write_bytes(tensor_to_bytes(np.ones(2, dtype=np.float32)) + b"\x00")
-    with pytest.raises(FormatError, match="trailing"):
-        read_tensor(path)
-
-
-def test_file_helpers(tmp_path):
-    arr = np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4)
-    path = tmp_path / "t.wxt1"
-    write_tensor(path, arr)
-    again = read_tensor(path)
-    assert again.tobytes() == arr.tobytes()
-    # same content twice -> identical bytes on disk
-    write_tensor(tmp_path / "t2.wxt1", arr)
-    assert path.read_bytes() == (tmp_path / "t2.wxt1").read_bytes()
