@@ -65,6 +65,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an int, got {self.seed!r}")
         for name in ("test_fraction", "val_fraction"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:

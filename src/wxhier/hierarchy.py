@@ -147,9 +147,12 @@ class HierarchicalModel:
 
     def __post_init__(self):
         for role, want in role_classes(self.taxonomy).items():
-            got = getattr(self, role).classes
-            if got != want:
-                raise ValidationError(f"{role} model classes {got} != {want}")
+            sub = getattr(self, role)
+            if sub.classes != want:
+                raise ValidationError(f"{role} model classes {sub.classes} != {want}")
+            if sub.spec.input_shape != self.primary.spec.input_shape:
+                shapes = f"{sub.spec.input_shape} != primary's {self.primary.spec.input_shape}"
+                raise ValidationError(f"{role} model input {shapes}")
 
     def sub_for_group(self, group: str) -> SubModel:
         return getattr(self, GROUP_ROLES[group])
@@ -248,8 +251,8 @@ class HierTrainConfig(TrainConfig):
         try:
             self.spec(1)
         except ShapeError as exc:
-            h, w = self.input_hw
-            msg = f"input size {h}x{w} does not fit the {self.scale!r} preset: {exc}"
+            size = "x".join(map(str, self.input_hw))
+            msg = f"input size {size} does not fit the {self.scale!r} preset: {exc}"
             raise ConfigError(msg) from None
 
     def spec(self, n_out: int) -> ModelSpec:

@@ -1,12 +1,13 @@
 """Model descriptions: a strict chain of layer specs plus parameter arrays.
 
 Each layer spec class is the one definition of its layer type: its
-serialized ``kind``, its output shape, its parameter shapes in
-serialization order, its trainable keys, its initialization and the
-kernels of its forward and backward steps.  ``shape_infer``,
-``init_params``, ``forward_pass`` and ``backward_from_logits`` are plain
-loops over the chain.  Parameters are a list aligned with the layers;
-each element is a dict of named arrays (empty for parameterless layers).
+serialized ``kind``, the types and ranges of its fields (checked when it
+is built), its output shape, its parameter shapes in serialization
+order, its trainable keys, its initialization and the kernels of its
+forward and backward steps.  ``shape_infer``, ``init_params``,
+``forward_pass`` and ``backward_from_logits`` are plain loops over the
+chain.  Parameters are a list aligned with the layers; each element is a
+dict of named arrays (empty for parameterless layers).
 
 Layer steps look kernels up as ``L.<kernel>`` at call time, so a kernel
 replaced on the ``layers`` module is the one that runs.
@@ -14,7 +15,8 @@ replaced on the ``layers`` module is the one that runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -47,6 +49,18 @@ class LayerSpec:
 
     kind: ClassVar[str]
     trainable: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self):
+        """Refuse a value its field's annotation does not allow: an ``int``
+        field takes a Python int, a ``float`` field an int or float finite as
+        a float, and neither takes a bool or a numpy scalar."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ShapeError(f"{self.kind} {f.name} must be an int, got {value!r}")
+            finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+            if f.type == "float" and not finite:
+                raise ConfigError(f"{self.kind} {f.name} must be a finite number, got {value!r}")
 
     def out_shape(self, shape: Shape) -> Shape:
         return shape
@@ -95,6 +109,7 @@ class Conv(_WeightBias):
     padding: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.filters < 1 or self.kernel < 1 or self.stride < 1 or self.padding < 0:
             raise ShapeError(f"bad conv spec {self}")
 
@@ -137,6 +152,7 @@ class BatchNorm(LayerSpec):
     momentum: float = 0.1
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.epsilon > 0 or not 0.0 <= self.momentum <= 1.0:
             raise ConfigError(f"batchnorm needs epsilon > 0 and momentum in [0, 1]: {self}")
 
@@ -186,6 +202,7 @@ class AvgPool(LayerSpec):
     stride: int
 
     def __post_init__(self):
+        super().__post_init__()
         if self.window < 1 or self.stride < 1:
             raise ShapeError(f"bad pool spec {self}")
 
@@ -207,6 +224,7 @@ class Dropout(LayerSpec):
     rate: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate must lie in [0, 1), got {self.rate}")
 
@@ -238,6 +256,7 @@ class Dense(_WeightBias):
     units: int
 
     def __post_init__(self):
+        super().__post_init__()
         if self.units < 1:
             raise ShapeError(f"dense units must be >= 1, got {self.units}")
 
@@ -276,7 +295,7 @@ LAYER_TYPES: tuple[type[LayerSpec], ...] = (
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A layer chain whose shapes are checked when it is built."""
+    """A layer chain whose field types and shapes are checked when it is built."""
 
     input_shape: Shape  # (H, W, C)
     layers: tuple[LayerSpec, ...]
@@ -285,6 +304,8 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        if not all(type(v) is int for v in (*self.input_shape, self.n_out)):
+            raise ShapeError(f"input shape {self.input_shape} and n_out {self.n_out!r} need ints")
         if len(self.input_shape) != 3 or min(self.input_shape) < 1:
             raise ShapeError(f"input shape must be (H, W, C), got {self.input_shape}")
         if len(self.layers) < 2 or not (

@@ -13,8 +13,9 @@ Layout:
                  batchnorm: gamma, beta, running_mean, running_var)
 
 Tensor payloads are float32, matching the training dtype.  The layer
-classes in ``model`` define each ``kind`` and its parameter shapes; this
-module only maps kinds to classes through ``LAYER_TYPES``.  Every decode
+classes and ``ModelSpec`` in ``model`` own each ``kind``, field rule and
+parameter shape, and refuse a bad value when built; this module only
+parses, mapping kinds to classes through ``LAYER_TYPES``.  Every decode
 fault, including a header that describes an impossible model and
 non-finite parameters, surfaces as ``FormatError``; the writer refuses
 labels and parameters through the reader's own checks.
@@ -24,8 +25,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +38,10 @@ MAGIC = b"WXM1"
 VERSION = 1
 
 _LAYER_KINDS: dict[str, type[M.LayerSpec]] = {cls.kind: cls for cls in M.LAYER_TYPES}
-# JSON value types accepted for each annotated layer field type
-_FIELD_TYPES = {"int": (int,), "float": (int, float)}
 
 
 def layer_to_dict(layer: M.LayerSpec) -> dict:
-    d = {"kind": layer.kind}
-    d.update(vars(layer))
-    return d
+    return {"kind": layer.kind, **vars(layer)}
 
 
 def layer_from_dict(d: dict) -> M.LayerSpec:
@@ -57,10 +52,6 @@ def layer_from_dict(d: dict) -> M.LayerSpec:
     cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise FormatError(f"unknown layer kind {kind!r}")
-    for f in fields(cls):
-        value = d.get(f.name, 0)
-        if type(value) not in _FIELD_TYPES[f.type] or not math.isfinite(value):
-            raise FormatError(f"layer {kind!r} field {f.name!r} must be a finite {f.type}")
     try:
         return cls(**d)
     except TypeError as exc:
@@ -68,32 +59,20 @@ def layer_from_dict(d: dict) -> M.LayerSpec:
 
 
 def spec_to_dict(spec: M.ModelSpec) -> dict:
-    return {
-        "input_shape": list(spec.input_shape),
-        "n_out": spec.n_out,
-        "layers": [layer_to_dict(layer) for layer in spec.layers],
-    }
+    layers = [layer_to_dict(layer) for layer in spec.layers]
+    return {"input_shape": list(spec.input_shape), "n_out": spec.n_out, "layers": layers}
 
 
 def spec_from_dict(d: dict) -> M.ModelSpec:
     """Build and shape-check a spec; any fault in ``d`` is a ``FormatError``."""
     try:
-        if not isinstance(d["layers"], list):
-            raise FormatError("model header field 'layers' must be a list")
-        _check_ints("input_shape", d["input_shape"])
-        _check_ints("n_out", [d["n_out"]])
-        return M.ModelSpec(
-            tuple(d["input_shape"]), tuple(layer_from_dict(ld) for ld in d["layers"]), d["n_out"]
-        )
+        if not (isinstance(d["layers"], list) and isinstance(d["input_shape"], list)):
+            raise FormatError("model header fields 'layers' and 'input_shape' must be lists")
+        return M.ModelSpec(d["input_shape"], tuple(map(layer_from_dict, d["layers"])), d["n_out"])
     except KeyError as exc:
         raise FormatError(f"model header missing field {exc}") from None
     except (ShapeError, ConfigError) as exc:
         raise FormatError(f"model header describes no valid model: {exc}") from None
-
-
-def _check_ints(what: str, values) -> None:
-    if not isinstance(values, list) or not all(type(v) is int for v in values):
-        raise FormatError(f"model header field {what!r} must hold integers, got {values!r}")
 
 
 def model_to_bytes(

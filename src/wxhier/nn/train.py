@@ -37,6 +37,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import struct
 import subprocess
 import sys
@@ -326,6 +327,27 @@ def test_evaluate_empty_manifest_exits_4(small_bundle, tmp_path, capsys):
              "--output-dir", tmp_path / "out")
     assert rc == 4
     assert "lists no images" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bundle_with_a_sub_model_of_another_input_size_exits_4(small_bundle, small_data,
+                                                                tmp_path, capsys):
+    # an 8x8 sub_rainy in a 16 px bundle, with the content hash recomputed
+    bundle = tmp_path / "bundle"
+    shutil.copytree(small_bundle, bundle)
+    sub = hierarchy.init_hierarchical(default_taxonomy(), (8, 8)).sub_rainy
+    stats = load_hierarchical(small_bundle).stats
+    blob = nn.model_to_bytes(sub.spec, sub.params, stats, list(sub.classes))
+    (bundle / "sub_rainy.wxm1").write_bytes(blob)
+    manifest = json.loads((bundle / "bundle.json").read_text())
+    manifest["content_hash"] = bundle_content_hash(bundle)
+    (bundle / "bundle.json").write_text(json.dumps(manifest))
+    assert run("predict", "--bundle", bundle, small_data / "rain" / "000.ppm") == 4
+    assert "sub_rainy model input (8, 8, 3) != primary's (16, 16, 3)" in capsys.readouterr().err
+    rc = run("evaluate", "--bundle", bundle, "--manifest", small_data / "manifest.csv",
+             "--root", small_data, "--output-dir", tmp_path / "out")
+    assert rc == 4
+    assert "sub_rainy model input" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

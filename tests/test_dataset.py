@@ -185,6 +185,9 @@ def test_split_spec_validation():
         SplitSpec(test_fraction=0.0)
     with pytest.raises(ConfigError):
         SplitSpec(val_fraction=1.0)
+    for seed in (1.5, True, "1"):
+        with pytest.raises(ConfigError, match="seed must be an int"):
+            SplitSpec(seed=seed)
 
 
 def test_tiny_classes_survive():

@@ -168,6 +168,7 @@ def test_hier_report_json(scored_report):
     assert set(doc["sub_model_accuracy"]["oracle_routed"]) == {"Rainy", "Dusty", "Cold"}
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_oracle_rejects_non_finite_probabilities():
     # every row routes to Rainy, so only the oracle pass runs sub_dusty
     from wxhier.hierarchy import init_hierarchical

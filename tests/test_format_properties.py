@@ -6,7 +6,9 @@ accepts must read back equal from the bytes the writer makes of it.
 """
 
 import csv
+import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +19,18 @@ from hypothesis.extra import numpy as hnp
 
 from wxhier.dataset import ManifestEntry, load_manifest, manifest_to_csv
 from wxhier.errors import (
-    FormatError, ParseError, UnknownLabelError, ValidationError, WxhierError
+    ConfigError, FormatError, ParseError, ShapeError, UnknownLabelError, ValidationError,
+    WxhierError,
 )
 from wxhier.hierarchy import (
-    MODEL_ROLES, init_hierarchical, load_hierarchical, save_hierarchical
+    MODEL_ROLES, HierTrainConfig, init_hierarchical, load_hierarchical, save_hierarchical
 )
 from wxhier.imageio import CHANNEL_ORDERS, ImageU8, decode_ppm, encode_ppm
 from wxhier.nn import (
-    basic_cnn_spec, init_params, model_from_bytes, model_to_bytes, softmax_flat_spec
+    AvgPool, BatchNorm, Conv, Dense, Dropout, Flatten, ModelSpec, ReLU, Softmax, basic_cnn_spec,
+    init_params, model_from_bytes, model_to_bytes, softmax_flat_spec,
 )
+from wxhier.nn.model import LAYER_TYPES
 from wxhier.preprocess import NormalizationStats, stats_from_json, stats_to_json
 from wxhier.taxonomy import (
     COARSE_GROUPS, LEAF_CLASSES, SAFETY_LEVELS, Taxonomy, default_taxonomy, load_taxonomy,
@@ -43,6 +48,7 @@ def _made(build, *args):
 
 
 _NAN_SPEC = softmax_flat_spec((2, 2, 3), 2)
+_FLAT_HEAD = (Flatten(), Dense(2), Softmax())
 
 
 def _nan_params():
@@ -68,6 +74,25 @@ def _nan_params():
                      id="numpy-count"),
         pytest.param(lambda: model_to_bytes(_NAN_SPEC, _nan_params()), FormatError,
                      id="nan-parameter"),
+        # layer fields and header integers of a .wxm1 model
+        pytest.param(lambda: Conv(2, 3, stride=True), ShapeError, id="conv-bool-stride"),
+        pytest.param(lambda: BatchNorm(epsilon=math.inf), ConfigError, id="inf-epsilon"),
+        pytest.param(lambda: BatchNorm(epsilon=10**400), ConfigError, id="epsilon-beyond-float"),
+        pytest.param(lambda: BatchNorm(momentum=True), ConfigError, id="bool-momentum"),
+        pytest.param(lambda: Dropout(False), ConfigError, id="bool-rate"),
+        pytest.param(lambda: Conv(np.int64(2), 3), ShapeError, id="numpy-filters"),
+        pytest.param(lambda: Dense(np.int64(2)), ShapeError, id="numpy-units"),
+        pytest.param(lambda: Dropout(np.float32(0.5)), ConfigError, id="numpy-rate"),
+        pytest.param(lambda: ModelSpec((2, 2, 3), _FLAT_HEAD, np.int64(2)), ShapeError,
+                     id="numpy-n-out"),
+        pytest.param(lambda: ModelSpec((np.int64(2), 2, 3), _FLAT_HEAD, 2), ShapeError,
+                     id="numpy-input-side"),
+        pytest.param(lambda: Conv(2, 3.0), ShapeError, id="float-kernel"),
+        pytest.param(lambda: AvgPool(2.0, 2), ShapeError, id="float-window"),
+        pytest.param(lambda: ModelSpec((8.0, 8, 3), _FLAT_HEAD, 2), ShapeError,
+                     id="float-input-side"),
+        pytest.param(lambda: HierTrainConfig(epochs=1, input_hw=(32.0, 32.0)), ConfigError,
+                     id="float-input-hw"),
     ],
 )
 def test_writer_refuses_what_its_reader_refuses(build, exc):
@@ -178,6 +203,61 @@ def test_model_reads_back_equal(which, seed, poison, stats, labels):
         assert entry.keys() == again.keys()
         for key in entry:
             assert again[key].tobytes() == entry[key].astype(np.float32).tobytes()
+
+
+# A model that holds every layer type.  The property below swaps some of
+# its layer fields, input sides and n_out for values of other types.
+_BASE = ModelSpec(
+    (4, 4, 2),
+    (Conv(3, 3, padding=1), BatchNorm(), ReLU(), AvgPool(2, 2), Dropout(0.25), Flatten(),
+     Dense(4), Dense(3), Softmax()),
+    3,
+)
+_SLOTS = [
+    *((i, f.name) for i, layer in enumerate(_BASE.layers) for f in fields(layer)),
+    *(("input_shape", i) for i in range(3)),
+    ("n_out", None),
+]
+# a small Python int or float, which a field may take; a small number as a
+# float, a numpy scalar or a string; a bool; any float, inf and nan included
+_VALUES = (
+    st.integers(1, 3)
+    | st.floats(0, 0.9)
+    | st.builds(lambda kind, k: kind(k), st.sampled_from([float, np.int64, np.float32, str]),
+                st.integers(0, 4))
+    | st.booleans()
+    | st.floats()
+)
+
+
+def _changed(changes):
+    """``_BASE`` with each (slot, value) of ``changes`` set, and its parameters."""
+    input_shape, n_out = list(_BASE.input_shape), _BASE.n_out
+    layer_fields = [vars(layer) for layer in _BASE.layers]
+    for (where, key), value in changes:
+        if where == "input_shape":
+            input_shape[key] = value
+        elif where == "n_out":
+            n_out = value
+        else:
+            layer_fields[where] = {**layer_fields[where], key: value}
+    layers = [type(layer)(**f) for layer, f in zip(_BASE.layers, layer_fields)]
+    spec = ModelSpec(input_shape, layers, n_out)
+    return spec, init_params(spec, np.random.default_rng(0))
+
+
+@given(st.lists(st.tuples(st.sampled_from(_SLOTS), _VALUES), max_size=3))
+@example([((0, "filters"), np.int64(3))])
+@example([((0, "kernel"), 3.0)])
+@example([((1, "momentum"), True)])
+@example([(("n_out", None), np.int64(3))])
+@example([(("input_shape", 0), 4.0)])
+@settings(max_examples=80, deadline=None)
+def test_spec_fields_read_back_equal(changes):
+    assert {type(layer) for layer in _BASE.layers} == set(LAYER_TYPES)
+    made = _made(_changed, changes)
+    if made is not None:
+        assert model_from_bytes(model_to_bytes(*made))[0] == made[0]
 
 
 # ------------------------------------------------------------------- .wxt1

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,13 @@ def test_model_requires_group_alignment(random_model):
             taxonomy=random_model.taxonomy,
             stats=random_model.stats,
         )
+
+
+def test_model_requires_one_input_shape(random_model):
+    # a sub-model of another input size would fail only once an image is routed to it
+    small = init_hierarchical(default_taxonomy(), input_hw=(8, 8), scale="micro")
+    with pytest.raises(ValidationError, match="sub_cold_safety model input"):
+        replace(random_model, sub_cold_safety=small.sub_cold_safety)
 
 
 # ------------------------------------------------------------- persistence
@@ -389,6 +397,11 @@ def test_bad_train_config_fails_before_decoding(small_data, monkeypatch, name, v
     with pytest.raises(ConfigError, match=name):
         train_hierarchical(entries, default_taxonomy(), HierTrainConfig(**kwargs), root=small_data)
     assert decoded == []
+
+
+def test_input_size_of_one_side_is_config_error():
+    with pytest.raises(ConfigError, match="input size 32 does not fit the 'micro' preset"):
+        HierTrainConfig(input_hw=(32,), scale="micro", epochs=1)
 
 
 def no_cold_hazard_taxonomy() -> Taxonomy:

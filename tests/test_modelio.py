@@ -176,8 +176,9 @@ def test_unknown_layer_kind_rejected():
         model_from_bytes(model_to_bytes(spec, nan_params))
     cnn = basic_cnn_spec((8, 8, 3), 3)
     cnn_blob = model_to_bytes(cnn, init_params(cnn, np.random.default_rng(0)))
-    with pytest.raises(FormatError):
-        model_from_bytes(patch_header(cnn_blob, set_field(("layers", 1, "epsilon"), -1.0)))
+    for epsilon in (-1.0, 10**400):  # a JSON integer beyond float range, too
+        with pytest.raises(FormatError):
+            model_from_bytes(patch_header(cnn_blob, set_field(("layers", 1, "epsilon"), epsilon)))
 
 
 @pytest.mark.parametrize(

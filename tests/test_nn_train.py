@@ -50,6 +50,11 @@ def test_train_config_validation():
         TrainConfig(epochs=1, momentum=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, batch_size=0)
+    # counts and seeds are ints, refused when built rather than later as TypeError
+    for name in ("epochs", "batch_size", "seed"):
+        for value in (2.5, True, np.int64(2)):
+            with pytest.raises(ConfigError, match=f"{name} must be an int"):
+                TrainConfig(**{"epochs": 1, name: value})
 
 
 def test_one_hot_matrix():
