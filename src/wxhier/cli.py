@@ -417,7 +417,7 @@ def cmd_compare(args) -> int:
 
 def cmd_synth(args) -> int:
     manifest = generate_dataset(
-        _outdir(args), per_class=args.per_class, size=args.image_size, seed=args.seed
+        args.output_dir, per_class=args.per_class, size=args.image_size, seed=args.seed
     )
     print(f"wrote {len(LEAF_CLASSES) * args.per_class} images; manifest: {manifest}")
     return 0

@@ -25,6 +25,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import ConfigError, EmptyManifestError, ParseError, UnknownLabelError, WxhierError
+from .errors import check_fields
 from .imageio import CHANNEL_ORDERS
 from .taxonomy import LEAF_CLASSES, LEAF_INDEX, Taxonomy, group_of
 
@@ -44,6 +45,7 @@ class ManifestEntry:
     channel_order: str = "RGB"
 
     def __post_init__(self):
+        check_fields(self, ParseError)
         if not self.path:
             raise ParseError("empty path")
         if self.path != self.path.strip():
@@ -65,8 +67,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if type(self.seed) is not int:
-            raise ConfigError(f"seed must be an int, got {self.seed!r}")
+        check_fields(self, ConfigError)  # any int seeds the split: splitmix masks it
         for name in ("test_fraction", "val_fraction"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:

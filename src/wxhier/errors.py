@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check_fields``, its one field-type rule."""
+
+import sys
+from dataclasses import fields
 
 
 class WxhierError(Exception):
@@ -55,3 +58,24 @@ class LabelRangeError(WxhierError):
 
 class EmptyMatrixError(WxhierError):
     """Metrics requested on a confusion matrix with no samples."""
+
+
+_TAKES = {"int": "an int", "float": "a finite number", "str": "a str",
+          "tuple[int, ...]": "a tuple of ints"}
+
+
+def check_fields(obj, error: type[WxhierError]) -> None:
+    """Raise ``error`` for the first field of dataclass ``obj`` that its annotation
+    string refuses: ``int`` takes a Python int, ``float`` an int or float finite as
+    a float, ``str`` a str, ``tuple[int, ...]`` a tuple of Python ints, and none a
+    bool or a numpy scalar.  Each value object calls it, then checks its ranges."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "float":
+            ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        elif f.type == "tuple[int, ...]":
+            ok = type(value) is tuple and all(type(v) is int for v in value)
+        else:  # an int or str field takes that exact type; other fields anything
+            ok = type(value) is {"int": int, "str": str}.get(f.type, type(value))
+        if not ok:
+            raise error(f"{f.name} must be {_TAKES[f.type]}, got {value!r}")

@@ -242,7 +242,7 @@ class HierTrainConfig(TrainConfig):
     CNN the five models share, all checked when built.
     """
 
-    input_hw: tuple[int, int] = (100, 100)
+    input_hw: tuple[int, ...] = (100, 100)  # (H, W); another length fits no preset
     scale: str = "micro"  # basic-CNN block preset of every model
     dropout: float = 0.25
 

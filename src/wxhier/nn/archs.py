@@ -41,7 +41,7 @@ _VGG_DENSE = 4096
 def softmax_flat_spec(input_shape: tuple[int, int, int], n_out: int) -> ModelSpec:
     """Flat softmax regression over raw pixels: the weak baseline."""
     layers: tuple[LayerSpec, ...] = (Flatten(), Dense(n_out), Softmax())
-    return ModelSpec(input_shape, layers, n_out)
+    return ModelSpec(tuple(input_shape), layers, n_out)
 
 
 def basic_cnn_spec(

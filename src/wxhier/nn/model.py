@@ -1,13 +1,13 @@
 """Model descriptions: a strict chain of layer specs plus parameter arrays.
 
 Each layer spec class is the one definition of its layer type: its
-serialized ``kind``, the types and ranges of its fields (checked when it
-is built), its output shape, its parameter shapes in serialization
-order, its trainable keys, its initialization and the kernels of its
-forward and backward steps.  ``shape_infer``, ``init_params``,
-``forward_pass`` and ``backward_from_logits`` are plain loops over the
-chain.  Parameters are a list aligned with the layers; each element is a
-dict of named arrays (empty for parameterless layers).
+serialized ``kind``, its field ranges (checked when it is built, after
+``errors.check_fields`` checks the field types), its output shape, its
+parameter shapes in serialization order, its trainable keys, its
+initialization and the kernels of its forward and backward steps.
+``shape_infer``, ``init_params``, ``forward_pass`` and ``backward_from_logits``
+are plain loops over the chain.  Parameters are a list aligned with the
+layers; each is a dict of named arrays (empty for parameterless layers).
 
 Layer steps look kernels up as ``L.<kernel>`` at call time, so a kernel
 replaced on the ``layers`` module is the one that runs.
@@ -15,13 +15,13 @@ replaced on the ``layers`` module is the one that runs.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateError, ShapeError
+from ..errors import ConfigError, DegenerateError, ShapeError, check_fields
+from ..tensorio import DIM_LIMIT
 from . import layers as L
 
 Shape = tuple[int, ...]
@@ -49,18 +49,6 @@ class LayerSpec:
 
     kind: ClassVar[str]
     trainable: ClassVar[tuple[str, ...]] = ()
-
-    def __post_init__(self):
-        """Refuse a value its field's annotation does not allow: an ``int``
-        field takes a Python int, a ``float`` field an int or float finite as
-        a float, and neither takes a bool or a numpy scalar."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and type(value) is not int:
-                raise ShapeError(f"{self.kind} {f.name} must be an int, got {value!r}")
-            finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
-            if f.type == "float" and not finite:
-                raise ConfigError(f"{self.kind} {f.name} must be a finite number, got {value!r}")
 
     def out_shape(self, shape: Shape) -> Shape:
         return shape
@@ -109,7 +97,7 @@ class Conv(_WeightBias):
     padding: int = 0
 
     def __post_init__(self):
-        super().__post_init__()
+        check_fields(self, ShapeError)
         if self.filters < 1 or self.kernel < 1 or self.stride < 1 or self.padding < 0:
             raise ShapeError(f"bad conv spec {self}")
 
@@ -152,7 +140,7 @@ class BatchNorm(LayerSpec):
     momentum: float = 0.1
 
     def __post_init__(self):
-        super().__post_init__()
+        check_fields(self, ConfigError)
         if not self.epsilon > 0 or not 0.0 <= self.momentum <= 1.0:
             raise ConfigError(f"batchnorm needs epsilon > 0 and momentum in [0, 1]: {self}")
 
@@ -202,7 +190,7 @@ class AvgPool(LayerSpec):
     stride: int
 
     def __post_init__(self):
-        super().__post_init__()
+        check_fields(self, ShapeError)
         if self.window < 1 or self.stride < 1:
             raise ShapeError(f"bad pool spec {self}")
 
@@ -224,7 +212,7 @@ class Dropout(LayerSpec):
     rate: float
 
     def __post_init__(self):
-        super().__post_init__()
+        check_fields(self, ConfigError)
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate must lie in [0, 1), got {self.rate}")
 
@@ -256,7 +244,7 @@ class Dense(_WeightBias):
     units: int
 
     def __post_init__(self):
-        super().__post_init__()
+        check_fields(self, ShapeError)
         if self.units < 1:
             raise ShapeError(f"dense units must be >= 1, got {self.units}")
 
@@ -295,17 +283,15 @@ LAYER_TYPES: tuple[type[LayerSpec], ...] = (
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A layer chain whose field types and shapes are checked when it is built."""
+    """A layer chain whose field types, shapes and dimension limit are checked when built."""
 
-    input_shape: Shape  # (H, W, C)
+    input_shape: tuple[int, ...]  # (H, W, C)
     layers: tuple[LayerSpec, ...]
     n_out: int
 
     def __post_init__(self):
+        check_fields(self, ShapeError)
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        if not all(type(v) is int for v in (*self.input_shape, self.n_out)):
-            raise ShapeError(f"input shape {self.input_shape} and n_out {self.n_out!r} need ints")
         if len(self.input_shape) != 3 or min(self.input_shape) < 1:
             raise ShapeError(f"input shape must be (H, W, C), got {self.input_shape}")
         if len(self.layers) < 2 or not (
@@ -314,7 +300,9 @@ class ModelSpec:
             and isinstance(self.layers[-1], Softmax)
         ):
             raise ShapeError("model must end with Dense(n_out) then Softmax")
-        shape_infer(self)
+        for layer, x in zip(self.layers, input_shapes(self)):  # runs shape_infer
+            if max(d for s in (x, *layer.param_shapes(x).values()) for d in s) >= DIM_LIMIT:
+                raise ShapeError("an activation or parameter dimension reaches 2**32")
 
 
 def shape_infer(spec: ModelSpec) -> list[Shape]:

@@ -68,7 +68,8 @@ def spec_from_dict(d: dict) -> M.ModelSpec:
     try:
         if not (isinstance(d["layers"], list) and isinstance(d["input_shape"], list)):
             raise FormatError("model header fields 'layers' and 'input_shape' must be lists")
-        return M.ModelSpec(d["input_shape"], tuple(map(layer_from_dict, d["layers"])), d["n_out"])
+        layers = map(layer_from_dict, d["layers"])
+        return M.ModelSpec(tuple(d["input_shape"]), tuple(layers), d["n_out"])
     except KeyError as exc:
         raise FormatError(f"model header missing field {exc}") from None
     except (ShapeError, ConfigError) as exc:

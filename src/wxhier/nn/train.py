@@ -9,12 +9,11 @@ bit-identical parameters.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateError, ShapeError
+from ..errors import ConfigError, DegenerateError, ShapeError, check_fields
 from .model import (
     ModelSpec,
     Params,
@@ -37,10 +36,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if not 0 < self.learning_rate < math.inf:
+        check_fields(self, ConfigError)
+        if not self.learning_rate > 0:  # finite, by check_fields
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -48,6 +45,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.seed < 0:  # numpy seeds no generator from a negative int
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,7 @@ class NormalizationStats:
     sample_count: int
 
     def __post_init__(self):
+        # exact floats: the reader reads JSON ints as floats, so one above 2**53 reads back changed
         if (type(self.mean), type(self.std), type(self.sample_count)) != (float, float, int):
             raise ValidationError(f"need float mean and std and an int count, got {self!r}")
         if not (math.isfinite(self.mean) and math.isfinite(self.std) and self.std > 0):

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ManifestEntry, manifest_to_csv
+from .errors import ConfigError
 from .imageio import ImageU8, encode_ppm
 from .taxonomy import LEAF_CLASSES
 
@@ -209,6 +210,8 @@ def generate_dataset(
 
     Manifest paths are relative to ``outdir``.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     outdir = Path(outdir)
     rng = np.random.default_rng(seed)
     entries: list[ManifestEntry] = []

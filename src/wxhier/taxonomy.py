@@ -11,7 +11,7 @@ import configparser
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_fields
 
 LEAF_CLASSES: tuple[str, ...] = (
     "dew",
@@ -48,6 +48,7 @@ class Taxonomy:
     version: str = "unversioned"
 
     def __post_init__(self):
+        check_fields(self, ValidationError)
         _check_total_map(self.leaf_to_group, COARSE_GROUPS, "groups")
         _check_total_map(self.leaf_to_safety, SAFETY_LEVELS, "safety")
         if "\n" in self.version or self.version != self.version.strip():  # as the reader gives it

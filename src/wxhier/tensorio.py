@@ -3,7 +3,7 @@
 Layout: magic ``WXT1``, little-endian u32 rank, u32 dims[rank], then the
 raw little-endian float32 payload in row-major order.  The rank is at most
 ``MAX_RANK``: the writer refuses a deeper array, the reader a deeper frame.
-A dimension must fit its u32, which only a zero-size array can exceed.
+A dimension lies below ``DIM_LIMIT``, which only a zero-size array exceeds.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from .errors import FormatError, ShapeError
 
 MAGIC = b"WXT1"
 MAX_RANK = 8
+DIM_LIMIT = 1 << 32  # every stored dimension is a u32
 
 
 def tensor_to_bytes(array: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(array, dtype="<f4")
-    if arr.ndim > MAX_RANK or max(arr.shape) >= 1 << 32:
+    if arr.ndim > MAX_RANK or max(arr.shape) >= DIM_LIMIT:
         raise ShapeError(
             f"tensor shape {arr.shape} does not fit the container: "
             f"rank at most {MAX_RANK}, each dimension below 2**32"

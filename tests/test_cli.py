@@ -596,6 +596,8 @@ def _config(tmp_path, doc):
         ("preprocess", "input_size", 3),
         ("synth", "per_class", 0),
         ("synth", "image_size", 7),
+        ("train", "seed", -1),
+        ("synth", "seed", -1),
     ],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])

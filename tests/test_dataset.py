@@ -188,6 +188,7 @@ def test_split_spec_validation():
     for seed in (1.5, True, "1"):
         with pytest.raises(ConfigError, match="seed must be an int"):
             SplitSpec(seed=seed)
+    SplitSpec(seed=-1)  # splitmix masks any int seed to 64 bits
 
 
 def test_tiny_classes_survive():

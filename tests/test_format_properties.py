@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wxhier.dataset import ManifestEntry, load_manifest, manifest_to_csv
+from wxhier.dataset import ManifestEntry, SplitSpec, load_manifest, manifest_to_csv
 from wxhier.errors import (
     ConfigError, FormatError, ParseError, ShapeError, UnknownLabelError, ValidationError,
     WxhierError,
@@ -28,7 +28,7 @@ from wxhier.hierarchy import (
 from wxhier.imageio import CHANNEL_ORDERS, ImageU8, decode_ppm, encode_ppm
 from wxhier.nn import (
     AvgPool, BatchNorm, Conv, Dense, Dropout, Flatten, ModelSpec, ReLU, Softmax, basic_cnn_spec,
-    init_params, model_from_bytes, model_to_bytes, softmax_flat_spec,
+    TrainConfig, init_params, model_from_bytes, model_to_bytes, softmax_flat_spec,
 )
 from wxhier.nn.model import LAYER_TYPES
 from wxhier.preprocess import NormalizationStats, stats_from_json, stats_to_json
@@ -93,11 +93,91 @@ def _nan_params():
                      id="float-input-side"),
         pytest.param(lambda: HierTrainConfig(epochs=1, input_hw=(32.0, 32.0)), ConfigError,
                      id="float-input-hw"),
+        # dimensions that no parameter tensor or container can hold
+        pytest.param(lambda: ModelSpec((4, 4, 3), (Conv(10**20, 1), *_FLAT_HEAD), 2),
+                     ShapeError, id="huge-filters"),
+        pytest.param(lambda: ModelSpec((4, 4, 3), (Conv(1, 1, padding=2**40), *_FLAT_HEAD), 2),
+                     ShapeError, id="huge-activation"),
     ],
 )
 def test_writer_refuses_what_its_reader_refuses(build, exc):
     with pytest.raises(exc):
         build()
+
+
+_TAXONOMY = default_taxonomy()
+
+
+# Field values of the wrong type for the run, split, manifest and taxonomy
+# objects: each is refused as the object is built, never later as a
+# TypeError, an AttributeError or a silently accepted value.
+@pytest.mark.parametrize(
+    "build, exc",
+    [
+        pytest.param(lambda: TrainConfig(epochs=1, learning_rate=True), ConfigError,
+                     id="bool-learning-rate"),
+        pytest.param(lambda: TrainConfig(epochs=1, momentum=False), ConfigError,
+                     id="bool-momentum"),
+        pytest.param(lambda: TrainConfig(epochs=1, learning_rate=np.float32(0.1)), ConfigError,
+                     id="numpy-learning-rate"),
+        pytest.param(lambda: TrainConfig(epochs=1, learning_rate="0.1"), ConfigError,
+                     id="str-learning-rate"),
+        pytest.param(lambda: TrainConfig(epochs=1, momentum="0.5"), ConfigError,
+                     id="str-momentum"),
+        pytest.param(lambda: SplitSpec(test_fraction=np.float32(0.3)), ConfigError,
+                     id="numpy-test-fraction"),
+        pytest.param(lambda: SplitSpec(test_fraction="0.3"), ConfigError,
+                     id="str-test-fraction"),
+        pytest.param(lambda: HierTrainConfig(epochs=1, scale=["micro"]), ConfigError,
+                     id="list-scale"),
+        pytest.param(lambda: HierTrainConfig(epochs=1, input_hw=32), ConfigError,
+                     id="int-input-hw"),
+        pytest.param(lambda: ManifestEntry("a.ppm", ["rain"]), ParseError, id="list-leaf"),
+        pytest.param(lambda: ManifestEntry(5, "rain"), ParseError, id="int-path"),
+        pytest.param(lambda: Taxonomy(_TAXONOMY.leaf_to_group, _TAXONOMY.leaf_to_safety, 5),
+                     ValidationError, id="int-version"),
+    ],
+)
+def test_value_objects_refuse_wrong_field_types(build, exc):
+    with pytest.raises(exc):
+        build()
+
+
+# One valid build of every value class whose fields ``check_fields`` checks,
+# with the error class that its range rules raise too.
+_VALUE_CLASSES = [
+    (Conv, {"filters": 2, "kernel": 3}, ShapeError),
+    (BatchNorm, {}, ConfigError),
+    (AvgPool, {"window": 2, "stride": 2}, ShapeError),
+    (Dropout, {"rate": 0.5}, ConfigError),
+    (Dense, {"units": 2}, ShapeError),
+    (ModelSpec, {"input_shape": (4, 4, 3), "layers": _FLAT_HEAD, "n_out": 2}, ShapeError),
+    (TrainConfig, {"epochs": 1}, ConfigError),
+    (HierTrainConfig, {"epochs": 1, "input_hw": (16, 16)}, ConfigError),
+    (SplitSpec, {}, ConfigError),
+    (ManifestEntry, {"path": "a.ppm", "leaf": "rain"}, ParseError),
+    (Taxonomy, {"leaf_to_group": _TAXONOMY.leaf_to_group,
+                "leaf_to_safety": _TAXONOMY.leaf_to_safety, "version": "v1"}, ValidationError),
+]
+_CHECKED = {"int", "float", "str", "tuple[int, ...]"}
+
+
+def test_value_class_list_covers_every_layer_with_fields():
+    listed = {cls for cls, _, _ in _VALUE_CLASSES}
+    assert {cls for cls in LAYER_TYPES if fields(cls)} <= listed
+
+
+@pytest.mark.parametrize("cls, kwargs, exc", _VALUE_CLASSES,
+                         ids=[cls.__name__ for cls, _, _ in _VALUE_CLASSES])
+def test_every_checked_field_refuses_a_bool(cls, kwargs, exc):
+    cls(**kwargs)
+    # the rule keys on annotation strings, which ``from __future__ import
+    # annotations`` makes: without it no field would count as checked
+    checked = [f.name for f in fields(cls) if f.type in _CHECKED]
+    assert checked
+    for name in checked:
+        with pytest.raises(exc, match=f"^{name} must be "):
+            cls(**{**kwargs, name: True})
 
 
 # ---------------------------------------------------------------- manifest

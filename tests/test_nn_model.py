@@ -33,6 +33,7 @@ from wxhier.nn import (
 from wxhier.nn import layers as L
 from wxhier.nn import model as M
 from wxhier.nn.model import PREDICT_ROWS
+from wxhier.tensorio import DIM_LIMIT
 
 
 def small_spec(n_out=4):
@@ -66,6 +67,15 @@ def test_shape_infer_small():
         (4,),
         (4,),
     ]
+
+
+def test_spec_dimensions_stay_below_the_container_limit():
+    head = (Flatten(), Dense(units=2), Softmax())
+    ModelSpec((DIM_LIMIT - 1, 1, 1), head, 2)  # flattened, it is the Dense weight's first side
+    with pytest.raises(ShapeError, match="dimension reaches 2\\*\\*32"):
+        ModelSpec((DIM_LIMIT, 1, 1), head, 2)
+    with pytest.raises(ShapeError, match="dimension reaches"):
+        ModelSpec((1, 1, 1), (Flatten(), Dense(units=DIM_LIMIT), Softmax()), DIM_LIMIT)
 
 
 def test_spec_must_end_dense_softmax():

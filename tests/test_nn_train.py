@@ -50,6 +50,8 @@ def test_train_config_validation():
         TrainConfig(epochs=1, momentum=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, batch_size=0)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):  # numpy takes no negative seed
+        TrainConfig(epochs=1, seed=-1)
     # counts and seeds are ints, refused when built rather than later as TypeError
     for name in ("epochs", "batch_size", "seed"):
         for value in (2.5, True, np.int64(2)):

@@ -1,8 +1,10 @@
 """Procedural dataset generator: determinism, structure, class design."""
 
 import numpy as np
+import pytest
 
 from wxhier.dataset import load_manifest
+from wxhier.errors import ConfigError
 from wxhier.imageio import decode_ppm
 from wxhier.synthetic import BASE_COLORS, generate_dataset, generate_image
 from wxhier.taxonomy import LEAF_CLASSES, default_taxonomy, group_of
@@ -29,6 +31,12 @@ def test_regeneration_is_byte_identical(tmp_path):
     for entry in load_manifest(a.read_bytes()):
         assert ((tmp_path / "a" / entry.path).read_bytes()
                 == (tmp_path / "b" / entry.path).read_bytes())
+
+
+def test_negative_seed_is_refused_before_any_write(tmp_path):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        generate_dataset(tmp_path / "out", per_class=1, size=8, seed=-1)
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_changes_pixels(tmp_path):
