@@ -47,7 +47,7 @@ from .hierarchy import (
     train_hierarchical,
 )
 from .imageio import CHANNEL_ORDERS, decode_ppm
-from .preprocess import load_stats, save_stats
+from .preprocess import stats_from_json, stats_to_json
 from .synthetic import DEFAULT_PER_CLASS, DEFAULT_SEED, DEFAULT_SIZE, generate_dataset
 from .taxonomy import LEAF_CLASSES, default_taxonomy, load_taxonomy
 from .tensorio import tensor_to_bytes
@@ -93,12 +93,10 @@ def _number(flag: str, convert=float):
     return _checked(convert, f"{flag} must be {kind}")
 
 
-def _at_least(flag: str, low: int):
-    return _checked(int, f"{flag} must be an integer >= {low}", lambda v: v >= low)
-
-
 _SEED = _number("--seed", int)
-_INPUT_SIZE = _at_least("--input-size", 4)
+_INPUT_SIZE = _checked(int, "--input-size must be an integer >= 4", lambda v: v >= 4)
+# library parameters named otherwise than the flag that sets them
+_DEST_OF = {"size": "image_size"}  # generate_dataset's image side length
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
@@ -185,8 +183,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     )
 
     p, flag = command("synth", "generate the procedural dataset", "--output-dir")
-    flag("--per-class", type=_at_least("--per-class", 1), default=DEFAULT_PER_CLASS)
-    flag("--image-size", type=_at_least("--image-size", 8), default=DEFAULT_SIZE,
+    flag("--per-class", type=_number("--per-class", int), default=DEFAULT_PER_CLASS)
+    flag("--image-size", type=_number("--image-size", int), default=DEFAULT_SIZE,
          help="generated image side length")
     flag("--seed", type=_SEED, default=DEFAULT_SEED, help="generator seed")
 
@@ -262,11 +260,11 @@ def cmd_split(args) -> int:
 
 def cmd_preprocess(args) -> int:
     entries, root = _entries_and_root(args)
-    stats = load_stats(args.stats) if args.stats else None
+    stats = stats_from_json(args.stats.read_bytes()) if args.stats else None
     x, stats = load_standardized(entries, (args.input_size, args.input_size), root, stats)
     out = _outdir(args)
     (out / "tensors.wxt1").write_bytes(tensor_to_bytes(x))
-    save_stats(out / "stats.json", stats)
+    (out / "stats.json").write_text(stats_to_json(stats), encoding="utf-8")
     rows = [("index", "path", "label")] + [(i, e.path, e.leaf) for i, e in enumerate(entries)]
     (out / "labels.csv").write_text(csv_text(rows), encoding="utf-8")
     print(f"wrote {x.shape} tensor batch to {out / 'tensors.wxt1'}")
@@ -283,7 +281,8 @@ def _flat_spec(arch: str, cfg: HierTrainConfig, given: dict) -> nn.ModelSpec:
         scales = {key: value for key, value in given.items() if key in ARCHES[arch]}
         return nn.vgg_style_spec(input_shape, n_out, **scales)
     except ShapeError as exc:
-        raise ConfigError(f"--input-size {cfg.input_hw[0]} does not fit {arch}: {exc}") from None
+        msg = f"--arch {arch} at --input-size {cfg.input_hw[0]} builds no valid model: {exc}"
+        raise ConfigError(msg) from None
 
 
 def _train_flat(args, cfg: HierTrainConfig, spec, train_entries, val_entries, root) -> int:
@@ -292,7 +291,7 @@ def _train_flat(args, cfg: HierTrainConfig, spec, train_entries, val_entries, ro
     y_val = leaf_labels(val_entries) if val_entries else None
     params, history = nn.train(spec, x_train, leaf_labels(train_entries), cfg, x_val, y_val)
     out = _outdir(args)
-    nn.save_model(out / "model.wxm1", spec, params, stats, list(LEAF_CLASSES))
+    (out / "model.wxm1").write_bytes(nn.model_to_bytes(spec, params, stats, list(LEAF_CLASSES)))
     (out / "history.csv").write_text(nn.history_to_csv(history), encoding="utf-8")
     final_val = history[-1].val_acc
     print(f"saved {args.arch} model to {out / 'model.wxm1'}")
@@ -372,7 +371,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _flat_leaf_accuracy(model_path: Path, entries, root) -> float:
-    spec, params, stats, labels = nn.load_model(model_path)
+    spec, params, stats, labels = nn.model_from_bytes(model_path.read_bytes())
     if stats is None or labels is None:
         raise FormatError(f"{model_path}: model lacks stats or class names")
     pos = {name: i for i, name in enumerate(labels)}
@@ -435,7 +434,8 @@ _COMMANDS = {
 
 def _as_flag(message: str, dests: set[str]) -> str:
     """``message`` with a leading library field name written as the flag that sets it."""
-    dest, sep, rest = message.partition(" ")
+    name, sep, rest = message.partition(" ")
+    dest = _DEST_OF.get(name, name)
     return f"--{dest.replace('_', '-')} {rest}" if sep and dest in dests else message
 
 

@@ -20,6 +20,7 @@ from .hierarchy import (
     leaf_labels,
     load_standardized,
     predict_batch,
+    role_classes,
     role_targets,
 )
 from .nn import predict
@@ -197,22 +198,24 @@ def evaluate_hierarchical_tensors(
     pred_safety = np.array([SAFETY_INDEX[p.safety] for p in preds])
     safety_cm = confusion(true_safety, pred_safety, len(SAFETY_LEVELS), SAFETY_LEVELS)
 
+    classes = role_classes(t)
     routed: dict[str, ConfusionMatrix] = {}
     oracle: dict[str, ConfusionMatrix] = {}
     for group, role in GROUP_ROLES.items():
         sub = model.sub_for_group(group)
+        names = classes[role]
         rows, labels = role_targets(role, true_leaf_names, t)
 
         # correctly-routed subset: the leaf prediction came from this sub-model
         hit = pred_groups[rows] == GROUP_INDEX[group]
-        pred_pos = [sub.classes.index(preds[r].leaf) for r in rows[hit]]
-        routed[group] = confusion(labels[hit], pred_pos, len(sub.classes), sub.classes)
+        pred_pos = [names.index(preds[r].leaf) for r in rows[hit]]
+        routed[group] = confusion(labels[hit], pred_pos, len(names), names)
 
         # oracle routing: run the sub-model on every true-group sample
         pred_pos = np.empty(0, dtype=np.int64)
         if rows.size:
             pred_pos = predict(sub.spec, sub.params, x[rows]).argmax(axis=1)
-        oracle[group] = confusion(labels, pred_pos, len(sub.classes), sub.classes)
+        oracle[group] = confusion(labels, pred_pos, len(names), names)
 
     return HierEvalReport(primary_cm, leaf_cm, safety_cm, routed, oracle)
 

@@ -9,8 +9,9 @@ argmax everywhere, ties toward the lowest index.
 
 Each of the five bundle roles has one definition of its classes
 (``role_classes``) and of the images it learns from with their labels
-(``role_targets``); training, the class check before training and the
-per-group evaluation matrices all read them.
+(``role_targets``); training, the class check before training,
+prediction, the per-group evaluation matrices and the bundle's model
+files all read them.  No model object stores class names.
 
 ``load_standardized`` is the one data path from manifest entries to a
 standardized batch: training (train and val sets), evaluation, model
@@ -41,10 +42,10 @@ from .imageio import ImageU8, decode_ppm
 from .preprocess import (
     NormalizationStats,
     compute_stats,
-    load_stats,
     model_input,
     normalize,
     preprocess_pipeline,
+    stats_from_json,
     stats_to_json,
 )
 from .nn import (
@@ -53,7 +54,7 @@ from .nn import (
     TrainConfig,
     basic_cnn_spec,
     init_params,
-    load_model,
+    model_from_bytes,
     model_to_bytes,
     predict,
     train,
@@ -93,16 +94,10 @@ BUNDLE_FILES = (
 
 @dataclass(frozen=True)
 class SubModel:
+    """One bundle role's network; ``role_classes`` names its outputs."""
+
     spec: ModelSpec
     params: Params
-    classes: tuple[str, ...]  # output index -> label name
-
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        if self.spec.n_out != len(self.classes):
-            raise ValidationError(
-                f"model emits {self.spec.n_out} classes but {len(self.classes)} names given"
-            )
 
 
 def role_classes(taxonomy: Taxonomy) -> dict[str, tuple[str, ...]]:
@@ -146,10 +141,10 @@ class HierarchicalModel:
     stats: NormalizationStats
 
     def __post_init__(self):
-        for role, want in role_classes(self.taxonomy).items():
+        for role, names in role_classes(self.taxonomy).items():
             sub = getattr(self, role)
-            if sub.classes != want:
-                raise ValidationError(f"{role} model classes {sub.classes} != {want}")
+            if sub.spec.n_out != len(names):
+                raise ValidationError(f"{role} model emits {sub.spec.n_out} classes, not {names}")
             if sub.spec.input_shape != self.primary.spec.input_shape:
                 shapes = f"{sub.spec.input_shape} != primary's {self.primary.spec.input_shape}"
                 raise ValidationError(f"{role} model input {shapes}")
@@ -186,6 +181,7 @@ def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPredictio
     exactly.
     """
     n = x.shape[0]
+    classes = role_classes(model.taxonomy)
     group_probs = predict(model.primary.spec, model.primary.params, x)
     group_idx = group_probs.argmax(axis=1)
     preds: list[HierPrediction | None] = [None] * n
@@ -196,7 +192,7 @@ def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPredictio
         sub = model.sub_for_group(group)
         xg = x[rows]
         leaf_probs = predict(sub.spec, sub.params, xg)
-        leaves = [sub.classes[p.argmax()] for p in leaf_probs]
+        leaves = [classes[GROUP_ROLES[group]][p.argmax()] for p in leaf_probs]
         if group == "Cold":
             head = model.sub_cold_safety
             safety_probs = predict(head.spec, head.params, xg)
@@ -222,12 +218,13 @@ def joint_leaf_batch(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
     The hard-routed leaf comes from a single sub-model and may differ
     from this distribution's argmax.
     """
+    classes = role_classes(model.taxonomy)
     group_probs = predict(model.primary.spec, model.primary.params, x)
     out = np.zeros((x.shape[0], len(LEAF_CLASSES)), dtype=np.float64)
     for gi, group in enumerate(COARSE_GROUPS):
         sub = model.sub_for_group(group)
         leaf_probs = predict(sub.spec, sub.params, x)
-        for j, leaf in enumerate(sub.classes):
+        for j, leaf in enumerate(classes[GROUP_ROLES[group]]):
             out[:, LEAF_INDEX[leaf]] += group_probs[:, gi].astype(np.float64) * leaf_probs[
                 :, j
             ].astype(np.float64)
@@ -345,7 +342,7 @@ def train_hierarchical(
         params, histories[role] = train(
             spec, _rows_of(x_train, rows), y, cfg.train_config(i), xv, yv
         )
-        subs[role] = SubModel(spec, params, classes[role])
+        subs[role] = SubModel(spec, params)
     return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats), histories
 
 
@@ -359,11 +356,11 @@ def init_hierarchical(
     rng = np.random.default_rng(seed)
     input_shape = (input_hw[0], input_hw[1], 3)
 
-    def make(classes: tuple[str, ...]) -> SubModel:
-        spec = basic_cnn_spec(input_shape, len(classes), scale=scale)
-        return SubModel(spec, init_params(spec, rng), classes)
+    def make(n_out: int) -> SubModel:
+        spec = basic_cnn_spec(input_shape, n_out, scale=scale)
+        return SubModel(spec, init_params(spec, rng))
 
-    subs = {role: make(classes) for role, classes in role_classes(taxonomy).items()}
+    subs = {role: make(len(classes)) for role, classes in role_classes(taxonomy).items()}
     stats = NormalizationStats(mean=127.5, std=64.0, sample_count=2)
     return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats)
 
@@ -377,9 +374,10 @@ def save_hierarchical(model: HierarchicalModel, dirpath: str | Path) -> None:
     """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    subs = [getattr(model, role) for role in MODEL_ROLES]
+    classes = role_classes(model.taxonomy)
+    subs = [(getattr(model, role), list(classes[role])) for role in MODEL_ROLES]
     payloads = [
-        *(model_to_bytes(sub.spec, sub.params, model.stats, list(sub.classes)) for sub in subs),
+        *(model_to_bytes(sub.spec, sub.params, model.stats, names) for sub, names in subs),
         serialize_taxonomy(model.taxonomy).encode("utf-8"),
         stats_to_json(model.stats).encode("utf-8"),
     ]
@@ -435,12 +433,15 @@ def load_hierarchical(dirpath: str | Path) -> HierarchicalModel:
         raise FormatError(f"{dirpath}: bundle content does not match its recorded hash")
 
     taxonomy = load_taxonomy((dirpath / BUNDLE_LAYOUT["taxonomy"]).read_bytes())
-    stats = load_stats(dirpath / BUNDLE_LAYOUT["stats"])
+    stats = stats_from_json((dirpath / BUNDLE_LAYOUT["stats"]).read_bytes())
 
+    classes = role_classes(taxonomy)
     subs: dict[str, SubModel] = {}
     for role, name in BUNDLE_LAYOUT["models"].items():
-        spec, params, _, labels = load_model(dirpath / name)
+        spec, params, _, labels = model_from_bytes((dirpath / name).read_bytes())
         if labels is None:
             raise FormatError(f"{role} model file lacks its class-name list")
-        subs[role] = SubModel(spec, params, tuple(labels))
+        if tuple(labels) != classes[role]:
+            raise ValidationError(f"{role} model classes {tuple(labels)} != {classes[role]}")
+        subs[role] = SubModel(spec, params)
     return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats)

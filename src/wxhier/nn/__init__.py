@@ -31,7 +31,7 @@ from .model import (
     shape_infer,
     zero_grads,
 )
-from .modelio import load_model, model_from_bytes, model_to_bytes, save_model
+from .modelio import model_from_bytes, model_to_bytes
 from .train import (
     EpochStats,
     TrainConfig,

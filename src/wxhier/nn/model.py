@@ -15,13 +15,14 @@ replaced on the ``layers`` module is the one that runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from ..errors import ConfigError, DegenerateError, ShapeError, check_fields
-from ..tensorio import DIM_LIMIT
+from ..tensorio import DIM_LIMIT, PARAM_LIMIT
 from . import layers as L
 
 Shape = tuple[int, ...]
@@ -283,7 +284,7 @@ LAYER_TYPES: tuple[type[LayerSpec], ...] = (
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A layer chain whose field types, shapes and dimension limit are checked when built."""
+    """A layer chain whose field types, shapes and size limits are checked when built."""
 
     input_shape: tuple[int, ...]  # (H, W, C)
     layers: tuple[LayerSpec, ...]
@@ -300,9 +301,14 @@ class ModelSpec:
             and isinstance(self.layers[-1], Softmax)
         ):
             raise ShapeError("model must end with Dense(n_out) then Softmax")
+        n_params = 0
         for layer, x in zip(self.layers, input_shapes(self)):  # runs shape_infer
-            if max(d for s in (x, *layer.param_shapes(x).values()) for d in s) >= DIM_LIMIT:
+            shapes = layer.param_shapes(x).values()
+            if max(d for s in (x, *shapes) for d in s) >= DIM_LIMIT:
                 raise ShapeError("an activation or parameter dimension reaches 2**32")
+            n_params += sum(math.prod(s) for s in shapes)
+        if n_params > PARAM_LIMIT:
+            raise ShapeError(f"{n_params} parameters exceed the limit of {PARAM_LIMIT}")
 
 
 def shape_infer(spec: ModelSpec) -> list[Shape]:

@@ -15,17 +15,17 @@ Layout:
 Tensor payloads are float32, matching the training dtype.  The layer
 classes and ``ModelSpec`` in ``model`` own each ``kind``, field rule and
 parameter shape, and refuse a bad value when built; this module only
-parses, mapping kinds to classes through ``LAYER_TYPES``.  Every decode
-fault, including a header that describes an impossible model and
-non-finite parameters, surfaces as ``FormatError``; the writer refuses
-labels and parameters through the reader's own checks.
+parses, mapping kinds to classes through ``LAYER_TYPES``.  Callers read
+and write the file bytes around ``model_to_bytes``/``model_from_bytes``.
+Every decode fault, including a header that describes an impossible
+model and non-finite parameters, surfaces as ``FormatError``; the writer
+refuses labels and parameters through the reader's own checks.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -157,19 +157,3 @@ def _check_param(layer: M.LayerSpec, key: str, arr: np.ndarray, want) -> np.ndar
     if not np.isfinite(arr).all():
         raise FormatError(f"{layer.kind} {key} holds non-finite values")
     return arr
-
-
-def save_model(
-    path: str | Path,
-    spec: M.ModelSpec,
-    params: M.Params,
-    stats: NormalizationStats | None = None,
-    labels: list[str] | None = None,
-) -> None:
-    Path(path).write_bytes(model_to_bytes(spec, params, stats, labels))
-
-
-def load_model(
-    path: str | Path,
-) -> tuple[M.ModelSpec, M.Params, NormalizationStats | None, list[str] | None]:
-    return model_from_bytes(Path(path).read_bytes())

@@ -8,7 +8,8 @@ and weights of each (source size, target size) pair are planned once and
 kept read-only in a bounded cache; a pass only gathers and adds each output
 pixel's taps in source order.  Standardization subtracts the training-set
 mean and divides by its standard deviation; the two scalars are persisted
-so inference uses the exact training statistics.
+(``stats_to_json`` and ``stats_from_json``, the only stats codec) so
+inference uses the exact training statistics.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -222,11 +222,3 @@ def stats_from_json(text: str | bytes) -> NormalizationStats:
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
         raise FormatError(f"bad stats document: {exc}") from None
     return stats_from_dict(doc)
-
-
-def save_stats(path, s: NormalizationStats) -> None:
-    Path(path).write_text(stats_to_json(s), encoding="utf-8")
-
-
-def load_stats(path) -> NormalizationStats:
-    return stats_from_json(Path(path).read_bytes())

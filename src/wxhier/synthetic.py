@@ -31,6 +31,7 @@ from .taxonomy import LEAF_CLASSES
 DEFAULT_SEED = 20240
 DEFAULT_SIZE = 64
 DEFAULT_PER_CLASS = 50
+MIN_SIZE = 8  # textures place dots and droplets inside a border: a tiny side has no room
 
 BASE_COLORS: dict[str, tuple[float, float, float]] = {
     # rainy family: blue and dark tones
@@ -208,8 +209,13 @@ def generate_dataset(
 ) -> Path:
     """Write PPMs and a manifest under ``outdir``; returns the manifest path.
 
-    Manifest paths are relative to ``outdir``.
+    Manifest paths are relative to ``outdir``.  Sizes and seed are checked
+    before any file is written.
     """
+    if per_class < 1:
+        raise ConfigError(f"per_class must be >= 1, got {per_class}")
+    if size < MIN_SIZE:
+        raise ConfigError(f"size must be >= {MIN_SIZE}, got {size}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     outdir = Path(outdir)

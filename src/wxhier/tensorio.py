@@ -4,6 +4,7 @@ Layout: magic ``WXT1``, little-endian u32 rank, u32 dims[rank], then the
 raw little-endian float32 payload in row-major order.  The rank is at most
 ``MAX_RANK``: the writer refuses a deeper array, the reader a deeper frame.
 A dimension lies below ``DIM_LIMIT``, which only a zero-size array exceeds.
+A model holds at most ``PARAM_LIMIT`` parameters in all.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .errors import FormatError, ShapeError
 MAGIC = b"WXT1"
 MAX_RANK = 8
 DIM_LIMIT = 1 << 32  # every stored dimension is a u32
+# Parameter elements of one model: 2**28 float32 values are 1 GiB, and training
+# holds three copies (weights, gradients, momentum).  VGG-16 at width 1 has 50 M.
+PARAM_LIMIT = 1 << 28
 
 
 def tensor_to_bytes(array: np.ndarray) -> bytes:
@@ -52,6 +56,6 @@ def tensor_from_bytes(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     end = offset + 4 * count
     if end > len(data):
         raise FormatError(f"truncated tensor payload: need {4 * count} bytes")
-    arr = np.frombuffer(data[offset:end], dtype="<f4").reshape(dims)
-    return arr.copy(), end
+    arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset).copy()
+    return arr.reshape(dims), end
 

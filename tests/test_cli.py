@@ -337,7 +337,8 @@ def test_bundle_with_a_sub_model_of_another_input_size_exits_4(small_bundle, sma
     shutil.copytree(small_bundle, bundle)
     sub = hierarchy.init_hierarchical(default_taxonomy(), (8, 8)).sub_rainy
     stats = load_hierarchical(small_bundle).stats
-    blob = nn.model_to_bytes(sub.spec, sub.params, stats, list(sub.classes))
+    names = hierarchy.role_classes(default_taxonomy())["sub_rainy"]
+    blob = nn.model_to_bytes(sub.spec, sub.params, stats, list(names))
     (bundle / "sub_rainy.wxm1").write_bytes(blob)
     manifest = json.loads((bundle / "bundle.json").read_text())
     manifest["content_hash"] = bundle_content_hash(bundle)
@@ -416,7 +417,8 @@ def test_compare_overflowing_flat_model_exits_4(small_data, tmp_path, capsys):
     params = nn.init_params(spec, np.random.default_rng(0))
     params[1]["w"] = np.where(params[1]["w"] < 0, -3e38, 3e38).astype(np.float32)
     big = tmp_path / "big.wxm1"
-    nn.save_model(big, spec, params, NormalizationStats(127.5, 64.0, 2), list(LEAF_CLASSES))
+    stats = NormalizationStats(127.5, 64.0, 2)
+    big.write_bytes(nn.model_to_bytes(spec, params, stats, list(LEAF_CLASSES)))
     rc = run("compare", "--manifest", small_data / "manifest.csv", "--root", small_data,
              "--output-dir", tmp_path, f"a={big}", f"b={big}")
     assert rc == 4
@@ -427,8 +429,9 @@ def test_compare_overflowing_flat_model_exits_4(small_data, tmp_path, capsys):
 def test_compare_flat_models_on_empty_manifest_exits_4(tmp_path, capsys):
     spec = nn.softmax_flat_spec((16, 16, 3), len(LEAF_CLASSES))
     flat = tmp_path / "flat.wxm1"
-    nn.save_model(flat, spec, nn.init_params(spec, np.random.default_rng(0)),
-                  NormalizationStats(127.5, 64.0, 2), list(LEAF_CLASSES))
+    params = nn.init_params(spec, np.random.default_rng(0))
+    stats = NormalizationStats(127.5, 64.0, 2)
+    flat.write_bytes(nn.model_to_bytes(spec, params, stats, list(LEAF_CLASSES)))
     (tmp_path / "empty.csv").write_text("path,label\n")
     rc = run("compare", "--manifest", tmp_path / "empty.csv", "--output-dir", tmp_path / "out",
              f"a={flat}", f"b={flat}")
@@ -596,6 +599,7 @@ def _config(tmp_path, doc):
         ("preprocess", "input_size", 3),
         ("synth", "per_class", 0),
         ("synth", "image_size", 7),
+        ("synth", "image_size", 4),
         ("train", "seed", -1),
         ("synth", "seed", -1),
     ],
@@ -801,13 +805,26 @@ def test_each_arch_trains_with_its_own_settings(small_data, tmp_path):
     for role in hierarchy.MODEL_ROLES:
         spec = getattr(model, role).spec
         assert _conv_filters(spec) == [8, 16] and _dropout_rates(spec) == {0.5}
-    basic = nn.load_model(tmp_path / "basic-cnn" / "model.wxm1")[0]
+
+    def spec_of(arch):
+        return nn.model_from_bytes((tmp_path / arch / "model.wxm1").read_bytes())[0]
+
+    basic = spec_of("basic-cnn")
     assert _conv_filters(basic) == [8, 16] and _dropout_rates(basic) == {0.5}
-    vgg = nn.load_model(tmp_path / "vgg-style" / "model.wxm1")[0]
+    vgg = spec_of("vgg-style")
     assert _conv_filters(vgg) == [8, 16, 32, 64, 64]
     assert [layer.units for layer in vgg.layers if isinstance(layer, nn.Dense)] == [512, 512, 11]
-    flat = nn.load_model(tmp_path / "softmax-flat" / "model.wxm1")[0]
+    flat = spec_of("softmax-flat")
     assert [layer.kind for layer in flat.layers] == ["flatten", "dense", "softmax"]
+
+
+def test_train_model_too_large_to_allocate_is_config_error(tmp_path, capsys):
+    # the manifest does not exist, so reading it would exit 3
+    rc = run("train", "--manifest", tmp_path / "missing.csv", "--output-dir", tmp_path / "out",
+             "--arch", "vgg-style", "--width-scale", 1000, "--input-size", 32)
+    assert rc == 2
+    assert "parameters exceed the limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("arch", ["hierarchical", "basic-cnn"])

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,8 +23,10 @@ from wxhier.errors import (
     MissingClassError,
     ValidationError,
     VersionError,
+    WxhierError,
 )
 from wxhier.hierarchy import (
+    BUNDLE_FILES,
     GROUP_ROLES,
     MODEL_ROLES,
     SAFETY_MODEL_CLASSES,
@@ -42,7 +45,7 @@ from wxhier.hierarchy import (
     train_hierarchical,
 )
 from wxhier.imageio import ImageU8
-from wxhier.nn import init_params, softmax_flat_spec
+from wxhier.nn import init_params, model_to_bytes, softmax_flat_spec
 from wxhier.taxonomy import (
     COARSE_GROUPS,
     GROUP_INDEX,
@@ -73,7 +76,7 @@ def flat_model():
 
     def sub(classes, seed):
         spec = softmax_flat_spec(HW + (3,), len(classes))
-        return SubModel(spec, init_params(spec, np.random.default_rng(seed)), tuple(classes))
+        return SubModel(spec, init_params(spec, np.random.default_rng(seed)))
 
     return HierarchicalModel(
         primary=sub(COARSE_GROUPS, 1),
@@ -167,11 +170,11 @@ def test_joint_marginalizes_routing(random_model):
             assert joint[i, idx].sum() == pytest.approx(float(p.group_probs[gi]), abs=1e-5)
 
 
-def test_submodel_class_count_enforced():
-    spec = softmax_flat_spec(HW + (3,), 4)
+def test_submodel_class_count_enforced(random_model):
+    spec = softmax_flat_spec(HW + (3,), 4)  # a 4-way head for the 3 coarse groups
     params = init_params(spec, np.random.default_rng(0))
-    with pytest.raises(ValidationError):
-        SubModel(spec, params, classes=("a", "b"))  # 2 names for a 4-way head
+    with pytest.raises(ValidationError, match="primary model emits 4 classes"):
+        replace(random_model, primary=SubModel(spec, params))
 
 
 def test_model_requires_group_alignment(random_model):
@@ -268,12 +271,72 @@ def test_bundle_bad_stats_rejected_even_with_matching_hash(random_model, tmp_pat
     bundle = tmp_path / "bundle"
     save_hierarchical(random_model, bundle)
     (bundle / "stats.json").write_text(stats_text)
+    _rehash(bundle)
+    with pytest.raises(FormatError, match="stats"):
+        load_hierarchical(bundle)
+
+
+def test_bundle_model_naming_other_classes_rejected(random_model, tmp_path, capsys):
+    from wxhier.cli import main
+
+    bundle = tmp_path / "bundle"
+    save_hierarchical(random_model, bundle)
+    sub = random_model.sub_rainy
+    names = role_classes(random_model.taxonomy)["sub_rainy"][::-1]
+    blob = model_to_bytes(sub.spec, sub.params, random_model.stats, list(names))
+    (bundle / "sub_rainy.wxm1").write_bytes(blob)
+    _rehash(bundle)
+    with pytest.raises(ValidationError, match="sub_rainy model classes"):
+        load_hierarchical(bundle)
+    (tmp_path / "m.csv").write_text("path,label\nx.ppm,rain\n")
+    argv = ["evaluate", "--bundle", bundle, "--manifest", tmp_path / "m.csv",
+            "--output-dir", tmp_path / "out"]
+    assert main([str(a) for a in argv]) == 4
+    assert "sub_rainy model classes" in capsys.readouterr().err
+
+
+def _rehash(bundle):
+    """Record the bundle's current payload digest in its ``bundle.json``."""
     manifest = bundle / "bundle.json"
     doc = json.loads(manifest.read_text())
     doc["content_hash"] = bundle_content_hash(bundle)
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match="stats"):
-        load_hierarchical(bundle)
+
+
+@pytest.fixture(scope="module")
+def bundle_files(random_model, tmp_path_factory):
+    """The eight files of ``random_model``'s bundle, by name."""
+    bundle = tmp_path_factory.mktemp("bundle_files")
+    save_hierarchical(random_model, bundle)
+    return {p.name: p.read_bytes() for p in bundle.iterdir()}
+
+
+@given(
+    st.sampled_from([*BUNDLE_FILES, "bundle.json"]),
+    st.integers(0, 2**32),
+    st.integers(0, 255),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_damaged_bundle_raises_only_package_or_os_errors(bundle_files, name, at, flip, rehash):
+    # flip 0 truncates the file at ``at``; another value XORs the byte there.
+    # Recording the new digest lets the damage past the hash check.
+    blob = bytearray(bundle_files[name])
+    at %= len(blob)
+    if flip:
+        blob[at] ^= flip
+    else:
+        del blob[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp)
+        for other, data in bundle_files.items():
+            (bundle / other).write_bytes(bytes(blob) if other == name else data)
+        if rehash and name != "bundle.json":
+            _rehash(bundle)
+        try:
+            load_hierarchical(bundle)
+        except (WxhierError, OSError):
+            pass
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

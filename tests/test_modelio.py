@@ -14,11 +14,9 @@ from wxhier.hierarchy import bundle_content_hash, init_hierarchical, save_hierar
 from wxhier.nn import (
     basic_cnn_spec,
     init_params,
-    load_model,
     model_from_bytes,
     model_to_bytes,
     predict,
-    save_model,
     softmax_flat_spec,
 )
 from wxhier.nn.modelio import MAGIC, VERSION
@@ -181,20 +179,24 @@ def test_unknown_layer_kind_rejected():
             model_from_bytes(patch_header(cnn_blob, set_field(("layers", 1, "epsilon"), epsilon)))
 
 
+def test_header_of_a_model_too_large_to_allocate_is_format_error():
+    spec, params = make_model()
+    blob = patch_header(model_to_bytes(spec, params), set_field(("input_shape",), [8192, 8192, 3]))
+    with pytest.raises(FormatError, match="parameters exceed the limit"):
+        model_from_bytes(blob)
+
+
 @pytest.mark.parametrize(
     "labels",
     ["abcde", ["a", "b", "c", "d"], ["a", "b", "c", "d", "e", "f"], ["a", "b", "c", "d", "a"],
      ["a", "b", "c", "d", 5]],
     ids=["string", "too-few", "too-many", "repeated", "not-a-name"],
 )
-def test_writer_refuses_the_labels_the_reader_refuses(tmp_path, labels):
+def test_writer_refuses_the_labels_the_reader_refuses(labels):
     # the same rule as ``test_unknown_layer_kind_rejected``'s label edits
     spec, params = make_model()
     with pytest.raises(FormatError, match="5 distinct names"):
         model_to_bytes(spec, params, None, labels)
-    with pytest.raises(FormatError, match="5 distinct names"):
-        save_model(tmp_path / "m.wxm1", spec, params, None, labels)
-    assert not (tmp_path / "m.wxm1").exists()
 
 
 def test_deeply_nested_header_is_format_error():
@@ -257,8 +259,8 @@ def test_file_round_trip(tmp_path):
     spec, params = make_model()
     stats = NormalizationStats(mean=1.0, std=2.0, sample_count=10)
     path = tmp_path / "m.wxm1"
-    save_model(path, spec, params, stats, ["x", "y", "z", "w", "v"])
-    spec2, params2, stats2, labels2 = load_model(path)
+    path.write_bytes(model_to_bytes(spec, params, stats, ["x", "y", "z", "w", "v"]))
+    spec2, params2, stats2, labels2 = model_from_bytes(path.read_bytes())
     assert spec2 == spec and stats2 == stats
     assert labels2 == ["x", "y", "z", "w", "v"]
     assert path.read_bytes()[:4] == MAGIC

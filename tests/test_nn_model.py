@@ -28,12 +28,13 @@ from wxhier.nn import (
     shape_infer,
     softmax_flat_spec,
     train,
+    vgg_style_spec,
     zero_grads,
 )
 from wxhier.nn import layers as L
 from wxhier.nn import model as M
 from wxhier.nn.model import PREDICT_ROWS
-from wxhier.tensorio import DIM_LIMIT
+from wxhier.tensorio import DIM_LIMIT, PARAM_LIMIT
 
 
 def small_spec(n_out=4):
@@ -70,12 +71,24 @@ def test_shape_infer_small():
 
 
 def test_spec_dimensions_stay_below_the_container_limit():
-    head = (Flatten(), Dense(units=2), Softmax())
-    ModelSpec((DIM_LIMIT - 1, 1, 1), head, 2)  # flattened, it is the Dense weight's first side
+    # the strided pool keeps the Dense weights within the parameter limit
+    head = (AvgPool(1, 64), Flatten(), Dense(units=2), Softmax())
+    ModelSpec((DIM_LIMIT - 1, 1, 1), head, 2)
     with pytest.raises(ShapeError, match="dimension reaches 2\\*\\*32"):
         ModelSpec((DIM_LIMIT, 1, 1), head, 2)
     with pytest.raises(ShapeError, match="dimension reaches"):
         ModelSpec((1, 1, 1), (Flatten(), Dense(units=DIM_LIMIT), Softmax()), DIM_LIMIT)
+
+
+def test_spec_parameter_count_stays_within_the_limit():
+    # shapes only: nothing is allocated
+    vgg_style_spec((100, 100, 3), 11)  # VGG-16 at width 1, about 50 M parameters
+    head = (Flatten(), Dense(units=2), Softmax())
+    ModelSpec((PARAM_LIMIT // 2 - 1, 1, 1), head, 2)  # weights and bias: exactly the limit
+    with pytest.raises(ShapeError, match="parameters exceed the limit"):
+        ModelSpec((PARAM_LIMIT // 2, 1, 1), head, 2)
+    with pytest.raises(ShapeError, match="parameters exceed the limit"):
+        vgg_style_spec((32, 32, 3), 11, width_scale=1000)
 
 
 def test_spec_must_end_dense_softmax():

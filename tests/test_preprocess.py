@@ -17,12 +17,10 @@ from wxhier.preprocess import (
     NormalizationStats,
     compute_stats,
     lanczos_kernel,
-    load_stats,
     normalize,
     one_hot,
     preprocess_pipeline,
     resize_lanczos,
-    save_stats,
     stats_from_json,
     stats_to_json,
     _resample,
@@ -383,8 +381,8 @@ def test_stats_json_round_trip_exact():
 
 def test_stats_file_round_trip(tmp_path):
     s = NormalizationStats(mean=1.5, std=2.25, sample_count=99)
-    save_stats(tmp_path / "s.json", s)
-    assert load_stats(tmp_path / "s.json") == s
+    (tmp_path / "s.json").write_text(stats_to_json(s), encoding="utf-8")
+    assert stats_from_json((tmp_path / "s.json").read_bytes()) == s
 
 
 def test_stats_json_rejects_garbage():
@@ -417,6 +415,7 @@ def test_stats_json_rejects_garbage():
         pytest.param('{"mean": true, "std": 2, "sample_count": 2.9}', id="all-coercible"),
         pytest.param("[1, 2, 3]", id="not-an-object"),
         pytest.param(b'\xff\xfe{"mean"', id="bad-utf"),
+        pytest.param(b'{"mean": \xff}', id="bad-utf-value"),
         pytest.param(b"[" * 100_000, id="deep-nesting"),
     ],
 )
@@ -445,12 +444,6 @@ def test_fuzzed_stats_bytes_raise_only_package_errors(raw):
         stats_from_json(raw)
     except WxhierError:
         pass
-
-
-def test_load_stats_rejects_undecodable_bytes(tmp_path):
-    (tmp_path / "s.json").write_bytes(b'{"mean": \xff}')
-    with pytest.raises(FormatError):
-        load_stats(tmp_path / "s.json")
 
 
 # -------------------------------------------------------------- pipeline

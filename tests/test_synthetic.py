@@ -33,9 +33,17 @@ def test_regeneration_is_byte_identical(tmp_path):
                 == (tmp_path / "b" / entry.path).read_bytes())
 
 
-def test_negative_seed_is_refused_before_any_write(tmp_path):
-    with pytest.raises(ConfigError, match="seed must be >= 0"):
-        generate_dataset(tmp_path / "out", per_class=1, size=8, seed=-1)
+@pytest.mark.parametrize(
+    "per_class, size, seed, message",
+    [
+        pytest.param(1, 8, -1, "seed must be >= 0", id="negative-seed"),
+        pytest.param(0, 8, 1, "per_class must be >= 1", id="no-image-per-class"),
+        pytest.param(1, 4, 1, "size must be >= 8", id="size-below-8"),
+    ],
+)
+def test_bad_argument_is_refused_before_any_write(tmp_path, per_class, size, seed, message):
+    with pytest.raises(ConfigError, match=message):
+        generate_dataset(tmp_path / "out", per_class=per_class, size=size, seed=seed)
     assert not (tmp_path / "out").exists()
 
 
