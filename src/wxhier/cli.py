@@ -340,7 +340,7 @@ def cmd_predict(args) -> int:
             for key, value in vars(pred).items():  # arrays as lists of the same floats
                 doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
             successes += 1
-        except (OSError, WxhierError) as exc:
+        except (OSError, MemoryError, WxhierError) as exc:  # this image's fault alone
             doc = {"path": str(path), "error": f"{type(exc).__name__}: {exc}"}
         print(json.dumps(doc, sort_keys=True))
     return 0 if successes else 4

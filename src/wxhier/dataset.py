@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 from .errors import ConfigError, EmptyManifestError, ParseError, UnknownLabelError, WxhierError
 from .errors import check_fields
-from .imageio import CHANNEL_ORDERS
+from .imageio import check_channel_order
 from .taxonomy import LEAF_CLASSES, LEAF_INDEX, Taxonomy, group_of
 
 _MASK64 = (1 << 64) - 1
@@ -56,8 +56,7 @@ class ManifestEntry:
             raise ParseError(f"path longer than {csv.field_size_limit()} characters")
         if self.leaf not in LEAF_INDEX:
             raise UnknownLabelError(f"unknown label {self.leaf!r}")
-        if self.channel_order not in CHANNEL_ORDERS:
-            raise ParseError(f"unknown channel order {self.channel_order!r}")
+        check_channel_order(self.channel_order)
 
 
 @dataclass(frozen=True)

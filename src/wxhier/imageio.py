@@ -18,6 +18,12 @@ _WHITESPACE = b" \t\n\r\v\f"
 CHANNEL_ORDERS = ("RGB", "BGR")  # the pixel orders an image may be stored in
 
 
+def check_channel_order(order: str) -> None:
+    """The one rule for a stored pixel order, shared by manifests and ``model_input``."""
+    if order not in CHANNEL_ORDERS:
+        raise ParseError(f"unknown channel order {order!r}")
+
+
 @dataclass(frozen=True)
 class ImageU8:
     """Interleaved 8-bit RGB image, pixels shaped (height, width, 3)."""

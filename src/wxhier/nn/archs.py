@@ -10,8 +10,6 @@ Dense/Softmax pair as the output stage.
 
 from __future__ import annotations
 
-import math
-
 from ..errors import ConfigError
 from .model import (
     AvgPool,
@@ -36,6 +34,9 @@ BASIC_FILTERS = {
 _VGG_DEPTHS = (2, 2, 3, 3, 3)
 _VGG_WIDTHS = (64, 128, 256, 512, 512)
 _VGG_DENSE = 4096
+# past this, either VGG scale gives more parameters than tensorio.PARAM_LIMIT; with no
+# bound, a depth builds any number of layers first and a width can round to infinity
+MAX_SCALE = 4096
 
 
 def softmax_flat_spec(input_shape: tuple[int, int, int], n_out: int) -> ModelSpec:
@@ -83,8 +84,10 @@ def vgg_style_spec(
     average pooling: it is the only pooling the layer set carries, and at
     these depths the choice does not alter the architecture shape.
     """
-    if not (0.125 <= width_scale < math.inf and 0.125 <= depth_scale < math.inf):
-        raise ConfigError(f"scales must be finite, >= 1/8: width {width_scale} depth {depth_scale}")
+    if not (0.125 <= width_scale <= MAX_SCALE and 0.125 <= depth_scale <= MAX_SCALE):
+        raise ConfigError(
+            f"scales must be finite, in [1/8, {MAX_SCALE}]: width {width_scale} depth {depth_scale}"
+        )
     layers: list[LayerSpec] = []
     for depth, width in zip(_VGG_DEPTHS, _VGG_WIDTHS):
         n_convs = max(1, round(depth * depth_scale))

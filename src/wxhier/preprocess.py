@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, FormatError, ValidationError, WxhierError
-from .imageio import CHANNEL_ORDERS, ImageU8, bgr_to_rgb
+from .imageio import ImageU8, bgr_to_rgb, check_channel_order
 
 DEFAULT_WINDOW = 3
 
@@ -179,8 +179,7 @@ def model_input(img: ImageU8, channel_order: str, out_hw: tuple[int, int]) -> np
 
     RGB order, float32 on the 0..255 scale, Lanczos-resized to ``out_hw``.
     """
-    if channel_order not in CHANNEL_ORDERS:
-        raise DimensionError(f"unknown channel order {channel_order!r}")
+    check_channel_order(channel_order)
     if channel_order == "BGR":
         img = bgr_to_rgb(img)
     return resize_lanczos(img.pixels, out_hw[0], out_hw[1])

@@ -54,10 +54,25 @@ JITTER = 14.0  # uniform brightness shift per image
 NOISE_SIGMA = 7.0
 
 
-def _blob(tex: np.ndarray, r: int, c: int, radius: float, amp: float) -> None:
-    size = tex.shape[0]
-    rr, cc = np.ogrid[:size, :size]
-    tex += amp * np.exp(-((rr - r) ** 2 + (cc - c) ** 2) / (2.0 * radius**2))[:, :, None]
+def _gaussian(size: int, radius: float) -> np.ndarray:
+    """``exp(-d2 / (2 radius**2))`` on a (2 size - 1)**2 grid, d2 the squared
+    integer distance from its centre (size - 1, size - 1).
+
+    A texture makes one per radius and ``_blob`` slices it at each centre, so
+    every pixel gets the same quotient and ``exp`` as a whole-image evaluation.
+    """
+    d = np.arange(2 * size - 1) - (size - 1)
+    return np.exp(-(d[:, None] ** 2 + d**2) / (2.0 * radius**2))
+
+
+def _blob(plane: np.ndarray, field: np.ndarray, r: int, c: int, amp: float) -> None:
+    size = plane.shape[0]
+    plane += amp * field[size - 1 - r : 2 * size - 1 - r, size - 1 - c : 2 * size - 1 - c]
+
+
+def _gray(plane: np.ndarray) -> np.ndarray:
+    """A (size, size) texture plane as the same values in all three channels."""
+    return np.repeat(plane[:, :, None], 3, axis=2)
 
 
 def _tex_rain(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -84,7 +99,7 @@ def _tex_lightning(rng: np.random.Generator, size: int) -> np.ndarray:
     tex = np.zeros((size, size, 3))
     c = int(rng.integers(size // 4, 3 * size // 4))
     for r in range(size):
-        c = int(np.clip(c + rng.integers(-1, 2), 1, size - 2))
+        c = min(max(c + int(rng.integers(-1, 2)), 1), size - 2)
         tex[r, c - 1 : c + 2, :] += (90.0, 90.0, 110.0)
     return tex
 
@@ -102,16 +117,12 @@ def _tex_rainbow(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def _tex_fog(rng: np.random.Generator, size: int) -> np.ndarray:
     # large smooth gray blobs
-    tex = np.zeros((size, size, 3))
+    plane = np.zeros((size, size))
+    field = _gaussian(size, size / 6.0)
     for _ in range(6):
-        _blob(
-            tex,
-            int(rng.integers(0, size)),
-            int(rng.integers(0, size)),
-            radius=size / 6.0,
-            amp=float(rng.uniform(-28.0, 28.0)),
-        )
-    return tex
+        r, c = int(rng.integers(0, size)), int(rng.integers(0, size))
+        _blob(plane, field, r, c, amp=float(rng.uniform(-28.0, 28.0)))
+    return _gray(plane)
 
 
 def _tex_sandstorm(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -128,13 +139,14 @@ def _tex_sandstorm(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def _tex_dew(rng: np.random.Generator, size: int) -> np.ndarray:
     # round droplets: dark rim, bright core
-    tex = np.zeros((size, size, 3))
+    plane = np.zeros((size, size))
+    rim, core = _gaussian(size, 2.5), _gaussian(size, 1.0)
     for _ in range(max(8, size // 6)):
         r = int(rng.integers(2, size - 2))
         c = int(rng.integers(2, size - 2))
-        _blob(tex, r, c, radius=2.5, amp=-35.0)
-        _blob(tex, r, c, radius=1.0, amp=30.0)
-    return tex
+        _blob(plane, rim, r, c, amp=-35.0)
+        _blob(plane, core, r, c, amp=30.0)
+    return _gray(plane)
 
 
 def _tex_frost(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -151,29 +163,25 @@ def _tex_glaze(rng: np.random.Generator, size: int) -> np.ndarray:
     # glassy sheen: one smooth gradient and a few specular points
     slope = float(rng.uniform(-18.0, 18.0))
     ramp = np.linspace(-1.0, 1.0, size) * slope
-    tex = np.zeros((size, size, 3)) + ramp[None, :, None]
+    plane = np.zeros((size, size)) + ramp
+    field = _gaussian(size, 1.2)
     for _ in range(3):
-        _blob(tex, int(rng.integers(0, size)), int(rng.integers(0, size)), radius=1.2, amp=45.0)
-    return tex
+        _blob(plane, field, int(rng.integers(0, size)), int(rng.integers(0, size)), amp=45.0)
+    return _gray(plane)
 
 
 def _tex_rime(rng: np.random.Generator, size: int) -> np.ndarray:
     # dense per-pixel speckle (high spatial frequency)
-    return rng.choice((-20.0, 20.0), size=(size, size, 1)) * np.ones((1, 1, 3))
+    return _gray(rng.choice((-20.0, 20.0), size=(size, size)))
 
 
 def _tex_snow(rng: np.random.Generator, size: int) -> np.ndarray:
     # sparse soft flakes (low spatial frequency)
-    tex = np.zeros((size, size, 3))
+    plane = np.zeros((size, size))
+    field = _gaussian(size, 2.0)
     for _ in range(max(10, size // 5)):
-        _blob(
-            tex,
-            int(rng.integers(0, size)),
-            int(rng.integers(0, size)),
-            radius=2.0,
-            amp=32.0,
-        )
-    return tex
+        _blob(plane, field, int(rng.integers(0, size)), int(rng.integers(0, size)), amp=32.0)
+    return _gray(plane)
 
 
 _TEXTURES = {
@@ -192,13 +200,15 @@ _TEXTURES = {
 
 
 def generate_image(leaf: str, rng: np.random.Generator, size: int = DEFAULT_SIZE) -> ImageU8:
-    base = np.array(BASE_COLORS[leaf], dtype=np.float64)
-    tex = _TEXTURES[leaf](rng, size).astype(np.float64)
-    tex -= tex.mean(axis=(0, 1))  # keep the pair classes' mean colors identical
+    # per-channel terms are tiled into rows of size*3 floats, which numpy adds
+    # faster than it broadcasts a length-3 axis; every sum is the same
+    tex = _TEXTURES[leaf](rng, size).reshape(size, size * 3)
+    mean = tex.reshape(size, size, 3).mean(axis=(0, 1))
+    tex -= np.tile(mean, size)  # keep the pair classes' mean colors identical
     jitter = float(rng.uniform(-JITTER, JITTER))
-    noise = rng.normal(0.0, NOISE_SIGMA, size=(size, size, 3))
-    pixels = base[None, None, :] + jitter + tex + noise
-    return ImageU8(np.clip(np.rint(pixels), 0, 255).astype(np.uint8))
+    noise = rng.normal(0.0, NOISE_SIGMA, size=(size, size * 3))
+    pixels = np.tile(np.array(BASE_COLORS[leaf]) + jitter, size) + tex + noise
+    return ImageU8(np.clip(np.rint(pixels), 0, 255).astype(np.uint8).reshape(size, size, 3))
 
 
 def generate_dataset(

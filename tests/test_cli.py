@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, artifacts, precedence, isolation."""
 
 import argparse
+import contextlib
 import csv
 import importlib
 import io
@@ -12,10 +13,13 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wxhier import cli, hierarchy, nn
 from wxhier.cli import main
@@ -273,6 +277,25 @@ def test_predict_all_failures_exit_4(small_bundle, tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert all("error" in json.loads(l) for l in lines)
+
+
+def test_predict_memory_error_is_that_images_error_line(small_bundle, small_data, monkeypatch,
+                                                        capsys):
+    # a valid image too large for the memory left fails alone, as an OSError does
+    big, good = small_data / "rain" / "000.ppm", small_data / "rain" / "001.ppm"
+
+    def decode(data):
+        if data == big.read_bytes():
+            raise MemoryError("Unable to allocate 243. MiB")
+        return decode_ppm(data)
+
+    monkeypatch.setattr(cli, "decode_ppm", decode)
+    assert run("predict", "--bundle", small_bundle, big, good) == 0
+    docs = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert docs[0] == {"path": str(big), "error": "MemoryError: Unable to allocate 243. MiB"}
+    assert docs[1]["leaf"] in LEAF_CLASSES
+    assert run("predict", "--bundle", small_bundle, big) == 4
+    assert "MemoryError" in json.loads(capsys.readouterr().out)["error"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -694,6 +717,37 @@ def test_config_output_dir_beats_env_var(small_data, tmp_path, monkeypatch):
     assert run("split", "--manifest", small_data / "manifest.csv", "--config", cfg,
                "--output-dir", out_flag) == 0
     assert (out_flag / "train.csv").exists()
+
+
+_CONFIG_KEYS = sorted(set().union(*cli.build_parser()[1].values()))
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+            | st.sampled_from([*cli.ARCHES, *nn.BASIC_FILTERS, "1e308", "-0", "\0", "nan"]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+_CONFIG_DOCS = _JSON | st.dictionaries(
+    st.sampled_from(_CONFIG_KEYS) | st.text(max_size=12), _JSON, max_size=6
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_CONFIG_DOCS, command=st.sampled_from(["split", "train"]))
+# scales whose layer widths round to infinity, or whose layer count has no bound
+@example(doc={"arch": "vgg-style", "width_scale": 1e308}, command="train")
+@example(doc={"arch": "vgg-style", "depth_scale": 2e9}, command="train")
+def test_any_config_document_exits_2_or_3(doc, command):
+    # the manifest does not exist: a document is either refused (2) or
+    # passes every check that runs before the manifest is read (3)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = run(command, "--manifest", Path(tmp) / "missing.csv", "--config", cfg,
+                     "--output-dir", Path(tmp) / "out")
+        assert rc in (2, 3)
+        assert not (Path(tmp) / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wxhier.errors import ConfigError
+from wxhier.errors import ConfigError, ShapeError
 from wxhier.nn import (
     AvgPool,
     BatchNorm,
@@ -23,6 +23,7 @@ from wxhier.nn import (
     softmax_flat_spec,
     vgg_style_spec,
 )
+from wxhier.nn.archs import MAX_SCALE
 
 
 def test_flat_spec_structure():
@@ -99,6 +100,16 @@ def test_vgg_minimum_scale_enforced():
         with pytest.raises(ConfigError, match="finite"):
             vgg_style_spec((64, 64, 3), 11, **bad)
     vgg_style_spec((64, 64, 3), 11, width_scale=0.125)  # boundary accepted
+
+
+@pytest.mark.parametrize("scales", [{"width_scale": 1e308}, {"depth_scale": MAX_SCALE * 2}])
+def test_vgg_scale_beyond_any_valid_model_is_refused(scales):
+    # round() of 64 * 1e308 would raise OverflowError; a large depth would
+    # build millions of layers before the parameter count refused them
+    with pytest.raises(ConfigError, match=f"in \\[1/8, {MAX_SCALE}\\]"):
+        vgg_style_spec((32, 32, 3), 11, **scales)
+    with pytest.raises(ShapeError, match="parameters exceed"):  # the largest scale allowed
+        vgg_style_spec((32, 32, 3), 11, **{key: MAX_SCALE for key in scales})
 
 
 def test_presets_run_forward():

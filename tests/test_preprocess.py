@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wxhier import preprocess
-from wxhier.errors import DegenerateError, DimensionError, FormatError, WxhierError
+from wxhier.errors import DegenerateError, DimensionError, FormatError, ParseError, WxhierError
 from wxhier.imageio import ImageU8
 from wxhier.preprocess import (
     DEFAULT_WINDOW,
@@ -457,5 +457,5 @@ def test_pipeline_shape_and_channel_order():
     assert rgb.shape == (6, 6, 3)
     assert rgb.dtype == np.float32
     np.testing.assert_array_equal(rgb, bgr)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ParseError, match="unknown channel order 'GBR'"):
         preprocess_pipeline(ImageU8(pixels), "GBR", s, out_hw=(6, 6))
