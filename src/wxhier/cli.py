@@ -4,15 +4,15 @@ synth.
 Each option is defined once, as an argparse flag with its default and a
 ``type`` that converts the text.  The object the value configures
 (``SplitSpec``, ``HierTrainConfig``, a model spec) checks it, and each
-command builds those objects before it reads a file.  ``train`` rejects
-a setting that its ``--arch`` does not read (``ARCHES``).  ``--config
-FILE`` names a JSON object keyed by the long option names with
-underscores (``test_fraction``).  Its entries are inserted as flags right
-after the subcommand, so they pass the same checks and a flag given on
-the command line wins.  A key that only other subcommands take is
-ignored, so one file can serve several of them; a key that no subcommand
-takes is an error.  Precedence is flag > config file >
-``$WXHIER_OUTPUT_DIR`` (for ``--output-dir``) > built-in default.
+command builds those objects before it reads a file: ``train`` builds one
+``HierTrainConfig``, and rejects a setting its ``--arch`` does not read
+(``hierarchy.ARCHES``).  ``--config FILE`` names a JSON object keyed by
+the long option names with underscores (``test_fraction``).  Its entries
+are inserted as flags right after the subcommand, so they pass the same
+checks and a flag given on the command line wins.  A key that only other
+subcommands take is ignored, so one file can serve several of them; a
+key that no subcommand takes is an error.  Precedence is flag > config
+file > ``$WXHIER_OUTPUT_DIR`` (for ``--output-dir``) > built-in default.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O failure, 4 data
 problem (malformed/missing content), 5 internal error.
@@ -34,8 +34,9 @@ from . import nn
 from .dataset import (
     SplitSpec, csv_text, distribution_csv, load_manifest, manifest_to_csv, stratified_split
 )
-from .errors import ConfigError, FormatError, ShapeError, ValidationError, WxhierError
+from .errors import ConfigError, FormatError, ValidationError, WxhierError
 from .hierarchy import (
+    ARCHES,
     HierTrainConfig,
     bundle_content_hash,
     leaf_labels,
@@ -53,13 +54,6 @@ from .taxonomy import LEAF_CLASSES, default_taxonomy, load_taxonomy
 from .tensorio import tensor_to_bytes
 
 ENV_OUTPUT_DIR = "WXHIER_OUTPUT_DIR"
-
-ARCHES = {
-    "hierarchical": ("taxonomy", "scale", "dropout"),
-    "softmax-flat": (),
-    "basic-cnn": ("scale", "dropout"),
-    "vgg-style": ("width_scale", "depth_scale"),
-}
 
 
 def _checked(convert, rule: str, ok=lambda value: True):
@@ -151,10 +145,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     flag("--arch", default="hierarchical", **_one_of("--arch", tuple(ARCHES)))
     flag("--scale", help=f"hierarchical and basic-cnn block preset "
          f"(default {HierTrainConfig.scale})", **_one_of("--scale", tuple(nn.BASIC_FILTERS)))
-    flag("--width-scale", type=_number("--width-scale"),
-         help="vgg-style channel multiplier (default 1)")
-    flag("--depth-scale", type=_number("--depth-scale"),
-         help="vgg-style stage-depth multiplier (default 1)")
+    flag("--width-scale", type=_number("--width-scale"), help=f"vgg-style channel "
+         f"multiplier (default {HierTrainConfig.width_scale})")
+    flag("--depth-scale", type=_number("--depth-scale"), help=f"vgg-style stage-depth "
+         f"multiplier (default {HierTrainConfig.depth_scale})")
     flag("--epochs", type=_number("--epochs", int), default=25)
     flag("--learning-rate", type=_number("--learning-rate"), default=HierTrainConfig.learning_rate)
     flag("--momentum", type=_number("--momentum"), default=HierTrainConfig.momentum)
@@ -271,21 +265,8 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _flat_spec(arch: str, cfg: HierTrainConfig, given: dict) -> nn.ModelSpec:
-    input_shape, n_out = (*cfg.input_hw, 3), len(LEAF_CLASSES)
-    if arch == "basic-cnn":
-        return cfg.spec(n_out)
-    if arch == "softmax-flat":
-        return nn.softmax_flat_spec(input_shape, n_out)
-    try:
-        scales = {key: value for key, value in given.items() if key in ARCHES[arch]}
-        return nn.vgg_style_spec(input_shape, n_out, **scales)
-    except ShapeError as exc:
-        msg = f"--arch {arch} at --input-size {cfg.input_hw[0]} builds no valid model: {exc}"
-        raise ConfigError(msg) from None
-
-
-def _train_flat(args, cfg: HierTrainConfig, spec, train_entries, val_entries, root) -> int:
+def _train_flat(args, cfg: HierTrainConfig, train_entries, val_entries, root) -> int:
+    spec = cfg.spec(len(LEAF_CLASSES))
     x_train, stats = load_standardized(train_entries, cfg.input_hw, root)
     x_val = load_standardized(val_entries, cfg.input_hw, root, stats)[0] if val_entries else None
     y_val = leaf_labels(val_entries) if val_entries else None
@@ -294,7 +275,7 @@ def _train_flat(args, cfg: HierTrainConfig, spec, train_entries, val_entries, ro
     (out / "model.wxm1").write_bytes(nn.model_to_bytes(spec, params, stats, list(LEAF_CLASSES)))
     (out / "history.csv").write_text(nn.history_to_csv(history), encoding="utf-8")
     final_val = history[-1].val_acc
-    print(f"saved {args.arch} model to {out / 'model.wxm1'}")
+    print(f"saved {cfg.arch} model to {out / 'model.wxm1'}")
     print(f"final validation accuracy: {'n/a' if final_val is None else f'{final_val:.4f}'}")
     return 0
 
@@ -307,23 +288,21 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--arch {args.arch} does not read {flags}")
     names = {f.name for f in fields(HierTrainConfig)} & set(given)
     cfg = HierTrainConfig(input_hw=(args.input_size,) * 2, **{key: given[key] for key in names})
-    spec = None if args.arch == "hierarchical" else _flat_spec(args.arch, cfg, given)
     train_entries, root = _entries_and_root(args)
     val_entries = []
     if args.val_manifest is not None:
         val_entries = load_manifest(args.val_manifest.read_bytes())
-    if spec is not None:
-        return _train_flat(args, cfg, spec, train_entries, val_entries, root)
+    if cfg.arch != "hierarchical":
+        return _train_flat(args, cfg, train_entries, val_entries, root)
 
     taxonomy = _taxonomy_for(args)
     model, histories = train_hierarchical(train_entries, taxonomy, cfg, val_entries, root)
     out = _outdir(args)
     bundle_dir = out / "bundle"
     save_hierarchical(model, bundle_dir)
-    for role, history in histories.items():
-        (out / f"history_{role}.csv").write_text(nn.history_to_csv(history), encoding="utf-8")
     print(f"saved hierarchical bundle to {bundle_dir}")
     for role, history in histories.items():
+        (out / f"history_{role}.csv").write_text(nn.history_to_csv(history), encoding="utf-8")
         val = history[-1].val_acc
         print(f"final validation accuracy [{role}]: {'n/a' if val is None else f'{val:.4f}'}")
     return 0

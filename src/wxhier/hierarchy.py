@@ -16,6 +16,7 @@ files all read them.  No model object stores class names.
 ``load_standardized`` is the one data path from manifest entries to a
 standardized batch: training (train and val sets), evaluation, model
 scoring in ``wxhier compare`` and ``wxhier preprocess`` all call it.
+``HierTrainConfig`` is the one recipe of a ``wxhier train`` run, whatever its arch.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ from .nn import (
     model_from_bytes,
     model_to_bytes,
     predict,
+    softmax_flat_spec,
     train,
+    vgg_style_spec,
 )
 from .nn.train import EpochStats
 from .taxonomy import (
@@ -233,27 +236,47 @@ def joint_leaf_batch(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------ training
 
+# each --arch and the model settings it reads: the one definition of the arch names
+ARCHES = {
+    "hierarchical": ("taxonomy", "scale", "dropout"),
+    "softmax-flat": (),
+    "basic-cnn": ("scale", "dropout"),
+    "vgg-style": ("width_scale", "depth_scale"),
+}
+
+
 @dataclass(frozen=True, kw_only=True)
 class HierTrainConfig(TrainConfig):
-    """The training run of all five models: a ``TrainConfig`` plus the basic
-    CNN the five models share, all checked when built.
+    """A ``TrainConfig`` plus the ``arch`` and its model settings (``ARCHES``).  Building
+    it builds the widest model the run fits, one output per leaf class, so none fails later.
     """
 
-    input_hw: tuple[int, ...] = (100, 100)  # (H, W); another length fits no preset
-    scale: str = "micro"  # basic-CNN block preset of every model
+    arch: str = "hierarchical"
+    input_hw: tuple[int, ...] = (100, 100)  # (H, W); another length fits no model
+    scale: str = "micro"  # basic-CNN block preset
     dropout: float = 0.25
+    width_scale: float = 1.0  # vgg-style multipliers
+    depth_scale: float = 1.0
 
     def __post_init__(self):
         super().__post_init__()
+        if self.arch not in ARCHES:
+            raise ConfigError(f"arch must be one of {', '.join(ARCHES)}, got {self.arch!r}")
         try:
-            self.spec(1)
+            self.spec(len(LEAF_CLASSES))  # no role or flat model has more outputs
         except ShapeError as exc:
             size = "x".join(map(str, self.input_hw))
-            msg = f"input size {size} does not fit the {self.scale!r} preset: {exc}"
+            msg = f"arch {self.arch} at input size {size} builds no valid model: {exc}"
             raise ConfigError(msg) from None
 
     def spec(self, n_out: int) -> ModelSpec:
-        return basic_cnn_spec((*self.input_hw, 3), n_out, scale=self.scale, dropout=self.dropout)
+        """The model of ``arch`` with ``n_out`` outputs: the only arch-to-builder rule."""
+        shape = (*self.input_hw, 3)
+        if self.arch == "softmax-flat":
+            return softmax_flat_spec(shape, n_out)
+        if self.arch == "vgg-style":
+            return vgg_style_spec(shape, n_out, self.width_scale, self.depth_scale)
+        return basic_cnn_spec(shape, n_out, scale=self.scale, dropout=self.dropout)
 
     def train_config(self, role_index: int) -> HierTrainConfig:
         # distinct but pinned seed per model
@@ -312,8 +335,10 @@ def train_hierarchical(
     gives it.  A role that lacks one of its classes in the training data,
     or that the taxonomy gives no class, raises ``MissingClassError``
     before any image is decoded.  All five share one NormalizationStats,
-    computed on the resized training tensors.
+    computed on the resized training tensors.  Another arch is a ``ConfigError``.
     """
+    if cfg.arch != "hierarchical":
+        raise ConfigError(f"arch {cfg.arch} trains one flat model, not a bundle")
     classes = role_classes(taxonomy)
     val_entries = val_entries or []
     train_leaves = [e.leaf for e in train_entries]
@@ -347,20 +372,13 @@ def train_hierarchical(
 
 
 def init_hierarchical(
-    taxonomy: Taxonomy,
-    input_hw: tuple[int, int] = (16, 16),
-    scale: str = "micro",
-    seed: int = 0,
+    taxonomy: Taxonomy, input_hw: tuple[int, int] = (16, 16), scale: str = "micro", seed: int = 0
 ) -> HierarchicalModel:
     """Randomly initialized model (no training); useful for property tests."""
     rng = np.random.default_rng(seed)
-    input_shape = (input_hw[0], input_hw[1], 3)
-
-    def make(n_out: int) -> SubModel:
-        spec = basic_cnn_spec(input_shape, n_out, scale=scale)
-        return SubModel(spec, init_params(spec, rng))
-
-    subs = {role: make(len(classes)) for role, classes in role_classes(taxonomy).items()}
+    cfg = HierTrainConfig(epochs=1, input_hw=input_hw, scale=scale)
+    specs = {role: cfg.spec(len(classes)) for role, classes in role_classes(taxonomy).items()}
+    subs = {role: SubModel(spec, init_params(spec, rng)) for role, spec in specs.items()}
     stats = NormalizationStats(mean=127.5, std=64.0, sample_count=2)
     return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats)
 
@@ -438,10 +456,12 @@ def load_hierarchical(dirpath: str | Path) -> HierarchicalModel:
     classes = role_classes(taxonomy)
     subs: dict[str, SubModel] = {}
     for role, name in BUNDLE_LAYOUT["models"].items():
-        spec, params, _, labels = model_from_bytes((dirpath / name).read_bytes())
+        spec, params, model_stats, labels = model_from_bytes((dirpath / name).read_bytes())
         if labels is None:
             raise FormatError(f"{role} model file lacks its class-name list")
         if tuple(labels) != classes[role]:
             raise ValidationError(f"{role} model classes {tuple(labels)} != {classes[role]}")
+        if model_stats != stats:
+            raise ValidationError(f"{role} model stats {model_stats} != stats.json's {stats}")
         subs[role] = SubModel(spec, params)
     return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats)

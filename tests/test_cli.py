@@ -721,7 +721,7 @@ def test_config_output_dir_beats_env_var(small_data, tmp_path, monkeypatch):
 
 _CONFIG_KEYS = sorted(set().union(*cli.build_parser()[1].values()))
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-            | st.sampled_from([*cli.ARCHES, *nn.BASIC_FILTERS, "1e308", "-0", "\0", "nan"]))
+            | st.sampled_from([*hierarchy.ARCHES, *nn.BASIC_FILTERS, "1e308", "-0", "\0", "nan"]))
 _JSON = st.recursive(
     _SCALARS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
@@ -737,6 +737,8 @@ _CONFIG_DOCS = _JSON | st.dictionaries(
 # scales whose layer widths round to infinity, or whose layer count has no bound
 @example(doc={"arch": "vgg-style", "width_scale": 1e308}, command="train")
 @example(doc={"arch": "vgg-style", "depth_scale": 2e9}, command="train")
+# a model too large for the parameter limit, checked before the manifest is read
+@example(doc={"arch": "softmax-flat", "input_size": 3000}, command="train")
 def test_any_config_document_exits_2_or_3(doc, command):
     # the manifest does not exist: a document is either refused (2) or
     # passes every check that runs before the manifest is read (3)
@@ -898,6 +900,28 @@ def test_train_input_size_too_small_fails_before_decoding(small_data, tmp_path, 
     assert calls == []
 
 
+@pytest.mark.parametrize("arch, size", [
+    ("softmax-flat", 3000),
+    ("vgg-style", 100000),
+    ("basic-cnn", 6000),
+    # every role of the default taxonomy fits at 8000 px, but not an 11-class head
+    ("hierarchical", 8000),
+])
+def test_train_input_size_no_model_of_the_arch_fits_exits_2(small_data, tmp_path, monkeypatch,
+                                                            capsys, arch, size):
+    def refuse(*args, **kwargs):
+        raise AssertionError("images decoded")
+
+    monkeypatch.setattr(hierarchy, "load_image_tensors", refuse)
+    rc = run("train", "--manifest", small_data / "manifest.csv", "--root", small_data,
+             "--output-dir", tmp_path / "out", "--arch", arch, "--input-size", size, "--epochs", 1)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"--arch {arch} at input size {size}x{size} builds no valid model" in err
+    assert "'micro'" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_taxonomy_without_cold_hazard_exits_4(small_data, tmp_path, capsys):
     t = default_taxonomy()
     taxonomy = Taxonomy(t.leaf_to_group, {**t.leaf_to_safety, "frost": "Safe", "rime": "Safe"})
@@ -975,6 +999,15 @@ def test_readme_flag_table_matches_the_parser():
     defined = {name: {opt for action in p._actions for opt in action.option_strings} - unlisted
                for name, p in subparsers.choices.items()}
     assert table == defined
+
+
+def test_readme_arch_settings_match_the_arch_table():
+    # the bullets after this README sentence list the settings each --arch reads
+    text = README.read_text().split("`train --arch` reads only its own model settings", 1)[1]
+    bullets = re.findall(r"^- `([a-z-]+)` reads (.*)$", text.split("\n\n", 2)[1], re.M)
+    listed = {arch: set(re.findall(r"--[a-z][a-z-]*", rest)) for arch, rest in bullets}
+    assert listed == {arch: {"--" + key.replace("_", "-") for key in keys}
+                      for arch, keys in hierarchy.ARCHES.items()}
 
 
 def test_readme_comparison_recipe_matches_in_process_table(small_data, tmp_path):

@@ -1,5 +1,6 @@
 """Two-stage routing: prediction invariants, bundle persistence, training."""
 
+import itertools
 import json
 import os
 import shutil
@@ -26,6 +27,7 @@ from wxhier.errors import (
     WxhierError,
 )
 from wxhier.hierarchy import (
+    ARCHES,
     BUNDLE_FILES,
     GROUP_ROLES,
     MODEL_ROLES,
@@ -45,7 +47,8 @@ from wxhier.hierarchy import (
     train_hierarchical,
 )
 from wxhier.imageio import ImageU8
-from wxhier.nn import init_params, model_to_bytes, softmax_flat_spec
+from wxhier.nn import BASIC_FILTERS, init_params, model_to_bytes, softmax_flat_spec
+from wxhier.preprocess import NormalizationStats
 from wxhier.taxonomy import (
     COARSE_GROUPS,
     GROUP_INDEX,
@@ -69,9 +72,6 @@ def random_model():
 @pytest.fixture(scope="module")
 def flat_model():
     """Linear heads route random inputs across all three groups."""
-    from wxhier.nn import init_params, softmax_flat_spec
-    from wxhier.preprocess import NormalizationStats
-
     t = default_taxonomy()
 
     def sub(classes, seed):
@@ -277,8 +277,6 @@ def test_bundle_bad_stats_rejected_even_with_matching_hash(random_model, tmp_pat
 
 
 def test_bundle_model_naming_other_classes_rejected(random_model, tmp_path, capsys):
-    from wxhier.cli import main
-
     bundle = tmp_path / "bundle"
     save_hierarchical(random_model, bundle)
     sub = random_model.sub_rainy
@@ -286,13 +284,31 @@ def test_bundle_model_naming_other_classes_rejected(random_model, tmp_path, caps
     blob = model_to_bytes(sub.spec, sub.params, random_model.stats, list(names))
     (bundle / "sub_rainy.wxm1").write_bytes(blob)
     _rehash(bundle)
-    with pytest.raises(ValidationError, match="sub_rainy model classes"):
+    _assert_refused_by_load_and_evaluate(bundle, tmp_path, capsys, "sub_rainy model classes")
+
+
+def test_bundle_model_with_other_stats_rejected(random_model, tmp_path, capsys):
+    # stats.json says mean 127.5; primary.wxm1's header says otherwise
+    bundle = tmp_path / "bundle"
+    save_hierarchical(random_model, bundle)
+    sub = random_model.primary
+    names = list(role_classes(random_model.taxonomy)["primary"])
+    blob = model_to_bytes(sub.spec, sub.params, NormalizationStats(0.0, 1.0, 2), names)
+    (bundle / "primary.wxm1").write_bytes(blob)
+    _rehash(bundle)
+    _assert_refused_by_load_and_evaluate(bundle, tmp_path, capsys, "primary model stats")
+
+
+def _assert_refused_by_load_and_evaluate(bundle, tmp_path, capsys, message):
+    from wxhier.cli import main
+
+    with pytest.raises(ValidationError, match=message):
         load_hierarchical(bundle)
     (tmp_path / "m.csv").write_text("path,label\nx.ppm,rain\n")
     argv = ["evaluate", "--bundle", bundle, "--manifest", tmp_path / "m.csv",
             "--output-dir", tmp_path / "out"]
     assert main([str(a) for a in argv]) == 4
-    assert "sub_rainy model classes" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def _rehash(bundle):
@@ -463,8 +479,35 @@ def test_bad_train_config_fails_before_decoding(small_data, monkeypatch, name, v
 
 
 def test_input_size_of_one_side_is_config_error():
-    with pytest.raises(ConfigError, match="input size 32 does not fit the 'micro' preset"):
+    with pytest.raises(ConfigError, match="arch hierarchical at input size 32 builds no valid"):
         HierTrainConfig(input_hw=(32,), scale="micro", epochs=1)
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_a_config_that_builds_fits_every_head_width(arch):
+    # the config checks one 11-way head; every role and flat model has 1-11 outputs
+    sizes = (4, 8, 20, 32, 100, 1000, 3000, 5000, 8000, 100000)
+    built = refused = 0
+    for size, scale, width, depth in itertools.product(sizes, BASIC_FILTERS, *[(0.125, 1.0)] * 2):
+        try:
+            cfg = HierTrainConfig(epochs=1, arch=arch, input_hw=(size, size), scale=scale,
+                                  width_scale=width, depth_scale=depth)
+        except ConfigError:
+            refused += 1
+            continue
+        for n_out in range(1, len(LEAF_CLASSES) + 1):
+            assert cfg.spec(n_out).n_out == n_out
+        built += 1
+    assert built and refused
+
+
+def test_only_a_hierarchical_config_trains_a_bundle(small_data):
+    with pytest.raises(ConfigError, match="arch must be one of"):
+        HierTrainConfig(arch="vgg", epochs=1)
+    entries = load_manifest((small_data / "manifest.csv").read_bytes())
+    cfg = HierTrainConfig(arch="basic-cnn", input_hw=(8, 8), epochs=1)
+    with pytest.raises(ConfigError, match="arch basic-cnn"):
+        train_hierarchical(entries, default_taxonomy(), cfg, root=small_data)
 
 
 def no_cold_hazard_taxonomy() -> Taxonomy:
