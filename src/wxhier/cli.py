@@ -34,7 +34,7 @@ from . import nn
 from .dataset import (
     SplitSpec, csv_text, distribution_csv, load_manifest, manifest_to_csv, stratified_split
 )
-from .errors import ConfigError, FormatError, ValidationError, WxhierError
+from .errors import ConfigError, FormatError, ValidationError, WxhierError, json_object
 from .hierarchy import (
     ARCHES,
     HierTrainConfig,
@@ -195,12 +195,7 @@ def _with_config(argv: list[str], keys: dict[str, set[str]]) -> list[str]:
     path = pre.parse_known_args(rest)[0].config
     if path is None:
         return argv
-    try:
-        doc = json.loads(path.read_bytes())
-    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+    doc = json_object(path.read_bytes(), f"config {path}", ConfigError)
     unknown = set(doc) - set().union(*keys.values())
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")

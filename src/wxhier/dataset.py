@@ -1,4 +1,4 @@
-"""Manifest entries and their CSV form, deterministic stratified splitting.
+"""Manifest entries and their UTF-8 CSV form, deterministic stratified splitting.
 
 The split shuffle uses splitmix64 + Fisher-Yates with unbiased rejection
 sampling, fully specified here so the same (manifest, seed) pair produces
@@ -25,7 +25,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import ConfigError, EmptyManifestError, ParseError, UnknownLabelError, WxhierError
-from .errors import check_fields
+from .errors import check_fields, utf8_text
 from .imageio import check_channel_order
 from .taxonomy import LEAF_CLASSES, LEAF_INDEX, Taxonomy, group_of
 
@@ -107,14 +107,9 @@ def _shuffled(indices: list[int], rng: _SplitMix64) -> list[int]:
     return out
 
 
-def load_manifest(data: bytes | str) -> list[ManifestEntry]:
-    """Parse a manifest CSV with header ``path,label[,channel_order]``."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"manifest is not UTF-8: {exc}") from None
-    reader = csv.reader(io.StringIO(data))
+def load_manifest(data: bytes) -> list[ManifestEntry]:
+    """Parse the bytes of a UTF-8 manifest CSV with header ``path,label[,channel_order]``."""
+    reader = csv.reader(io.StringIO(utf8_text(data, "manifest", ParseError)))
     rows = []  # (line number, row); blank lines are ignored
     try:
         for row in reader:

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and ``check_fields``, its one field-type rule."""
+"""Exception types shared across the package, and its one rule for each check: ``check_fields``
+for a value object's fields, ``utf8_text`` and ``json_object`` for the bytes of a file."""
 
+import json
 import sys
 from dataclasses import fields
 
@@ -79,3 +81,25 @@ def check_fields(obj, error: type[WxhierError]) -> None:
             ok = type(value) is {"int": int, "str": str}.get(f.type, type(value))
         if not ok:
             raise error(f"{f.name} must be {_TAKES[f.type]}, got {value!r}")
+
+
+def utf8_text(data: bytes, what: str, error: type[WxhierError]) -> str:
+    """``data`` as UTF-8 text; other bytes, a leading byte-order mark too, raise ``error``."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8: {exc}") from None
+    if text.startswith("\ufeff"):
+        raise error(f"{what} starts with a byte-order mark; UTF-8 text takes none")
+    return text
+
+
+def json_object(data: bytes, what: str, error: type[WxhierError]) -> dict:
+    """The JSON object in ``utf8_text(data)``; bad syntax, too deep or no object raise ``error``."""
+    try:
+        doc = json.loads(utf8_text(data, what, error))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -38,6 +39,7 @@ from .errors import (
     ShapeError,
     ValidationError,
     VersionError,
+    json_object,
 )
 from .imageio import ImageU8, decode_ppm
 from .preprocess import (
@@ -388,10 +390,15 @@ def init_hierarchical(
 def save_hierarchical(model: HierarchicalModel, dirpath: str | Path) -> None:
     """Write the bundle directory: five model files, taxonomy, stats, manifest.
 
-    The content hash is taken over the payload bytes as they are written.
+    The content hash is taken over the payload bytes as they are written.  The files
+    go into a sibling directory that renames swap in, so ``dirpath`` is always absent,
+    the old bundle or the new one.  A file, or a non-empty directory without
+    ``bundle.json``, is never replaced.
     """
     dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
+    if dirpath.exists() and not (dirpath / "bundle.json").is_file():
+        if not dirpath.is_dir() or any(dirpath.iterdir()):
+            raise FileExistsError(f"{dirpath}: not a bundle directory, so not replaced")
     classes = role_classes(model.taxonomy)
     subs = [(getattr(model, role), list(classes[role])) for role in MODEL_ROLES]
     payloads = [
@@ -399,15 +406,27 @@ def save_hierarchical(model: HierarchicalModel, dirpath: str | Path) -> None:
         serialize_taxonomy(model.taxonomy).encode("utf-8"),
         stats_to_json(model.stats).encode("utf-8"),
     ]
-    for name, blob in zip(BUNDLE_FILES, payloads):
-        (dirpath / name).write_bytes(blob)
     manifest = {
         "format": "wxhier-bundle",
         "version": BUNDLE_VERSION,
         **BUNDLE_LAYOUT,
         "content_hash": _digest(payloads),
     }
-    (dirpath / "bundle.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    dirpath.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{dirpath.name}.", dir=dirpath.parent) as stage:
+        new, old = Path(stage, "new"), Path(stage, "old")
+        new.mkdir()
+        for name, blob in zip((*BUNDLE_FILES, "bundle.json"), (*payloads, manifest_bytes)):
+            (new / name).write_bytes(blob)
+        if dirpath.exists():
+            dirpath.rename(old)
+        try:
+            new.rename(dirpath)
+        except OSError:  # put the old bundle back
+            if old.exists():
+                old.rename(dirpath)
+            raise
 
 
 def _digest(payloads) -> str:
@@ -428,11 +447,8 @@ def _read_bundle_manifest(dirpath: Path) -> dict:
     mpath = dirpath / "bundle.json"
     if not mpath.is_file():
         raise FormatError(f"{dirpath}: no bundle.json manifest")
-    try:
-        manifest = json.loads(mpath.read_bytes())
-    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
-        raise FormatError(f"{mpath}: bad JSON: {exc}") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != "wxhier-bundle":
+    manifest = json_object(mpath.read_bytes(), str(mpath), FormatError)
+    if manifest.get("format") != "wxhier-bundle":
         raise FormatError(f"{mpath}: not a model bundle manifest")
     if manifest.get("version") != BUNDLE_VERSION:
         raise VersionError(f"{mpath}: unsupported bundle version {manifest.get('version')!r}")

@@ -5,7 +5,7 @@ Layout:
     bytes 0..3   magic b"WXM1"
     u32 LE       format version (currently 1)
     u32 LE       header length in bytes
-    header       UTF-8 JSON: input_shape, n_out, layer list, optional
+    header       a UTF-8 JSON object: input_shape, n_out, layer list, optional
                  normalization stats, optional output label names
     blobs        one tensor container per parameter array, in layer
                  order and, within a layer, in the order of the layer
@@ -15,8 +15,8 @@ Layout:
 Tensor payloads are float32, matching the training dtype.  The layer
 classes and ``ModelSpec`` in ``model`` own each ``kind``, field rule and
 parameter shape, and refuse a bad value when built; this module only
-parses, mapping kinds to classes through ``LAYER_TYPES``.  Callers read
-and write the file bytes around ``model_to_bytes``/``model_from_bytes``.
+parses, mapping kinds to classes through ``LAYER_TYPES``, with the header
+read by ``errors.json_object``.  Callers read and write the file bytes.
 Every decode fault, including a header that describes an impossible
 model and non-finite parameters, surfaces as ``FormatError``; the writer
 refuses labels and parameters through the reader's own checks.
@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import io
 import json
+import struct
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError, ShapeError, VersionError
+from ..errors import ConfigError, FormatError, ShapeError, VersionError, json_object
 from ..preprocess import NormalizationStats, stats_from_dict, stats_to_dict
 from ..tensorio import tensor_from_bytes, tensor_to_bytes
 from . import model as M
@@ -87,9 +88,7 @@ def model_to_bytes(
     header["labels"] = _check_labels(labels, spec.n_out)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(np.uint32(VERSION).tobytes())
-    buf.write(np.uint32(len(header_bytes)).tobytes())
+    buf.write(MAGIC + struct.pack("<II", VERSION, len(header_bytes)))
     buf.write(header_bytes)
     for layer, entry, shape in zip(spec.layers, params, M.input_shapes(spec)):
         for key, want in layer.param_shapes(shape).items():
@@ -105,18 +104,12 @@ def model_from_bytes(
         raise FormatError("model file truncated before header")
     if data[:4] != MAGIC:
         raise FormatError(f"bad model magic {data[:4]!r}")
-    version = int(np.frombuffer(data[4:8], dtype="<u4")[0])
+    version, header_len = struct.unpack_from("<II", data, 4)
     if version != VERSION:
         raise VersionError(f"unsupported model version {version}")
-    header_len = int(np.frombuffer(data[8:12], dtype="<u4")[0])
     if len(data) < 12 + header_len:
         raise FormatError("model file truncated inside header")
-    try:
-        header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
-        raise FormatError(f"bad model header: {exc}") from None
-    if not isinstance(header, dict):
-        raise FormatError("model header must be a JSON object")
+    header = json_object(data[12 : 12 + header_len], "model header", FormatError)
 
     spec = spec_from_dict(header)
     offset = 12 + header_len

@@ -8,8 +8,8 @@ and weights of each (source size, target size) pair are planned once and
 kept read-only in a bounded cache; a pass only gathers and adds each output
 pixel's taps in source order.  Standardization subtracts the training-set
 mean and divides by its standard deviation; the two scalars are persisted
-(``stats_to_json`` and ``stats_from_json``, the only stats codec) so
-inference uses the exact training statistics.
+as one UTF-8 JSON object (``stats_to_json`` and ``stats_from_json``, the
+only stats codec) so inference uses the exact training statistics.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, FormatError, ValidationError, WxhierError
+from .errors import json_object
 from .imageio import ImageU8, bgr_to_rgb, check_channel_order
 
 DEFAULT_WINDOW = 3
@@ -215,9 +216,5 @@ def stats_to_json(s: NormalizationStats) -> str:
     return json.dumps(stats_to_dict(s), indent=2) + "\n"
 
 
-def stats_from_json(text: str | bytes) -> NormalizationStats:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
-        raise FormatError(f"bad stats document: {exc}") from None
-    return stats_from_dict(doc)
+def stats_from_json(data: bytes) -> NormalizationStats:
+    return stats_from_dict(json_object(data, "stats document", FormatError))

@@ -2,7 +2,7 @@
 
 Leaf classes are ordered alphabetically and that order fixes the integer
 index used for one-hot targets everywhere, so indices stay stable across
-runs and serialized files.
+runs and serialized files.  A taxonomy config file is UTF-8 text.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import configparser
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ParseError, ValidationError, check_fields
+from .errors import ParseError, ValidationError, check_fields, utf8_text
 
 LEAF_CLASSES: tuple[str, ...] = (
     "dew",
@@ -100,8 +100,8 @@ def serialize_taxonomy(t: Taxonomy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_taxonomy(file_bytes: bytes | str) -> Taxonomy:
-    """Parse and validate a taxonomy config document.
+def load_taxonomy(file_bytes: bytes) -> Taxonomy:
+    """Parse and validate the bytes of a UTF-8 taxonomy config document.
 
     The document has two mandatory sections, ``[groups]`` and ``[safety]``,
     each mapping every leaf identifier to exactly one target identifier,
@@ -109,19 +109,11 @@ def load_taxonomy(file_bytes: bytes | str) -> Taxonomy:
     parser is strict: unknown sections (``[DEFAULT]`` too), unknown keys,
     duplicates and missing leaves are all rejected.
     """
-    if isinstance(file_bytes, bytes):
-        try:
-            text = file_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"taxonomy config is not UTF-8: {exc}") from None
-    else:
-        text = file_bytes
-
     # default_section="" names no section a header can open, so [DEFAULT] is unknown
     parser = configparser.ConfigParser(strict=True, interpolation=None, default_section="")
     parser.optionxform = str  # keep identifiers case-sensitive
     try:
-        parser.read_string(text)
+        parser.read_string(utf8_text(file_bytes, "taxonomy config", ParseError))
     except configparser.DuplicateOptionError as exc:
         raise ValidationError(f"duplicate leaf class: {exc}") from None
     except configparser.Error as exc:

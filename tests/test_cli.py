@@ -70,7 +70,7 @@ def test_split_documented_example(tmp_path):
         f"s{i}.ppm,snow" for i in range(10)
     ]
     manifest = tmp_path / "m.csv"
-    manifest.write_text("\n".join(lines) + "\n")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     assert run("split", "--manifest", manifest, "--output-dir", out, "--seed", 7) == 0
     sizes = tuple(
@@ -99,7 +99,7 @@ def test_split_writes_utf8_manifests_under_c_locale(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "wxhier.cli", "split", "--manifest", str(manifest),
          "--output-dir", str(tmp_path / "out"), "--seed", "7"],
-        env=env, capture_output=True, text=True,
+        env=env, capture_output=True, encoding="utf-8",
     )
     assert proc.returncode == 0, proc.stderr
     parts = [load_manifest((tmp_path / "out" / n).read_bytes())
@@ -125,7 +125,7 @@ def test_bad_fraction_is_config_error(small_data, tmp_path, capsys):
 
 def test_unknown_label_is_data_error(tmp_path, capsys):
     manifest = tmp_path / "m.csv"
-    manifest.write_text("path,label\nx.ppm,blizzard\n")
+    manifest.write_text("path,label\nx.ppm,blizzard\n", encoding="utf-8")
     assert run("split", "--manifest", manifest, "--output-dir", tmp_path) == 4
     assert "data error" in capsys.readouterr().err
 
@@ -148,7 +148,8 @@ def test_missing_class_is_data_error(small_data, tmp_path, capsys):
     entries = load_manifest((small_data / "manifest.csv").read_bytes())
     partial = tmp_path / "partial.csv"
     partial.write_text(
-        "path,label\n" + "".join(f"{e.path},{e.leaf}\n" for e in entries if e.leaf != "dew")
+        "path,label\n" + "".join(f"{e.path},{e.leaf}\n" for e in entries if e.leaf != "dew"),
+        encoding="utf-8",
     )
     rc = run("train", "--manifest", partial, "--root", small_data,
              "--output-dir", tmp_path, "--epochs", 1, "--input-size", 8)
@@ -162,7 +163,7 @@ def test_bad_flag_exits_2(capsys):
 
 def test_unknown_config_key_exits_2(small_data, tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    cfg.write_text('{"verbosity": 3}')
+    cfg.write_text('{"verbosity": 3}', encoding="utf-8")
     rc = run("split", "--manifest", small_data / "manifest.csv",
              "--config", cfg, "--output-dir", tmp_path)
     assert rc == 2
@@ -173,7 +174,7 @@ def test_unknown_config_key_exits_2(small_data, tmp_path, capsys):
 
 def test_flag_overrides_config_file(small_data, tmp_path):
     cfg = tmp_path / "c.json"
-    cfg.write_text('{"seed": 1, "test_fraction": 0.5}')
+    cfg.write_text('{"seed": 1, "test_fraction": 0.5}', encoding="utf-8")
     out_cfg = tmp_path / "by_config"
     out_flag = tmp_path / "by_flag"
     assert run("split", "--manifest", small_data / "manifest.csv",
@@ -328,7 +329,7 @@ def test_evaluate_writes_report_with_bundle_hash(small_bundle, small_data, tmp_p
              "--manifest", small_data / "manifest.csv", "--root", small_data,
              "--output-dir", tmp_path)
     assert rc == 0
-    doc = json.loads((tmp_path / "report.json").read_text())
+    doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert doc["bundle_hash"] == bundle_content_hash(small_bundle)
     assert 0.0 <= doc["e2e_leaf_accuracy"] <= 1.0
     for name in ("confusion_primary.csv", "confusion_leaf.csv", "confusion_safety.csv",
@@ -345,7 +346,7 @@ def test_evaluate_missing_bundle_is_data_error(small_data, tmp_path, capsys):
 
 
 def test_evaluate_empty_manifest_exits_4(small_bundle, tmp_path, capsys):
-    (tmp_path / "empty.csv").write_text("path,label\n")
+    (tmp_path / "empty.csv").write_text("path,label\n", encoding="utf-8")
     rc = run("evaluate", "--bundle", small_bundle, "--manifest", tmp_path / "empty.csv",
              "--output-dir", tmp_path / "out")
     assert rc == 4
@@ -363,9 +364,9 @@ def test_bundle_with_a_sub_model_of_another_input_size_exits_4(small_bundle, sma
     names = hierarchy.role_classes(default_taxonomy())["sub_rainy"]
     blob = nn.model_to_bytes(sub.spec, sub.params, stats, list(names))
     (bundle / "sub_rainy.wxm1").write_bytes(blob)
-    manifest = json.loads((bundle / "bundle.json").read_text())
+    manifest = json.loads((bundle / "bundle.json").read_text(encoding="utf-8"))
     manifest["content_hash"] = bundle_content_hash(bundle)
-    (bundle / "bundle.json").write_text(json.dumps(manifest))
+    (bundle / "bundle.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert run("predict", "--bundle", bundle, small_data / "rain" / "000.ppm") == 4
     assert "sub_rainy model input (8, 8, 3) != primary's (16, 16, 3)" in capsys.readouterr().err
     rc = run("evaluate", "--bundle", bundle, "--manifest", small_data / "manifest.csv",
@@ -391,7 +392,7 @@ def test_compare_four_rows(small_bundle, small_data, tmp_path, capsys):
              f"hier={small_bundle}", f"flat={flat_out / 'model.wxm1'}",
              f"hier2={small_bundle}", f"flat2={flat_out / 'model.wxm1'}")
     assert rc == 0
-    lines = (tmp_path / "comparison.csv").read_text().strip().splitlines()
+    lines = (tmp_path / "comparison.csv").read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "model,accuracy,accuracy_percent"
     assert len(lines) == 5
     assert lines[1].startswith("hier,")
@@ -414,7 +415,7 @@ def test_compare_scores_a_bundle_with_one_routed_pass(small_bundle, small_data, 
              "--output-dir", tmp_path, f"a={small_bundle}", f"b={small_bundle}")
     assert rc == 0
     want = compare_models([("a", report.e2e_leaf_accuracy), ("b", report.e2e_leaf_accuracy)])
-    assert (tmp_path / "comparison.csv").read_text() == want
+    assert (tmp_path / "comparison.csv").read_text(encoding="utf-8") == want
 
 
 def test_compare_corrupt_model_exits_4(small_data, tmp_path, capsys):
@@ -455,7 +456,7 @@ def test_compare_flat_models_on_empty_manifest_exits_4(tmp_path, capsys):
     params = nn.init_params(spec, np.random.default_rng(0))
     stats = NormalizationStats(127.5, 64.0, 2)
     flat.write_bytes(nn.model_to_bytes(spec, params, stats, list(LEAF_CLASSES)))
-    (tmp_path / "empty.csv").write_text("path,label\n")
+    (tmp_path / "empty.csv").write_text("path,label\n", encoding="utf-8")
     rc = run("compare", "--manifest", tmp_path / "empty.csv", "--output-dir", tmp_path / "out",
              f"a={flat}", f"b={flat}")
     assert rc == 4
@@ -516,7 +517,7 @@ def test_stats_and_preprocess_round_trip(small_data, tmp_path):
     first, again = tmp_path / "first", tmp_path / "again"
     assert run("preprocess", "--manifest", small_data / "manifest.csv",
                "--output-dir", first, "--input-size", 12) == 0
-    doc = json.loads((first / "stats.json").read_text())
+    doc = json.loads((first / "stats.json").read_text(encoding="utf-8"))
     assert doc["sample_count"] == 88 * 12 * 12 * 3
     # the stats.json a run wrote, given back, reproduces that run
     assert run("preprocess", "--manifest", small_data / "manifest.csv",
@@ -527,7 +528,7 @@ def test_stats_and_preprocess_round_trip(small_data, tmp_path):
     data = (again / "tensors.wxt1").read_bytes()
     tensors, end = tensor_from_bytes(data)
     assert end == len(data) and tensors.shape == (88, 12, 12, 3)
-    labels = (again / "labels.csv").read_text().strip().splitlines()
+    labels = (again / "labels.csv").read_text(encoding="utf-8").strip().splitlines()
     assert labels[0] == "index,path,label"
     assert len(labels) == 89
 
@@ -538,7 +539,7 @@ def test_preprocess_labels_csv_quotes_paths_with_commas(small_data, tmp_path):
     for name, src in (("a,b.ppm", "rain/000.ppm"), ("plain.ppm", "snow/000.ppm")):
         (data / name).write_bytes((small_data / src).read_bytes())
     manifest = data / "m.csv"
-    manifest.write_text('path,label\n"a,b.ppm",rain\nplain.ppm,snow\n')
+    manifest.write_text('path,label\n"a,b.ppm",rain\nplain.ppm,snow\n', encoding="utf-8")
     assert run("preprocess", "--manifest", manifest, "--output-dir", tmp_path / "out",
                "--input-size", 8) == 0
     text = (tmp_path / "out" / "labels.csv").read_text(encoding="utf-8")
@@ -562,7 +563,7 @@ def test_train_flat_writes_history(small_data, tmp_path, capsys):
              "--epochs", 2, "--input-size", 8, "--seed", 1)
     assert rc == 0
     assert (tmp_path / "model.wxm1").exists()
-    history = (tmp_path / "history.csv").read_text().strip().splitlines()
+    history = (tmp_path / "history.csv").read_text(encoding="utf-8").strip().splitlines()
     assert history[0] == "epoch,train_loss,train_acc,val_acc"
     assert len(history) == 3
     assert "final validation accuracy" in capsys.readouterr().out
@@ -595,7 +596,7 @@ def test_hierarchical_bundle_has_five_models(small_bundle):
 
 def _config(tmp_path, doc):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -844,7 +845,7 @@ def _conv_filters(spec):
 def test_each_arch_trains_with_its_own_settings(small_data, tmp_path):
     t = default_taxonomy()
     taxonomy = Taxonomy(t.leaf_to_group, {**t.leaf_to_safety, "rain": "Dangerous"})
-    (tmp_path / "taxonomy.cfg").write_text(serialize_taxonomy(taxonomy))
+    (tmp_path / "taxonomy.cfg").write_text(serialize_taxonomy(taxonomy), encoding="utf-8")
     data = ["--manifest", small_data / "manifest.csv", "--root", small_data, "--epochs", 1]
     settings = {
         "hierarchical": ["--taxonomy", tmp_path / "taxonomy.cfg", "--scale", "micro",
@@ -925,7 +926,7 @@ def test_train_input_size_no_model_of_the_arch_fits_exits_2(small_data, tmp_path
 def test_train_taxonomy_without_cold_hazard_exits_4(small_data, tmp_path, capsys):
     t = default_taxonomy()
     taxonomy = Taxonomy(t.leaf_to_group, {**t.leaf_to_safety, "frost": "Safe", "rime": "Safe"})
-    (tmp_path / "taxonomy.cfg").write_text(serialize_taxonomy(taxonomy))
+    (tmp_path / "taxonomy.cfg").write_text(serialize_taxonomy(taxonomy), encoding="utf-8")
     rc = run("train", "--manifest", small_data / "manifest.csv", "--root", small_data,
              "--output-dir", tmp_path / "out", "--taxonomy", tmp_path / "taxonomy.cfg",
              "--input-size", 8, "--epochs", 1)
@@ -945,7 +946,7 @@ def test_train_taxonomy_with_empty_group_exits_4(small_data, tmp_path, monkeypat
     t = default_taxonomy()  # no leaf left in Dusty
     taxonomy = Taxonomy({**t.leaf_to_group, "fog_smog": "Rainy", "sandstorm": "Rainy"},
                         t.leaf_to_safety)
-    (tmp_path / "taxonomy.cfg").write_text(serialize_taxonomy(taxonomy))
+    (tmp_path / "taxonomy.cfg").write_text(serialize_taxonomy(taxonomy), encoding="utf-8")
     rc = run("train", "--manifest", small_data / "manifest.csv", "--root", small_data,
              "--output-dir", tmp_path / "out", "--taxonomy", tmp_path / "taxonomy.cfg",
              "--input-size", 8, "--epochs", 1)
@@ -957,7 +958,7 @@ def test_train_taxonomy_with_empty_group_exits_4(small_data, tmp_path, monkeypat
 
 
 def test_train_empty_val_manifest_means_no_validation(small_data, tmp_path, capsys):
-    (tmp_path / "empty.csv").write_text("path,label\n")
+    (tmp_path / "empty.csv").write_text("path,label\n", encoding="utf-8")
     rc = run("train", "--manifest", small_data / "manifest.csv", "--root", small_data,
              "--val-manifest", tmp_path / "empty.csv", "--output-dir", tmp_path / "out",
              "--input-size", 8, "--epochs", 1)
@@ -973,7 +974,7 @@ def _readme_commands(section: str = "") -> list[list[str]]:
     Backslash continuations are joined; ``section`` limits the search to
     the text under that second-level heading.
     """
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     if section:
         text = text.split(f"\n## {section}", 1)[1].split("\n## ", 1)[0]
     script = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ")
@@ -990,7 +991,7 @@ def test_readme_commands_parse():
 
 def test_readme_flag_table_matches_the_parser():
     # README "Command line" lists each subcommand's flags, besides --config and --help
-    text = README.read_text().split("\n## Command line", 1)[1].split("\n## ", 1)[0]
+    text = README.read_text(encoding="utf-8").split("\n## Command line", 1)[1].split("\n## ", 1)[0]
     table = {name: set(re.findall(r"--[a-z][a-z-]*", flags))
              for name, flags in re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", text, re.M)}
     parser, _ = cli.build_parser()
@@ -1003,7 +1004,8 @@ def test_readme_flag_table_matches_the_parser():
 
 def test_readme_arch_settings_match_the_arch_table():
     # the bullets after this README sentence list the settings each --arch reads
-    text = README.read_text().split("`train --arch` reads only its own model settings", 1)[1]
+    text = README.read_text(encoding="utf-8")
+    text = text.split("`train --arch` reads only its own model settings", 1)[1]
     bullets = re.findall(r"^- `([a-z-]+)` reads (.*)$", text.split("\n\n", 2)[1], re.M)
     listed = {arch: set(re.findall(r"--[a-z][a-z-]*", rest)) for arch, rest in bullets}
     assert listed == {arch: {"--" + key.replace("_", "-") for key in keys}
@@ -1039,4 +1041,4 @@ def test_readme_comparison_recipe_matches_in_process_table(small_data, tmp_path)
     x_test, _ = load_standardized(split.test, hw, root, model.stats)
     report = evaluate_hierarchical_tensors(model, x_test, leaf_labels(split.test))
     rows.append(("hierarchical", report.e2e_leaf_accuracy))
-    assert (tmp_path / "cmp" / "comparison.csv").read_text() == compare_models(rows)
+    assert (tmp_path / "cmp" / "comparison.csv").read_text(encoding="utf-8") == compare_models(rows)

@@ -39,29 +39,29 @@ def test_manifest_round_trip():
         ManifestEntry("b y.ppm", "snow", "BGR"),
         ManifestEntry('quo"ted.ppm', "dew"),
     ]
-    assert load_manifest(manifest_to_csv(entries)) == entries
+    assert load_manifest(manifest_to_csv(entries).encode("utf-8")) == entries
 
 
 def test_manifest_two_column_form():
-    entries = load_manifest("path,label\nimg.ppm,hail\n")
+    entries = load_manifest(b"path,label\nimg.ppm,hail\n")
     assert entries == [ManifestEntry("img.ppm", "hail", "RGB")]
 
 
 def test_manifest_blank_lines_ignored():
-    entries = load_manifest("path,label\n\nimg.ppm,hail\n\n")
+    entries = load_manifest(b"path,label\n\nimg.ppm,hail\n\n")
     assert len(entries) == 1
 
 
 @pytest.mark.parametrize(
     "text,exc",
     [
-        ("", ParseError),
-        ("file,class\nimg.ppm,hail\n", ParseError),  # wrong header
-        ("path,label\nimg.ppm,tornado\n", UnknownLabelError),
-        ("path,label\nimg.ppm\n", ParseError),  # column count
-        ("path,label\n,hail\n", ParseError),  # empty path
-        ("path,label\nimg\0.ppm,hail\n", ParseError),  # no file system takes a NUL
-        ("path,label,channel_order\nimg.ppm,hail,RBG\n", ParseError),
+        (b"", ParseError),
+        (b"file,class\nimg.ppm,hail\n", ParseError),  # wrong header
+        (b"path,label\nimg.ppm,tornado\n", UnknownLabelError),
+        (b"path,label\nimg.ppm\n", ParseError),  # column count
+        (b"path,label\n,hail\n", ParseError),  # empty path
+        (b"path,label\nimg\0.ppm,hail\n", ParseError),  # no file system takes a NUL
+        (b"path,label,channel_order\nimg.ppm,hail,RBG\n", ParseError),
     ],
 )
 def test_manifest_rejects_malformed(text, exc):
@@ -71,9 +71,9 @@ def test_manifest_rejects_malformed(text, exc):
 
 def test_manifest_error_carries_line_number():
     with pytest.raises(UnknownLabelError, match="line 3"):
-        load_manifest("path,label\na.ppm,rain\nb.ppm,hurricane\n")
+        load_manifest(b"path,label\na.ppm,rain\nb.ppm,hurricane\n")
     with pytest.raises(UnknownLabelError, match="line 4"):  # blank lines count
-        load_manifest("path,label\n\na.ppm,rain\nb.ppm,hurricane\n")
+        load_manifest(b"path,label\n\na.ppm,rain\nb.ppm,hurricane\n")
 
 
 # A bare CR inside an unquoted field, and a field over the csv module's

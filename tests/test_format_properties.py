@@ -199,7 +199,7 @@ def test_manifest_entries_read_back_equal(rows):
 def test_manifest_path_at_the_csv_field_limit():
     limit = csv.field_size_limit()
     entry = ManifestEntry("x" * limit, "rain")
-    assert load_manifest(manifest_to_csv([entry])) == [entry]
+    assert load_manifest(manifest_to_csv([entry]).encode("utf-8")) == [entry]
     with pytest.raises(ParseError, match="longer than"):
         ManifestEntry("x" * (limit + 1), "rain")
 

@@ -218,7 +218,7 @@ def test_bundle_layout(random_model, tmp_path):
     assert names == sorted(
         [f"{role}.wxm1" for role in MODEL_ROLES] + ["bundle.json", "stats.json", "taxonomy.cfg"]
     )
-    doc = json.loads((tmp_path / "bundle" / "bundle.json").read_text())
+    doc = json.loads((tmp_path / "bundle" / "bundle.json").read_text(encoding="utf-8"))
     assert doc["format"] == "wxhier-bundle"
     assert doc["version"] == 1
     assert doc["content_hash"] == bundle_content_hash(tmp_path / "bundle")
@@ -253,9 +253,9 @@ def test_bundle_tamper_detected(random_model, tmp_path):
 def test_bundle_version_rejected(random_model, tmp_path):
     save_hierarchical(random_model, tmp_path / "bundle")
     manifest = tmp_path / "bundle" / "bundle.json"
-    doc = json.loads(manifest.read_text())
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
     doc["version"] = 99
-    manifest.write_text(json.dumps(doc))
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(VersionError):
         load_hierarchical(tmp_path / "bundle")
 
@@ -270,7 +270,7 @@ def test_bundle_version_rejected(random_model, tmp_path):
 def test_bundle_bad_stats_rejected_even_with_matching_hash(random_model, tmp_path, stats_text):
     bundle = tmp_path / "bundle"
     save_hierarchical(random_model, bundle)
-    (bundle / "stats.json").write_text(stats_text)
+    (bundle / "stats.json").write_text(stats_text, encoding="utf-8")
     _rehash(bundle)
     with pytest.raises(FormatError, match="stats"):
         load_hierarchical(bundle)
@@ -304,7 +304,7 @@ def _assert_refused_by_load_and_evaluate(bundle, tmp_path, capsys, message):
 
     with pytest.raises(ValidationError, match=message):
         load_hierarchical(bundle)
-    (tmp_path / "m.csv").write_text("path,label\nx.ppm,rain\n")
+    (tmp_path / "m.csv").write_text("path,label\nx.ppm,rain\n", encoding="utf-8")
     argv = ["evaluate", "--bundle", bundle, "--manifest", tmp_path / "m.csv",
             "--output-dir", tmp_path / "out"]
     assert main([str(a) for a in argv]) == 4
@@ -314,9 +314,9 @@ def _assert_refused_by_load_and_evaluate(bundle, tmp_path, capsys, message):
 def _rehash(bundle):
     """Record the bundle's current payload digest in its ``bundle.json``."""
     manifest = bundle / "bundle.json"
-    doc = json.loads(manifest.read_text())
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
     doc["content_hash"] = bundle_content_hash(bundle)
-    manifest.write_text(json.dumps(doc))
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -411,10 +411,10 @@ def test_bad_bundle_manifest_is_format_error(random_model, tmp_path, capsys, edi
     save_hierarchical(random_model, bundle)
     shutil.copy(bundle / "primary.wxm1", bundle / "renamed.wxm1")
     manifest = bundle / "bundle.json"
-    manifest.write_bytes(edit(json.loads(manifest.read_text())))
+    manifest.write_bytes(edit(json.loads(manifest.read_text(encoding="utf-8"))))
     with pytest.raises(FormatError):
         load_hierarchical(bundle)
-    (tmp_path / "m.csv").write_text("path,label\nx.ppm,rain\n")
+    (tmp_path / "m.csv").write_text("path,label\nx.ppm,rain\n", encoding="utf-8")
     argv = ["evaluate", "--bundle", bundle, "--manifest", tmp_path / "m.csv",
             "--output-dir", tmp_path / "out"]
     assert main([str(a) for a in argv]) == 4
@@ -437,7 +437,7 @@ def test_bundle_with_non_ascii_taxonomy_saves_under_c_locale(tmp_path):
     env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
            "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "bundle")], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
     text = (tmp_path / "bundle" / "taxonomy.cfg").read_bytes().decode("utf-8")
     assert "version = météo-v1" in text
@@ -448,6 +448,65 @@ def test_bundle_missing_manifest(random_model, tmp_path):
     (tmp_path / "bundle" / "bundle.json").unlink()
     with pytest.raises((FormatError, OSError)):
         load_hierarchical(tmp_path / "bundle")
+
+
+@pytest.mark.parametrize("op, ops", [("write_bytes", 8), ("rename", 2)])
+def test_failed_save_leaves_the_old_bundle_the_new_one_or_none(
+    random_model, tmp_path, monkeypatch, op, ops
+):
+    # each file write, or each rename, of a save over an old bundle fails in turn
+    old_model = init_hierarchical(default_taxonomy(), input_hw=HW, seed=22)
+    save_hierarchical(old_model, tmp_path / "old")
+    save_hierarchical(random_model, tmp_path / "new")
+    states = {None, bundle_content_hash(tmp_path / "old"), bundle_content_hash(tmp_path / "new")}
+    bundle = tmp_path / "p" / "bundle"
+    real = getattr(Path, op)
+    for k in itertools.count():
+        save_hierarchical(old_model, bundle)
+        calls = itertools.count()
+
+        def fail_kth(path, *args, k=k):
+            if next(calls) == k:
+                raise OSError(f"injected {op} failure")
+            return real(path, *args)
+
+        monkeypatch.setattr(Path, op, fail_kth)
+        try:
+            save_hierarchical(random_model, bundle)
+            done = True
+        except OSError:
+            done = False
+        monkeypatch.undo()
+        assert [p.name for p in bundle.parent.iterdir()] in ([], ["bundle"])  # no staging left
+        if bundle.exists():
+            load_hierarchical(bundle)  # complete: every file is there and matches the hash
+        assert (bundle_content_hash(bundle) if bundle.exists() else None) in states
+        if done:
+            break
+    assert k == ops  # every call failed once before the save that made none fail
+    assert bundle_content_hash(bundle) == bundle_content_hash(tmp_path / "new")
+
+
+def test_save_replaces_only_a_bundle_or_an_empty_directory(random_model, small_data, tmp_path):
+    (tmp_path / "empty").mkdir()
+    save_hierarchical(random_model, tmp_path / "empty")
+    load_hierarchical(tmp_path / "empty")
+    (tmp_path / "file").write_bytes(b"keep")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "notes.txt").write_bytes(b"keep")
+    for target in (tmp_path / "file", tmp_path / "dir"):
+        with pytest.raises(FileExistsError, match="not a bundle directory"):
+            save_hierarchical(random_model, target)
+    assert (tmp_path / "file").read_bytes() == b"keep"
+    assert (tmp_path / "dir" / "notes.txt").read_bytes() == b"keep"
+    from wxhier.cli import main
+
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "bundle").write_bytes(b"keep")
+    argv = ["train", "--manifest", small_data / "manifest.csv", "--root", small_data,
+            "--output-dir", tmp_path / "out", "--epochs", 1, "--input-size", 8]
+    assert main([str(a) for a in argv]) == 3
+    assert (tmp_path / "out" / "bundle").read_bytes() == b"keep"
 
 
 # ---------------------------------------------------------------- training

@@ -375,7 +375,7 @@ def test_one_hot_range_check():
 
 def test_stats_json_round_trip_exact():
     s = NormalizationStats(mean=127.4378912345, std=63.9182736455, sample_count=120000)
-    again = stats_from_json(stats_to_json(s))
+    again = stats_from_json(stats_to_json(s).encode("utf-8"))
     assert again == s  # float repr round-trips exactly
 
 
@@ -387,33 +387,33 @@ def test_stats_file_round_trip(tmp_path):
 
 def test_stats_json_rejects_garbage():
     with pytest.raises(FormatError):
-        stats_from_json("{not json")
+        stats_from_json(b"{not json")
     with pytest.raises(FormatError):
-        stats_from_json('{"mean": 1.0}')
+        stats_from_json(b'{"mean": 1.0}')
 
 
 @pytest.mark.parametrize(
     "doc",
     [
-        pytest.param('{"mean": NaN, "std": 1.0, "sample_count": 2}', id="nan-mean"),
-        pytest.param('{"mean": -Infinity, "std": 1.0, "sample_count": 2}', id="inf-mean"),
-        pytest.param('{"mean": 1e999, "std": 1.0, "sample_count": 2}', id="overflow-mean"),
-        pytest.param('{"mean": 1.0, "std": Infinity, "sample_count": 2}', id="inf-std"),
-        pytest.param('{"mean": 1.0, "std": NaN, "sample_count": 2}', id="nan-std"),
-        pytest.param('{"mean": 1.0, "std": 0, "sample_count": 2}', id="zero-std"),
-        pytest.param('{"mean": 1.0, "std": -1.0, "sample_count": 2}', id="negative-std"),
-        pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": 1}', id="one-sample"),
-        pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": Infinity}', id="inf-count"),
-        pytest.param('{"mean": "x", "std": 1.0, "sample_count": 2}', id="string-mean"),
+        pytest.param(b'{"mean": NaN, "std": 1.0, "sample_count": 2}', id="nan-mean"),
+        pytest.param(b'{"mean": -Infinity, "std": 1.0, "sample_count": 2}', id="inf-mean"),
+        pytest.param(b'{"mean": 1e999, "std": 1.0, "sample_count": 2}', id="overflow-mean"),
+        pytest.param(b'{"mean": 1.0, "std": Infinity, "sample_count": 2}', id="inf-std"),
+        pytest.param(b'{"mean": 1.0, "std": NaN, "sample_count": 2}', id="nan-std"),
+        pytest.param(b'{"mean": 1.0, "std": 0, "sample_count": 2}', id="zero-std"),
+        pytest.param(b'{"mean": 1.0, "std": -1.0, "sample_count": 2}', id="negative-std"),
+        pytest.param(b'{"mean": 1.0, "std": 1.0, "sample_count": 1}', id="one-sample"),
+        pytest.param(b'{"mean": 1.0, "std": 1.0, "sample_count": Infinity}', id="inf-count"),
+        pytest.param(b'{"mean": "x", "std": 1.0, "sample_count": 2}', id="string-mean"),
         # JSON numbers, and an integer count, are required: nothing is coerced
-        pytest.param('{"mean": "127.5", "std": 1.0, "sample_count": 2}', id="numeric-string-mean"),
-        pytest.param('{"mean": true, "std": 1.0, "sample_count": 2}', id="bool-mean"),
-        pytest.param('{"mean": 1.0, "std": true, "sample_count": 2}', id="bool-std"),
-        pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": 2.9}', id="fractional-count"),
-        pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": 2.0}', id="float-count"),
-        pytest.param('{"mean": 1.0, "std": 1.0, "sample_count": "2"}', id="string-count"),
-        pytest.param('{"mean": true, "std": 2, "sample_count": 2.9}', id="all-coercible"),
-        pytest.param("[1, 2, 3]", id="not-an-object"),
+        pytest.param(b'{"mean": "127.5", "std": 1.0, "sample_count": 2}', id="numeric-string-mean"),
+        pytest.param(b'{"mean": true, "std": 1.0, "sample_count": 2}', id="bool-mean"),
+        pytest.param(b'{"mean": 1.0, "std": true, "sample_count": 2}', id="bool-std"),
+        pytest.param(b'{"mean": 1.0, "std": 1.0, "sample_count": 2.9}', id="fractional-count"),
+        pytest.param(b'{"mean": 1.0, "std": 1.0, "sample_count": 2.0}', id="float-count"),
+        pytest.param(b'{"mean": 1.0, "std": 1.0, "sample_count": "2"}', id="string-count"),
+        pytest.param(b'{"mean": true, "std": 2, "sample_count": 2.9}', id="all-coercible"),
+        pytest.param(b"[1, 2, 3]", id="not-an-object"),
         pytest.param(b'\xff\xfe{"mean"', id="bad-utf"),
         pytest.param(b'{"mean": \xff}', id="bad-utf-value"),
         pytest.param(b"[" * 100_000, id="deep-nesting"),

@@ -66,13 +66,13 @@ def test_cold_safety_spot_values():
 
 def test_serialize_round_trips():
     t = default_taxonomy()
-    again = load_taxonomy(serialize_taxonomy(t))
+    again = load_taxonomy(serialize_taxonomy(t).encode("utf-8"))
     assert again == t
     assert again.version == t.version
 
 
 def test_default_taxonomy_pins_readme_table_and_safety():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| (Rainy|Dusty|Cold) +\| ([a-z_, ]+?) +\|$", readme, re.MULTILINE)
     t = default_taxonomy()
     assert t.version == "default-v1"
@@ -118,23 +118,23 @@ def test_load_rejects_duplicate_leaf():
     text = serialize_taxonomy(default_taxonomy())
     dup = text.replace("[safety]\ndew = Safe", "[safety]\ndew = Safe\ndew = Safe")
     with pytest.raises(ValidationError, match="duplicate"):
-        load_taxonomy(dup)
+        load_taxonomy(dup.encode("utf-8"))
 
 
 def test_load_rejects_unknown_section():
     text = serialize_taxonomy(default_taxonomy()) + "\n[extras]\nfoo = bar\n"
     with pytest.raises(ValidationError, match="extras"):
-        load_taxonomy(text)
+        load_taxonomy(text.encode("utf-8"))
 
 
 def test_load_rejects_missing_section():
     with pytest.raises(ValidationError, match="safety"):
-        load_taxonomy("[groups]\n" + "".join(f"{l} = Rainy\n" for l in LEAF_CLASSES))
+        load_taxonomy(b"[groups]\n" + "".join(f"{l} = Rainy\n" for l in LEAF_CLASSES).encode())
 
 
 def test_load_rejects_garbage():
     with pytest.raises(ParseError):
-        load_taxonomy("not a config at all\x00")
+        load_taxonomy(b"not a config at all\x00")
     with pytest.raises(ParseError):
         load_taxonomy(b"\xff\xfe invalid utf8 \xff")
 
@@ -144,7 +144,7 @@ def test_load_rejects_a_version_that_spans_lines(version):
     # serialize_taxonomy would write it as lines that load_taxonomy rejects
     text = serialize_taxonomy(default_taxonomy()).replace("default-v1", version)
     with pytest.raises(ValidationError, match="version"):
-        load_taxonomy(text)
+        load_taxonomy(text.encode("utf-8"))
 
 
 @pytest.mark.parametrize("default", ["[DEFAULT]\n", "[DEFAULT]\nversion = v2\n"])
@@ -154,7 +154,7 @@ def test_load_rejects_a_default_section(default, with_meta):
     if not with_meta:
         text = text.split("\n\n", 1)[1]
     with pytest.raises(ValidationError, match="DEFAULT"):
-        load_taxonomy(default + text)
+        load_taxonomy((default + text).encode("utf-8"))
 
 
 # a version value, perhaps continued onto indented lines
