@@ -180,10 +180,11 @@ def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPredictio
 
     Each sub-model runs once on the slice of the batch routed to it, which
     is much cheaper than one-at-a-time prediction.  Float32 probabilities
-    can differ from one-at-a-time prediction by up to about 2.4e-7, since
-    the BLAS reduction order depends on the batch shape (README
-    "Determinism"); the argmax labels agree, and the tests compare them
-    exactly.
+    can differ from one-at-a-time prediction, since the BLAS reduction
+    order depends on the batch shape: by up to about 2.4e-7 on random
+    weights and 2.1e-6 on trained micro-preset models (README
+    "Determinism"); the argmax labels agreed there, and the tests compare
+    them exactly.
     """
     n = x.shape[0]
     classes = role_classes(model.taxonomy)

@@ -39,9 +39,18 @@ of a ``C``-long reduction loop. Per-channel vectors are applied on the
 elementwise loop runs over whole rows instead of ``C`` floats at a time.
 Elementwise epilogues (conv bias, the batchnorm scale and shift, the
 avgpool divide) run in place on the array the kernel has just made, which
-saves an allocation per step without changing any sum. Retrained
-parameters are therefore bit-identical to those of the plain broadcasting
-kernels. The inference conv is the one exception: it may split the rows
+saves an allocation per step without changing any sum. Pooling and
+dropout build no scratch array: the avgpool sum starts as ``0.0 + first
+tap``, disjoint pooling windows write each gradient share once, and
+dropout multiplies by its boolean mask, each with the bits of the
+zero-filled or float-mask form. Retrained parameters are therefore
+bit-identical to those of the plain broadcasting kernels.
+
+Inference parts from those kernels in two places. Batchnorm applies its
+running statistics as one per-channel scale and shift, which rounds
+differently from the textbook subtract, divide, scale and shift; on
+trained micro-preset models it moved float32 probabilities by at most
+1.2e-6 and no argmax label. The inference conv may split the rows
 of one product over several calls, and BLAS picks its kernel by a
 call's shape, so a row can round differently in a smaller call. On
 OpenBLAS 0.3.31 the micro and paper presets gave the whole-batch bits at
@@ -282,8 +291,11 @@ def batchnorm_forward(
     In train mode it normalizes with batch statistics and blends them into
     the running statistics in place:
     ``running = (1 - momentum) * running + momentum * batch``.
-    Otherwise it normalizes with the running statistics and keeps no cache:
-    the result goes to ``out``, a C-contiguous array of ``x``'s shape
+    Otherwise the running statistics make it a fixed per-channel affine map
+    (Ioffe & Szegedy 2015, §3.1), applied in two passes as
+    ``x * scale + shift`` with ``scale = gamma * (1 / sqrt(var + eps))`` and
+    ``shift = beta - mean * scale``, both in ``x.dtype``; it keeps no cache.
+    The result goes to ``out``, a C-contiguous array of ``x``'s shape
     (``x`` itself allowed), or to a new one.
     """
     if x.ndim != 4 or x.shape[3] != gamma.shape[0]:
@@ -295,11 +307,11 @@ def batchnorm_forward(
             out = np.empty(x.shape, x.dtype)
         elif out.shape != x.shape or not out.flags.c_contiguous:
             raise ShapeError(f"batchnorm out must be C-contiguous {x.shape}, got {out.shape}")
+        scale = gamma * (1.0 / np.sqrt(running_var.astype(x.dtype) + eps))
+        shift = beta - running_mean.astype(x.dtype) * scale
         dst = out.reshape(rows)  # a view, so the writes land in ``out``
-        np.subtract(x.reshape(rows), _row(running_mean.astype(x.dtype), w), out=dst)
-        dst *= _row(1.0 / np.sqrt(running_var.astype(x.dtype) + eps), w)
-        dst *= _row(gamma, w)
-        dst += _row(beta, w)
+        np.multiply(x.reshape(rows), _row(scale, w), out=dst)
+        dst += _row(shift, w)
         return out, None
     m = n * h * w
     # x.mean and x.var bit for bit: each sums the same values in the same
@@ -346,14 +358,24 @@ def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def avgpool_forward(x: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """Mean of each window: the taps summed in row-major order, then divided.
+
+    The sum starts as ``0.0 + first tap`` in a new C-ordered array, the
+    bits of a zero-filled accumulator (``-0.0`` becomes ``+0.0``) without
+    its fill pass.
+    """
     if x.ndim != 4:
         raise ShapeError(f"avgpool input must be (N, H, W, C), got {x.shape}")
     n, h, w, c = x.shape
     oh, ow = pool_output_hw(h, w, window, stride)
-    out = np.zeros((n, oh, ow, c), dtype=x.dtype)
-    for dy in range(window):
-        for dx in range(window):
-            out += x[:, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride, :]
+    taps = [
+        x[:, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride, :]
+        for dy in range(window)
+        for dx in range(window)
+    ]
+    out = np.add(taps[0], 0.0, order="C")
+    for tap in taps[1:]:
+        out += tap
     out /= window * window
     return out
 
@@ -361,13 +383,36 @@ def avgpool_forward(x: np.ndarray, window: int, stride: int) -> np.ndarray:
 def avgpool_backward(
     grad_out: np.ndarray, x_shape: tuple, window: int, stride: int
 ) -> np.ndarray:
+    """Each output's gradient shared equally over its window's inputs.
+
+    Overlapping windows (``window > stride``) add their shares into a
+    zero-filled array. Disjoint ones give each input at most one share,
+    ``0.0 + share``, so the shares are normalized once (``-0.0`` becomes
+    ``+0.0``), written once each, and only the inputs no window covers are
+    zeroed: the same bits without the fill and the read-modify-write.
+    """
     n, h, w, c = x_shape
     oh, ow = grad_out.shape[1], grad_out.shape[2]
-    grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
     share = grad_out / (window * window)
-    for dy in range(window):
-        for dx in range(window):
-            grad_x[:, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride, :] += share
+    taps = [
+        (slice(dy, dy + stride * oh, stride), slice(dx, dx + stride * ow, stride))
+        for dy in range(window)
+        for dx in range(window)
+    ]
+    if window > stride:
+        grad_x = np.zeros(x_shape, dtype=share.dtype)
+        for ys, xs in taps:
+            grad_x[:, ys, xs, :] += share
+        return grad_x
+    share += 0.0
+    grad_x = np.empty(x_shape, dtype=share.dtype)
+    for ys, xs in taps:
+        grad_x[:, ys, xs, :] = share
+    for gap in range(window, stride):  # rows and columns between windows
+        grad_x[:, gap::stride] = 0.0
+        grad_x[:, :, gap::stride] = 0.0
+    grad_x[:, stride * (oh - 1) + window :] = 0.0  # the ragged edge
+    grad_x[:, :, stride * (ow - 1) + window :] = 0.0
     return grad_x
 
 
@@ -379,14 +424,19 @@ def dropout_forward(
     The identity when ``rng`` is ``None`` or the rate is 0."""
     if rng is None or rate == 0.0:
         return x, None
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
-    return x * keep / (1.0 - rate), keep
+    keep = rng.random(x.shape) >= rate
+    out = x * keep
+    out /= 1.0 - rate
+    return out, keep
 
 
 def dropout_backward(grad_out: np.ndarray, keep: np.ndarray | None, rate: float) -> np.ndarray:
+    """``grad_out`` through the boolean ``keep`` mask of the forward."""
     if keep is None:
         return grad_out
-    return grad_out * keep / (1.0 - rate)
+    grad = grad_out * keep
+    grad /= 1.0 - rate
+    return grad
 
 
 def flatten_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:

@@ -18,8 +18,9 @@ parameter shape, and refuse a bad value when built; this module only
 parses, mapping kinds to classes through ``LAYER_TYPES``, with the header
 read by ``errors.json_object``.  Callers read and write the file bytes.
 Every decode fault, including a header that describes an impossible
-model and non-finite parameters, surfaces as ``FormatError``; the writer
-refuses labels and parameters through the reader's own checks.
+model, non-finite parameters and a negative batchnorm running variance,
+surfaces as ``FormatError``; the writer refuses labels and parameters
+through the reader's own checks.
 """
 
 from __future__ import annotations
@@ -144,9 +145,13 @@ def _check_labels(labels, n_out: int) -> list[str] | None:
 
 
 def _check_param(layer: M.LayerSpec, key: str, arr: np.ndarray, want) -> np.ndarray:
-    """``arr`` if it has the shape ``want`` and finite values; writer and reader both check."""
+    """``arr`` if it has the shape ``want`` and finite values, none of them
+    negative in a variance (inference batchnorm takes its square root);
+    writer and reader both check."""
     if arr.shape != want:
         raise FormatError(f"{layer.kind} {key} shape {arr.shape} != spec's {want}")
     if not np.isfinite(arr).all():
         raise FormatError(f"{layer.kind} {key} holds non-finite values")
+    if key == "running_var" and (arr < 0).any():
+        raise FormatError(f"{layer.kind} {key} holds negative values")
     return arr

@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,30 @@ def test_bundle_with_a_sub_model_of_another_input_size_exits_4(small_bundle, sma
     assert rc == 4
     assert "sub_rainy model input" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_predict_negative_running_variance_exits_4_at_load(small_bundle, small_data, tmp_path,
+                                                           monkeypatch, capsys):
+    # a primary whose first batchnorm variance is -1, the content hash
+    # recomputed: refused at load, before any forward takes its square root
+    bundle = tmp_path / "bundle"
+    shutil.copytree(small_bundle, bundle)
+    spec, params, stats, names = nn.model_from_bytes((bundle / "primary.wxm1").read_bytes())
+    var = params[1]["running_var"].copy()
+    var[0] = -1.0
+    params[1] = {**params[1], "running_var": var}
+    with monkeypatch.context() as m:  # a writer without the shared parameter check
+        m.setattr(nn.modelio, "_check_param", lambda layer, key, arr, want: arr)
+        (bundle / "primary.wxm1").write_bytes(nn.model_to_bytes(spec, params, stats, names))
+    manifest = json.loads((bundle / "bundle.json").read_text(encoding="utf-8"))
+    manifest["content_hash"] = bundle_content_hash(bundle)
+    (bundle / "bundle.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("predict", "--bundle", bundle, small_data / "rain" / "000.ppm") == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "running_var holds negative values" in err
+    assert caught == [] and "RuntimeWarning" not in err
 
 
 # ----------------------------------------------------------------- compare

@@ -47,7 +47,7 @@ from wxhier.hierarchy import (
     train_hierarchical,
 )
 from wxhier.imageio import ImageU8
-from wxhier.nn import BASIC_FILTERS, init_params, model_to_bytes, softmax_flat_spec
+from wxhier.nn import BASIC_FILTERS, init_params, model_to_bytes, modelio, softmax_flat_spec
 from wxhier.preprocess import NormalizationStats
 from wxhier.taxonomy import (
     COARSE_GROUPS,
@@ -297,6 +297,37 @@ def test_bundle_model_with_other_stats_rejected(random_model, tmp_path, capsys):
     (bundle / "primary.wxm1").write_bytes(blob)
     _rehash(bundle)
     _assert_refused_by_load_and_evaluate(bundle, tmp_path, capsys, "primary model stats")
+
+
+def _negative_variance(sub):
+    """``sub`` with its first batchnorm's ``running_var[0]`` at -1."""
+    params = [dict(entry) for entry in sub.params]
+    bn = next(entry for entry in params if "running_var" in entry)
+    bn["running_var"] = bn["running_var"].copy()
+    bn["running_var"][0] = -1.0
+    return SubModel(sub.spec, params)
+
+
+def test_bundle_negative_running_variance_refused_on_write(random_model, tmp_path):
+    model = replace(random_model, primary=_negative_variance(random_model.primary))
+    with pytest.raises(FormatError, match="running_var holds negative values"):
+        save_hierarchical(model, tmp_path / "bundle")
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_bundle_negative_running_variance_rejected_even_with_matching_hash(random_model, tmp_path,
+                                                                           monkeypatch):
+    bundle = tmp_path / "bundle"
+    save_hierarchical(random_model, bundle)
+    sub = _negative_variance(random_model.primary)
+    names = list(role_classes(random_model.taxonomy)["primary"])
+    with monkeypatch.context() as m:  # a writer without the shared parameter check
+        m.setattr(modelio, "_check_param", lambda layer, key, arr, want: arr)
+        blob = model_to_bytes(sub.spec, sub.params, random_model.stats, names)
+    (bundle / "primary.wxm1").write_bytes(blob)
+    _rehash(bundle)
+    with pytest.raises(FormatError, match="running_var holds negative values"):
+        load_hierarchical(bundle)
 
 
 def _assert_refused_by_load_and_evaluate(bundle, tmp_path, capsys, message):

@@ -7,8 +7,18 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from wxhier.dataset import load_manifest
 from wxhier.errors import ShapeError
-from wxhier.nn import TrainConfig, basic_cnn_spec, forward_pass, history_to_csv, init_params, train
+from wxhier.hierarchy import MODEL_ROLES, load_hierarchical, load_standardized
+from wxhier.nn import (
+    TrainConfig,
+    basic_cnn_spec,
+    forward_pass,
+    history_to_csv,
+    init_params,
+    predict,
+    train,
+)
 from wxhier.nn import layers as L
 from wxhier.nn.layers import (
     avgpool_backward,
@@ -412,21 +422,31 @@ def _ref_conv2d_backward_input(grad_out, kernels, x_shape, stride=1, pad=0):
 
 
 def _ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, eps, momentum, train, out=None):
-    if train:
-        mu = x.mean(axis=(0, 1, 2))
-        var = x.var(axis=(0, 1, 2))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        mu = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype)
+    if not train:  # running statistics: a fixed per-channel scale and shift
+        scale = gamma * (1.0 / np.sqrt(running_var.astype(x.dtype) + eps))
+        shift = beta - running_mean.astype(x.dtype) * scale
+        return x * scale + shift, None
+    mu = x.mean(axis=(0, 1, 2))
+    var = x.var(axis=(0, 1, 2))
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = (x - mu) * inv_std
     out = gamma * x_hat + beta
     cache = {"x_hat": x_hat, "gamma": gamma, "inv_std": inv_std}
     return out, cache
+
+
+def _textbook_batchnorm_forward(x, gamma, beta, running_mean, running_var, eps, momentum, train,
+                                out=None):
+    """Inference batchnorm in the textbook's four steps: subtract the mean,
+    divide by the standard deviation, scale, shift. It rounds differently
+    from the scale-and-shift kernel, so it is compared within a bound."""
+    assert not train
+    inv_std = 1.0 / np.sqrt(running_var.astype(x.dtype) + eps)
+    return (x - running_mean.astype(x.dtype)) * inv_std * gamma + beta, None
 
 
 def _ref_batchnorm_backward(grad_out, cache):
@@ -449,6 +469,29 @@ def _ref_avgpool_forward(x, window, stride):
         for dx in range(window):
             out += x[:, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride, :]
     return out / (window * window)
+
+
+def _ref_avgpool_backward(grad_out, x_shape, window, stride):
+    oh, ow = grad_out.shape[1], grad_out.shape[2]
+    grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
+    share = grad_out / (window * window)
+    for dy in range(window):
+        for dx in range(window):
+            grad_x[:, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride, :] += share
+    return grad_x
+
+
+def _ref_dropout_forward(x, rate, rng):
+    if rng is None or rate == 0.0:
+        return x, None
+    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    return x * keep / (1.0 - rate), keep
+
+
+def _ref_dropout_backward(grad_out, keep, rate):
+    if keep is None:
+        return grad_out
+    return grad_out * keep / (1.0 - rate)
 
 
 def _assert_same_bits(got, want):
@@ -599,6 +642,46 @@ def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, train):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_inference_batchnorm_is_within_rounding_of_exact_arithmetic(dtype):
+    # scale = gamma / sqrt(var + eps), shift = beta - mean * scale and
+    # x * scale + shift take at most six roundings of half an eps on the
+    # terms' magnitudes; so do the textbook four steps
+    rng = np.random.default_rng(41)
+    eps = np.finfo(dtype).eps
+    for c in range(1, 17):
+        n, h, w = int(rng.integers(1, 5)), int(rng.integers(1, 9)), int(rng.integers(1, 10))
+        x = (rng.standard_normal((n, h, w, c)) * 3 + 1).astype(dtype)
+        gamma, beta, mean = (rng.standard_normal((3, c)) * 2).astype(dtype)
+        var = rng.uniform(0, 4, c).astype(dtype)
+        x64, g64, b64, m64, v64 = (a.astype(np.float64) for a in (x, gamma, beta, mean, var))
+        scale = g64 / np.sqrt(v64 + 1e-5)
+        exact = (x64 - m64) * scale + b64
+        tol = 3 * eps * (np.abs(x64 * scale) + np.abs(m64 * scale) + np.abs(b64))
+        for kernel in (batchnorm_forward, _textbook_batchnorm_forward):
+            got = kernel(x, gamma, beta, mean, var, 1e-5, 0.1, False)[0]
+            assert got.dtype == dtype
+            assert (np.abs(got - exact) <= tol).all()
+
+
+def test_trained_bundle_gives_the_textbook_batchnorm_labels(small_bundle, small_data, monkeypatch):
+    # Trained statistics are where the two batchnorm roundings part: each
+    # role of the CLI-trained bundle, on every image of its corpus, gives
+    # the labels of a forward through the textbook batchnorm and
+    # probabilities within 1e-5 of it
+    model = load_hierarchical(small_bundle)
+    entries = load_manifest((small_data / "manifest.csv").read_bytes())
+    x, _ = load_standardized(entries, model.primary.spec.input_shape[:2], small_data, model.stats)
+    ours = {role: predict(getattr(model, role).spec, getattr(model, role).params, x)
+            for role in MODEL_ROLES}
+    monkeypatch.setattr(L, "batchnorm_forward", _textbook_batchnorm_forward)
+    for role in MODEL_ROLES:
+        sub = getattr(model, role)
+        want = predict(sub.spec, sub.params, x)
+        np.testing.assert_array_equal(ours[role].argmax(axis=1), want.argmax(axis=1))
+        assert np.abs(ours[role] - want).max() <= 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batchnorm_and_relu_write_out_bit_for_bit(dtype):
     # out= (a separate array or the input itself) gives the default call's bits
     rng = np.random.default_rng(19)
@@ -636,12 +719,41 @@ def test_batchnorm_rejects_an_out_it_cannot_write_as_rows():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("window, stride", [(1, 1), (2, 2), (3, 2), (3, 1)])
+@pytest.mark.parametrize("window, stride", [(1, 1), (2, 2), (3, 2), (3, 1), (1, 2), (2, 3)])
 def test_avgpool_matches_broadcasting_reference_bit_for_bit(dtype, window, stride):
+    # ragged odd sizes leave inputs that no window covers; -0.0 inputs and
+    # gradients (dropout masks negative gradients to -0.0) sum to +0.0 in
+    # the reference's zero-filled accumulators
     rng = np.random.default_rng(10 * window + stride)
     for c in (1, 3, 8):
-        x = rng.standard_normal((2, window + 5, window + 4, c)).astype(dtype)
-        _assert_same_bits(avgpool_forward(x, window, stride), _ref_avgpool_forward(x, window, stride))
+        for h, w in ((window + 5, window + 4), (window + 2 * stride, window + 2 * stride + 1)):
+            x = rng.standard_normal((2, h, w, c)).astype(dtype)
+            x[rng.random(x.shape) < 0.2] = -0.0
+            _assert_same_bits(avgpool_forward(x, window, stride), _ref_avgpool_forward(x, window, stride))
+            oh, ow = L.pool_output_hw(h, w, window, stride)
+            grad_out = rng.standard_normal((2, oh, ow, c)).astype(dtype)
+            grad_out[rng.random(grad_out.shape) < 0.2] = -0.0
+            _assert_same_bits(
+                avgpool_backward(grad_out, x.shape, window, stride),
+                _ref_avgpool_backward(grad_out, x.shape, window, stride),
+            )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.0, 0.25, 0.5])
+def test_dropout_matches_float_mask_reference_bit_for_bit(dtype, rate):
+    # the boolean mask gives the float mask's bits, -0.0 for a masked
+    # negative value included, and draws the same numbers from the generator
+    x = np.random.default_rng(31).standard_normal((3, 5, 7, 4)).astype(dtype)
+    x[0, 0, 0] = -0.0
+    grad_out = -np.abs(x)
+    ours, theirs = np.random.default_rng(37), np.random.default_rng(37)
+    out, keep = dropout_forward(x, rate, ours)
+    ref_out, ref_keep = _ref_dropout_forward(x, rate, theirs)
+    _assert_same_bits(out, ref_out)
+    _assert_same_bits(dropout_backward(grad_out, keep, rate),
+                      _ref_dropout_backward(grad_out, ref_keep, rate))
+    assert ours.random() == theirs.random()
 
 
 def test_training_with_reference_kernels_is_bit_identical(monkeypatch):
@@ -663,6 +775,9 @@ def test_training_with_reference_kernels_is_bit_identical(monkeypatch):
         ("batchnorm_forward", _ref_batchnorm_forward),
         ("batchnorm_backward", _ref_batchnorm_backward),
         ("avgpool_forward", _ref_avgpool_forward),
+        ("avgpool_backward", _ref_avgpool_backward),
+        ("dropout_forward", _ref_dropout_forward),
+        ("dropout_backward", _ref_dropout_backward),
     ]:
         monkeypatch.setattr(L, name, ref)
     assert fit() == ours
