@@ -23,7 +23,7 @@ from .hierarchy import (
     role_classes,
     role_targets,
 )
-from .nn import predict
+from .nn import Workspace, predict
 from .taxonomy import (
     COARSE_GROUPS,
     GROUP_INDEX,
@@ -181,7 +181,8 @@ def evaluate_hierarchical_tensors(
     model: HierarchicalModel, x: np.ndarray, true_leaves: np.ndarray
 ) -> HierEvalReport:
     t = model.taxonomy
-    preds = predict_batch(model, x)
+    workspace = Workspace()  # every forward of this call shares its activation buffers
+    preds = predict_batch(model, x, workspace)
     true_leaf_names = [LEAF_CLASSES[i] for i in np.asarray(true_leaves)]
     _, true_groups = role_targets("primary", true_leaf_names, t)
     pred_groups = np.array([GROUP_INDEX[p.group] for p in preds])
@@ -214,7 +215,7 @@ def evaluate_hierarchical_tensors(
         # oracle routing: run the sub-model on every true-group sample
         pred_pos = np.empty(0, dtype=np.int64)
         if rows.size:
-            pred_pos = predict(sub.spec, sub.params, x[rows]).argmax(axis=1)
+            pred_pos = predict(sub.spec, sub.params, x[rows], workspace).argmax(axis=1)
         oracle[group] = confusion(labels, pred_pos, len(names), names)
 
     return HierEvalReport(primary_cm, leaf_cm, safety_cm, routed, oracle)

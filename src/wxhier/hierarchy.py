@@ -55,6 +55,7 @@ from .nn import (
     ModelSpec,
     Params,
     TrainConfig,
+    Workspace,
     basic_cnn_spec,
     init_params,
     model_from_bytes,
@@ -175,20 +176,24 @@ class HierPrediction:
 
 # ---------------------------------------------------------------- prediction
 
-def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPrediction]:
+def predict_batch(
+    model: HierarchicalModel, x: np.ndarray, workspace: Workspace | None = None
+) -> list[HierPrediction]:
     """Hard-routed predictions for a batch of preprocessed (N,H,W,C) tensors.
 
     Each sub-model runs once on the slice of the batch routed to it, which
-    is much cheaper than one-at-a-time prediction.  Float32 probabilities
-    can differ from one-at-a-time prediction, since the BLAS reduction
-    order depends on the batch shape: by up to about 2.4e-7 on random
-    weights and 2.1e-6 on trained micro-preset models (README
-    "Determinism"); the argmax labels agreed there, and the tests compare
-    them exactly.
+    is much cheaper than one-at-a-time prediction.  Every forward goes
+    through ``workspace`` when given: the forwards of one caller then share
+    its two activation buffers (``nn.Workspace``), with the same bits.
+    Float32 probabilities can differ from one-at-a-time prediction, since
+    the BLAS reduction order depends on the batch shape: by up to about
+    2.4e-7 on random weights and 2.1e-6 on trained micro-preset models
+    (README "Determinism"); the argmax labels agreed there, and the tests
+    compare them exactly.
     """
     n = x.shape[0]
     classes = role_classes(model.taxonomy)
-    group_probs = predict(model.primary.spec, model.primary.params, x)
+    group_probs = predict(model.primary.spec, model.primary.params, x, workspace)
     group_idx = group_probs.argmax(axis=1)
     preds: list[HierPrediction | None] = [None] * n
     for gi, group in enumerate(COARSE_GROUPS):
@@ -197,11 +202,11 @@ def predict_batch(model: HierarchicalModel, x: np.ndarray) -> list[HierPredictio
             continue
         sub = model.sub_for_group(group)
         xg = x[rows]
-        leaf_probs = predict(sub.spec, sub.params, xg)
+        leaf_probs = predict(sub.spec, sub.params, xg, workspace)
         leaves = [classes[GROUP_ROLES[group]][p.argmax()] for p in leaf_probs]
         if group == "Cold":
             head = model.sub_cold_safety
-            safety_probs = predict(head.spec, head.params, xg)
+            safety_probs = predict(head.spec, head.params, xg, workspace)
             verdicts = [(SAFETY_MODEL_CLASSES[p.argmax()], "cold_model", p) for p in safety_probs]
         else:
             verdicts = [(safety_of(leaf, model.taxonomy), "taxonomy", None) for leaf in leaves]

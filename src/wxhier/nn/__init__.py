@@ -23,6 +23,7 @@ from .model import (
     Params,
     ReLU,
     Softmax,
+    Workspace,
     backward_from_logits,
     clone_params,
     forward_pass,

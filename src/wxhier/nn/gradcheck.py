@@ -39,7 +39,7 @@ def _walk(spec, params, x, rng, start=0, record=None):
     for layer, entry in zip(spec.layers[start:], params[start:]):
         if record is not None:
             record.append((x, rng.bit_generator.state))
-        x, _ = layer.forward(x, entry, rng, False)
+        x, _ = layer.forward(x, entry, rng, None)
     return x
 
 

@@ -37,11 +37,14 @@ def _need_rank(shape: Shape, rank: int, what: str) -> None:
 class LayerSpec:
     """Base of every layer spec; the defaults describe a parameterless layer.
 
-    ``forward(x, entry, rng, owned)`` returns the output and the cache its
-    ``backward`` reads, training when ``rng`` is a generator. ``owned`` is
-    true only at inference and only when ``x`` is an activation that
-    ``forward_pass`` made, never the caller's array or a view of it; the
-    step may then overwrite ``x``.
+    ``forward(x, entry, rng, out)`` returns the output and the cache its
+    ``backward`` reads, training when ``rng`` is a generator. ``out`` is the
+    array the step writes its output to, or ``None``; ``forward_pass``
+    passes one only at inference, by the layer's ``writes``. A ``"input"``
+    step gets ``x`` itself, and only when ``x`` is an activation that
+    ``forward_pass`` made, never the caller's array or a view of it. A
+    ``"new"`` step makes a new activation, which it writes to a
+    ``Workspace`` buffer when the forward has one.
     ``backward`` returns the input gradient and the trainable gradients;
     ``param_grads`` returns only the trainable gradients, and is what the
     first layer of a model runs, since no one reads its input gradient.
@@ -50,6 +53,7 @@ class LayerSpec:
 
     kind: ClassVar[str]
     trainable: ClassVar[tuple[str, ...]] = ()
+    writes: ClassVar[str] = ""  # "input", "new" or "": which ``out`` an inference step takes
 
     def out_shape(self, shape: Shape) -> Shape:
         return shape
@@ -86,12 +90,14 @@ class Conv(_WeightBias):
     In train mode forward builds the im2col columns once, passes them to
     the kernel and caches ``(x, cols)``; the filter gradient consumes that
     cache, so a training step builds each conv layer's columns once. At
-    inference the kernel builds them itself, one block of images at a time.
+    inference the kernel builds them itself, one block of images at a time,
+    and writes to the ``out`` that ``forward_pass`` gives it.
     ``backward`` runs the filter and the data kernel; ``param_grads`` runs
     the filter kernel alone.
     """
 
     kind = "conv"
+    writes = "new"
     filters: int
     kernel: int
     stride: int = 1
@@ -110,13 +116,14 @@ class Conv(_WeightBias):
     def param_shapes(self, shape):
         return {"w": (self.kernel, self.kernel, shape[2], self.filters), "b": (self.filters,)}
 
-    def forward(self, x, entry, rng, owned):
+    def forward(self, x, entry, rng, out):
         if rng is None:
             # An infer cache lives until the next layer has run. Returning
             # None there freed ``x`` sooner, which left the traced peak
             # unchanged but raised evaluate's peak RSS by 8-26 MB through
             # heap layout alone.
-            return L.conv2d_forward(x, entry["w"], entry["b"], self.stride, self.padding), x
+            out = L.conv2d_forward(x, entry["w"], entry["b"], self.stride, self.padding, out=out)
+            return out, x
         cols = L.im2col(x, self.kernel, self.stride, self.padding)
         out = L.conv2d_forward(x, entry["w"], entry["b"], self.stride, self.padding, cols=cols)
         return out, (x, cols)
@@ -137,6 +144,7 @@ class Conv(_WeightBias):
 class BatchNorm(LayerSpec):
     kind = "batchnorm"
     trainable = ("gamma", "beta")
+    writes = "input"
     epsilon: float = 1e-5
     momentum: float = 0.1
 
@@ -162,10 +170,10 @@ class BatchNorm(LayerSpec):
             "running_var": np.ones(c, dtype=dtype),
         }
 
-    def forward(self, x, entry, rng, owned):
+    def forward(self, x, entry, rng, out):
         return L.batchnorm_forward(
             x, entry["gamma"], entry["beta"], entry["running_mean"], entry["running_var"],
-            self.epsilon, self.momentum, rng is not None, out=x if owned else None,
+            self.epsilon, self.momentum, rng is not None, out=out,
         )
 
     def backward(self, grad, entry, cache):
@@ -176,9 +184,10 @@ class BatchNorm(LayerSpec):
 @dataclass(frozen=True)
 class ReLU(LayerSpec):
     kind = "relu"
+    writes = "input"
 
-    def forward(self, x, entry, rng, owned):
-        return L.relu_forward(x, out=x if owned else None)
+    def forward(self, x, entry, rng, out):
+        return L.relu_forward(x, out=out)
 
     def backward(self, grad, entry, x):
         return L.relu_backward(grad, x), {}
@@ -187,6 +196,7 @@ class ReLU(LayerSpec):
 @dataclass(frozen=True)
 class AvgPool(LayerSpec):
     kind = "avgpool"
+    writes = "new"
     window: int
     stride: int
 
@@ -200,8 +210,8 @@ class AvgPool(LayerSpec):
         oh, ow = L.pool_output_hw(shape[0], shape[1], self.window, self.stride)
         return (oh, ow, shape[2])
 
-    def forward(self, x, entry, rng, owned):
-        return L.avgpool_forward(x, self.window, self.stride), x.shape
+    def forward(self, x, entry, rng, out):
+        return L.avgpool_forward(x, self.window, self.stride, out=out), x.shape
 
     def backward(self, grad, entry, x_shape):
         return L.avgpool_backward(grad, x_shape, self.window, self.stride), {}
@@ -217,7 +227,7 @@ class Dropout(LayerSpec):
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate must lie in [0, 1), got {self.rate}")
 
-    def forward(self, x, entry, rng, owned):
+    def forward(self, x, entry, rng, out):
         return L.dropout_forward(x, self.rate, rng)
 
     def backward(self, grad, entry, keep):
@@ -232,7 +242,7 @@ class Flatten(LayerSpec):
         _need_rank(shape, 3, "flatten")
         return (shape[0] * shape[1] * shape[2],)
 
-    def forward(self, x, entry, rng, owned):
+    def forward(self, x, entry, rng, out):
         return L.flatten_forward(x)
 
     def backward(self, grad, entry, x_shape):
@@ -256,7 +266,7 @@ class Dense(_WeightBias):
     def param_shapes(self, shape):
         return {"w": (shape[0], self.units), "b": (self.units,)}
 
-    def forward(self, x, entry, rng, owned):
+    def forward(self, x, entry, rng, out):
         return L.dense_forward(x, entry["w"], entry["b"]), x
 
     def backward(self, grad, entry, x):
@@ -272,7 +282,7 @@ class Softmax(LayerSpec):
         _need_rank(shape, 1, "softmax")
         return shape
 
-    def forward(self, x, entry, rng, owned):
+    def forward(self, x, entry, rng, out):
         return L.softmax_forward(x), None
 
 
@@ -343,26 +353,70 @@ def clone_params(params: Params, dtype=None) -> Params:
     ]
 
 
+class Workspace:
+    """Two grow-only buffers that inference forwards write new activations to.
+
+    ``forward_pass`` gives the layers that make a new activation (``writes
+    == "new"``: conv and pool) the two buffers in turn. A layer reads the
+    activation in one buffer and writes the other; by the time the layer
+    after it writes the first buffer again, its contents are dead, since
+    batchnorm and ReLU overwrite an activation in place. After the first
+    forward sizes them, the forwards that share a workspace map no fresh
+    activation array. Whatever a forward returns is its own array, never
+    a view of a buffer, so a buffer may be overwritten at any time between
+    forwards. Liveness-shared buffers follow MXNet's static memory planner
+    (Chen et al. 2015, arXiv:1512.01274).
+    """
+
+    def __init__(self) -> None:
+        self.buffers = [np.empty(0, np.uint8), np.empty(0, np.uint8)]
+
+    def take(self, slot: int, shape: Shape, dtype) -> np.ndarray:
+        """A C-ordered ``shape`` array of ``dtype`` at the start of buffer ``slot``."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if self.buffers[slot].nbytes < nbytes:
+            self.buffers[slot] = np.empty(0, np.uint8)  # freed before the larger one is made
+            self.buffers[slot] = np.empty(nbytes, np.uint8)
+        return self.buffers[slot][:nbytes].view(dtype).reshape(shape)
+
+
 def forward_pass(
-    spec: ModelSpec, params: Params, x: np.ndarray, rng: np.random.Generator | None = None
+    spec: ModelSpec,
+    params: Params,
+    x: np.ndarray,
+    rng: np.random.Generator | None = None,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, list]:
     """Run the chain; returns (probabilities, per-layer caches).
 
     With ``rng`` this is a training forward: batch statistics (blended into
     the running ones), dropout masks from ``rng``, and one cache per layer
-    for ``backward_from_logits``, which frees each once read.  Without it,
-    inference: running statistics, no dropout and no caches, so each
-    activation is freed as soon as the next layer has read it, and
-    batchnorm and ReLU overwrite activations this forward made. ``x`` is
-    never written.
+    for ``backward_from_logits``, which frees each once read; it keeps every
+    activation, so it takes no ``workspace``.  Without it, inference:
+    running statistics, no dropout and no caches, so each activation is
+    freed as soon as the next layer has read it, and batchnorm and ReLU
+    overwrite activations this forward made. Given a ``workspace``, conv
+    and pool write their outputs to its two buffers in turn, with the bits
+    of new arrays. ``x`` is never written, and the probabilities are always
+    a new array.
     """
     if x.ndim != 4 or tuple(x.shape[1:]) != spec.input_shape:
         raise ShapeError(f"input must be (N, {spec.input_shape}), got {x.shape}")
+    if rng is not None and workspace is not None:
+        raise ConfigError("a training forward keeps every activation, so it takes no workspace")
     caches: list = []
     out = x
+    slot = 0
     for layer, entry in zip(spec.layers, params):
-        owned = rng is None and not np.may_share_memory(out, x)
-        out, cache = layer.forward(out, entry, rng, owned)
+        dst = None
+        if rng is None and layer.writes == "input" and not np.may_share_memory(out, x):
+            dst = out
+        elif workspace is not None and layer.writes == "new":
+            # the kernels' result dtype: the input's and parameters', floats for integers
+            shape = (out.shape[0], *layer.out_shape(out.shape[1:]))
+            dst = workspace.take(slot, shape, np.result_type(out, 0.0, *entry.values()))
+            slot ^= 1
+        out, cache = layer.forward(out, entry, rng, dst)
         if rng is not None:
             caches.append(cache)
     return out, caches
@@ -400,10 +454,13 @@ def backward_from_logits(
 PREDICT_ROWS = 256  # rows per inference forward: bounds the activations held
 
 
-def predict(spec: ModelSpec, params: Params, x: np.ndarray) -> np.ndarray:
+def predict(
+    spec: ModelSpec, params: Params, x: np.ndarray, workspace: Workspace | None = None
+) -> np.ndarray:
     """Inference probabilities, one row per batch item, rows sum to 1.
 
-    The one inference entry: one ``forward_pass`` per ``PREDICT_ROWS`` rows.
+    The one inference entry: one ``forward_pass`` per ``PREDICT_ROWS`` rows,
+    each through ``workspace`` when given; the result is always a new array.
     Argmax consumers break ties toward the lowest class index.  Raises
     ``DegenerateError`` when any probability is not finite, so no caller
     routes or scores by an argmax over NaN.  No rows is a ``ShapeError``.
@@ -411,7 +468,9 @@ def predict(spec: ModelSpec, params: Params, x: np.ndarray) -> np.ndarray:
     if x.shape[0] == 0:
         raise ShapeError(f"predict needs at least one row, got shape {x.shape}")
     chunks = range(0, x.shape[0], PREDICT_ROWS)
-    probs = np.concatenate([forward_pass(spec, params, x[i : i + PREDICT_ROWS])[0] for i in chunks])
+    probs = np.concatenate(
+        [forward_pass(spec, params, x[i : i + PREDICT_ROWS], workspace=workspace)[0] for i in chunks]
+    )
     if not np.isfinite(probs).all():
         raise DegenerateError(f"model over {spec.n_out} classes gave non-finite probabilities")
     return probs

@@ -12,6 +12,7 @@ from wxhier.errors import ShapeError
 from wxhier.hierarchy import MODEL_ROLES, load_hierarchical, load_standardized
 from wxhier.nn import (
     TrainConfig,
+    Workspace,
     basic_cnn_spec,
     forward_pass,
     history_to_csv,
@@ -386,7 +387,7 @@ def _ref_im2col(x, k, stride, pad):
 # The reference kernels accept the precomputed columns and the ``out`` array
 # the model passes and ignore them, so they always gather their own columns
 # and return a fresh output.
-def _ref_conv2d_forward(x, kernels, bias, stride=1, pad=0, cols=None):
+def _ref_conv2d_forward(x, kernels, bias, stride=1, pad=0, cols=None, out=None):
     n, h, w, c = x.shape
     k, f = kernels.shape[0], kernels.shape[3]
     oh, ow = conv_output_hw(h, w, k, stride, pad)
@@ -460,7 +461,7 @@ def _ref_batchnorm_backward(grad_out, cache):
     return grad_x, grad_gamma, grad_beta
 
 
-def _ref_avgpool_forward(x, window, stride):
+def _ref_avgpool_forward(x, window, stride, out=None):
     n, h, w, c = x.shape
     oh = (h - window) // stride + 1
     ow = (w - window) // stride + 1
@@ -608,9 +609,14 @@ def test_channel_sum_matches_numpy_sum_bit_for_bit(dtype):
     _assert_same_bits(L._channel_sum(zeros, 4), zeros.sum(axis=(0, 1, 2)))
 
 
+# Tiles of a few hundred bytes make the small inputs of the bit-for-bit
+# tests cross tile edges: several rows or images per tile, a ragged last one.
+SMALL_TILE = 300
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("train", [True, False], ids=["train-True", "infer-True"])
-def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, train):
+def test_batchnorm_matches_broadcasting_reference_bit_for_bit(monkeypatch, dtype, train):
     rng = np.random.default_rng(17)
     for c in range(1, 17):
         n, h = int(rng.integers(1, 5)), int(rng.integers(1, 9))
@@ -626,12 +632,15 @@ def test_batchnorm_matches_broadcasting_reference_bit_for_bit(dtype, train):
         if train:
             for key in ("x_hat", "inv_std"):
                 _assert_same_bits(cache[key], ref_cache[key])
-        else:  # inference keeps no cache; a given ``out`` receives the same bits
+        else:  # inference keeps no cache; a given ``out`` and small tiles get the same bits
             assert cache is None
             given = np.empty_like(x)
             got, cache = batchnorm_forward(x, gamma, beta, *ours, 1e-5, 0.1, train, out=given)
             assert got is given and cache is None
             _assert_same_bits(got, ref_out)
+            with monkeypatch.context() as m:
+                m.setattr(L, "TILE_BYTES", SMALL_TILE)
+                _assert_same_bits(batchnorm_forward(x, gamma, beta, *ours, 1e-5, 0.1, train)[0], ref_out)
         for a, b in zip(ours, theirs):
             _assert_same_bits(a, b)
         grad_out = rng.standard_normal(x.shape).astype(dtype)
@@ -682,9 +691,12 @@ def test_trained_bundle_gives_the_textbook_batchnorm_labels(small_bundle, small_
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_batchnorm_and_relu_write_out_bit_for_bit(dtype):
-    # out= (a separate array or the input itself) gives the default call's bits
-    rng = np.random.default_rng(19)
+def test_batchnorm_and_relu_write_out_bit_for_bit(monkeypatch, dtype):
+    # out= (a separate array, or for batchnorm and ReLU the input itself)
+    # gives the default call's bits, in tiles of any size; so do conv and
+    # pool, whose outputs are new activations
+    rng, conv_rng = np.random.default_rng(19), np.random.default_rng(20)
+    tiles = (L.TILE_BYTES, SMALL_TILE)
     for c in range(1, 17):
         n, h = int(rng.integers(1, 5)), int(rng.integers(1, 9))
         w = int(rng.integers(1, 10)) | 1
@@ -693,43 +705,73 @@ def test_batchnorm_and_relu_write_out_bit_for_bit(dtype):
         gamma, beta, mean = rng.standard_normal((3, c)).astype(dtype)
         var = rng.uniform(0.5, 2, c).astype(dtype)
         args = (gamma, beta, mean, var, 1e-5, 0.1, False)
+        kern = conv_rng.standard_normal((3, 3, c, 5)).astype(dtype)
+        bias = conv_rng.standard_normal(5).astype(dtype)
         want_bn = batchnorm_forward(x, *args)[0]
         want_relu = relu_forward(x)[0]
-        for in_place in (False, True):
-            out = x.copy() if in_place else np.empty_like(x)
-            got, cache = batchnorm_forward(out if in_place else x, *args, out=out)
-            assert got is out and cache is None
-            _assert_same_bits(got, want_bn)
-            out = x.copy() if in_place else np.empty_like(x)
-            got, _ = relu_forward(out if in_place else x, out=out)
-            assert got is out
-            _assert_same_bits(got, want_relu)
+        want_conv = conv2d_forward(x, kern, bias, 1, 1)
+        pools = [(k, s) for k, s in ((1, 1), (2, 2), (3, 2), (2, 3)) if k <= min(h, w)]
+        want_pool = {(k, s): avgpool_forward(x, k, s) for k, s in pools}
+        for tile in tiles:
+            monkeypatch.setattr(L, "TILE_BYTES", tile)
+            for in_place in (False, True):
+                out = x.copy() if in_place else np.empty_like(x)
+                got, cache = batchnorm_forward(out if in_place else x, *args, out=out)
+                assert got is out and cache is None
+                _assert_same_bits(got, want_bn)
+                out = x.copy() if in_place else np.empty_like(x)
+                got, _ = relu_forward(out if in_place else x, out=out)
+                assert got is out
+                _assert_same_bits(got, want_relu)
+            out = np.empty_like(want_conv)
+            assert conv2d_forward(x, kern, bias, 1, 1, out=out) is out
+            _assert_same_bits(out, want_conv)
+            for (k, s), want in want_pool.items():
+                out = np.full_like(want, np.nan)
+                assert avgpool_forward(x, k, s, out=out) is out
+                _assert_same_bits(out, want)
 
 
 def test_batchnorm_rejects_an_out_it_cannot_write_as_rows():
     # batchnorm writes ``out`` through an (N*H, W*C) view, which a strided
-    # or misshapen array cannot give without a copy that would take the writes
+    # or misshapen array cannot give without a copy that would take the writes;
+    # conv and pool write it through row views too, and none of the three
+    # casts: each takes only a C-contiguous array of its result's shape and dtype
     x = np.ones((2, 3, 5, 4), dtype=np.float32)
     ones, zeros = np.ones(4, np.float32), np.zeros(4, np.float32)
     args = (ones, zeros, zeros, ones, 1e-5, 0.1, False)
-    strided = np.empty((2, 3, 10, 4), np.float32)[:, :, ::2]
-    for out in (np.empty_like(x, order="F"), strided, np.empty((6, 5, 4), np.float32)):
-        with pytest.raises(ShapeError, match="C-contiguous"):
-            batchnorm_forward(x, *args, out=out)
+    kern = np.ones((3, 3, 4, 6), np.float32)
+    kernels = {
+        (2, 3, 5, 4): lambda out: batchnorm_forward(x, *args, out=out),
+        (2, 3, 5, 6): lambda out: conv2d_forward(x, kern, zeros[:1].repeat(6), 1, 1, out=out),
+        (2, 1, 2, 4): lambda out: avgpool_forward(x, 2, 2, out=out),
+    }
+    for shape, kernel in kernels.items():
+        n, h, w, c = shape
+        strided = np.empty((n, h, 2 * w, c), np.float32)[:, :, ::2]
+        misshapen = np.empty((n * h, w, c), np.float32)
+        for out in (np.empty(shape, np.float32, order="F"), strided, misshapen, np.empty(shape)):
+            with pytest.raises(ShapeError, match="C-contiguous"):
+                kernel(out)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("window, stride", [(1, 1), (2, 2), (3, 2), (3, 1), (1, 2), (2, 3)])
-def test_avgpool_matches_broadcasting_reference_bit_for_bit(dtype, window, stride):
+def test_avgpool_matches_broadcasting_reference_bit_for_bit(monkeypatch, dtype, window, stride):
     # ragged odd sizes leave inputs that no window covers; -0.0 inputs and
     # gradients (dropout masks negative gradients to -0.0) sum to +0.0 in
-    # the reference's zero-filled accumulators
+    # the reference's zero-filled accumulators; tiles of one or more whole
+    # images give the same bits
     rng = np.random.default_rng(10 * window + stride)
     for c in (1, 3, 8):
         for h, w in ((window + 5, window + 4), (window + 2 * stride, window + 2 * stride + 1)):
             x = rng.standard_normal((2, h, w, c)).astype(dtype)
             x[rng.random(x.shape) < 0.2] = -0.0
-            _assert_same_bits(avgpool_forward(x, window, stride), _ref_avgpool_forward(x, window, stride))
+            want = _ref_avgpool_forward(x, window, stride)
+            _assert_same_bits(avgpool_forward(x, window, stride), want)
+            with monkeypatch.context() as m:
+                m.setattr(L, "TILE_BYTES", SMALL_TILE)
+                _assert_same_bits(avgpool_forward(x, window, stride), want)
             oh, ow = L.pool_output_hw(h, w, window, stride)
             grad_out = rng.standard_normal((2, oh, ow, c)).astype(dtype)
             grad_out[rng.random(grad_out.shape) < 0.2] = -0.0
@@ -768,6 +810,9 @@ def test_training_with_reference_kernels_is_bit_identical(monkeypatch):
         return [a.tobytes() for entry in params for a in entry.values()], history_to_csv(history)
 
     ours = fit()
+    with monkeypatch.context() as m:  # tiles smaller than an image or a row: the same training
+        m.setattr(L, "TILE_BYTES", SMALL_TILE)
+        assert fit() == ours
     for name, ref in [
         ("conv2d_forward", _ref_conv2d_forward),
         ("conv2d_backward", _ref_conv2d_backward),
@@ -789,7 +834,8 @@ def _ref_relu_forward(x, out=None):
 
 def test_inference_with_reference_kernels_is_bit_identical(monkeypatch):
     # An inference forward (conv columns per block, batchnorm and ReLU in
-    # place) against the same forward built from the reference kernels.
+    # place, conv and pool into a workspace or not) against the same
+    # forward built from the reference kernels, which ignore ``out``.
     rng = np.random.default_rng(29)
     spec = basic_cnn_spec((16, 16, 3), 4, scale="micro", dropout=0.25)
     params = init_params(spec, rng)
@@ -800,6 +846,7 @@ def test_inference_with_reference_kernels_is_bit_identical(monkeypatch):
                 np.abs(a, out=a)
     x = rng.standard_normal((9, 16, 16, 3)).astype(np.float32)
     ours = forward_pass(spec, params, x)[0]
+    _assert_same_bits(forward_pass(spec, params, x, workspace=Workspace())[0], ours)
     for name, ref in [
         ("conv2d_forward", _ref_conv2d_forward),
         ("batchnorm_forward", _ref_batchnorm_forward),
@@ -807,4 +854,5 @@ def test_inference_with_reference_kernels_is_bit_identical(monkeypatch):
         ("avgpool_forward", _ref_avgpool_forward),
     ]:
         monkeypatch.setattr(L, name, ref)
-    _assert_same_bits(forward_pass(spec, params, x)[0], ours)
+    for workspace in (None, Workspace()):
+        _assert_same_bits(forward_pass(spec, params, x, workspace=workspace)[0], ours)

@@ -17,6 +17,7 @@ from wxhier.nn import (
     ReLU,
     Softmax,
     TrainConfig,
+    Workspace,
     backward_from_logits,
     basic_cnn_spec,
     clone_params,
@@ -334,6 +335,7 @@ def test_inference_never_writes_the_callers_array(spec):
     probs = forward_pass(spec, params, x)[0]
     assert x.tobytes() == before
     np.testing.assert_array_equal(predict(spec, params, x), probs)
+    np.testing.assert_array_equal(predict(spec, params, x, Workspace()), probs)
     assert x.tobytes() == before
 
 
@@ -353,13 +355,14 @@ def test_paper_preset_predict_holds_one_column_block(monkeypatch):
     ]
     assert max(whole_columns) > bound
 
-    tracemalloc.start()
-    try:
-        probs = predict(spec, params, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    for workspace in (None, Workspace()):
+        tracemalloc.start()
+        try:
+            probs = predict(spec, params, x, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
     # Blocking splits each product's rows over several BLAS calls, which
     # may round differently from one whole-batch call (README, Determinism);
     # four rows in one product per layer are the comparison.
@@ -367,6 +370,85 @@ def test_paper_preset_predict_holds_one_column_block(monkeypatch):
     whole = predict(spec, params, x[:4])
     np.testing.assert_allclose(probs[:4], whole, rtol=1e-5, atol=1e-6)
     assert (probs[:4].argmax(1) == whole.argmax(1)).all()
+
+
+def test_paper_preset_predict_reuses_a_sized_workspace():
+    # Once a forward has sized the workspace, the next one of the same rows
+    # maps no activation: one block of conv columns and its padded input
+    # are all it adds, against the ~100 MB a forward without one allocates.
+    spec = basic_cnn_spec((100, 100, 3), 3, scale="paper")
+    params = init_params(spec, np.random.default_rng(14))
+    x = np.random.default_rng(15).standard_normal((64, 100, 100, 3)).astype(np.float32)
+    padded_blocks = []
+    for layer, shape, out in zip(spec.layers, M.input_shapes(spec), shape_infer(spec)):
+        if isinstance(layer, Conv):
+            (h, w, c), (oh, ow, _) = shape, out
+            images = max(1, L.CONV_BLOCK_BYTES // (oh * ow * layer.kernel**2 * c * 4))
+            p = 2 * layer.padding
+            padded_blocks.append(min(images, 64) * (h + p) * (w + p) * c * 4)
+    workspace = Workspace()
+    first = predict(spec, params, x, workspace)
+    sized = [b.__array_interface__["data"][0] for b in workspace.buffers]
+    tracemalloc.start()
+    try:
+        again = predict(spec, params, x, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= L.CONV_BLOCK_BYTES + max(padded_blocks)
+    assert [b.__array_interface__["data"][0] for b in workspace.buffers] == sized
+    assert again.tobytes() == first.tobytes()
+
+
+def _workspace_cases():
+    """(spec, params, x) cases: presets at their sizes, rows across
+    ``PREDICT_ROWS``, a conv after a conv (VGG) and float64 parameters."""
+    rng = np.random.default_rng(16)
+    paper = basic_cnn_spec((100, 100, 3), 3, scale="paper")
+    micro = basic_cnn_spec((32, 32, 3), 4, scale="micro")
+    vgg = vgg_style_spec((32, 32, 3), 5, width_scale=0.125)
+    micro_params = init_params(micro, rng)
+    for entry in micro_params:  # running statistics that move the bits
+        if "running_mean" in entry:
+            entry["running_mean"] += rng.uniform(-0.5, 0.5, entry["running_mean"].shape).astype(np.float32)
+            entry["running_var"] *= rng.uniform(0.5, 2, entry["running_var"].shape).astype(np.float32)
+    cases = [
+        (paper, init_params(paper, rng), (1, 7, 64, 300), (np.float32,)),
+        (micro, micro_params, (1, 33, 600), (np.float32,)),
+        (vgg, init_params(vgg, rng), (9, 2), (np.float32,)),
+        (micro, clone_params(micro_params, np.float64), (5, 40), (np.float32, np.float64)),
+    ]
+    for spec, params, rows, dtypes in cases:
+        for n in rows:
+            x = rng.standard_normal((n, *spec.input_shape))
+            for dtype in dtypes:
+                yield spec, params, x.astype(dtype)
+
+
+def test_predict_through_a_shared_workspace_gives_the_same_bytes():
+    # One workspace for every case, so it grows and is reused by smaller
+    # ones; the probabilities it gave are new arrays that overwriting it
+    # leaves alone.
+    workspace = Workspace()
+    kept = []
+    for spec, params, x in _workspace_cases():
+        want = predict(spec, params, x)  # first: its arrays are freed before the workspace grows
+        probs = predict(spec, params, x, workspace)
+        assert probs.dtype == want.dtype and probs.tobytes() == want.tobytes()
+        kept.append((probs, want))
+    assert min(b.nbytes for b in workspace.buffers) > 0
+    for buffer in workspace.buffers:
+        buffer.fill(0xFF)
+    for probs, want in kept:
+        assert probs.tobytes() == want.tobytes()
+
+
+def test_a_training_forward_takes_no_workspace():
+    spec = small_spec()
+    params = init_params(spec, np.random.default_rng(17))
+    x = np.zeros((2, *spec.input_shape), np.float32)
+    with pytest.raises(ConfigError, match="workspace"):
+        forward_pass(spec, params, x, np.random.default_rng(0), Workspace())
 
 
 def test_predict_rejects_zero_rows():
