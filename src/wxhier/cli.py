@@ -87,6 +87,12 @@ def _number(flag: str, convert=float):
     return _checked(convert, f"{flag} must be {kind}")
 
 
+def _path(flag: str):
+    # open() and stat() raise ValueError on a NUL, which would escape as an internal error
+    rule = f"{flag} must be a path without a NUL byte"
+    return _checked(Path, rule, lambda path: "\0" not in str(path))
+
+
 _SEED = _number("--seed", int)
 _INPUT_SIZE = _checked(int, "--input-size must be an integer >= 4", lambda v: v >= 4)
 # library parameters named otherwise than the flag that sets them
@@ -101,20 +107,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     keys: dict[str, set[str]] = {}
-    shared = {
-        "--manifest": {"type": Path, "required": True, "help": "dataset manifest CSV"},
+    shared = {  # each of these options takes a path
+        "--manifest": {"required": True, "help": "dataset manifest CSV"},
         "--output-dir": {
-            "type": Path,
             "default": os.environ.get(ENV_OUTPUT_DIR, "."),
             "help": f"artifact directory; ${ENV_OUTPUT_DIR} sets the default",
         },
-        "--taxonomy": {"type": Path, "help": "taxonomy config (default built-in)"},
-        "--root": {"type": Path, "help": "base for relative image paths (default: manifest dir)"},
+        "--taxonomy": {"help": "taxonomy config (default built-in)"},
+        "--root": {"help": "base for relative image paths (default: manifest dir)"},
     }
 
     def command(name: str, help: str, *common: str):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--config", type=Path, help="JSON config file (flags override it)")
+        p.add_argument("--config", type=_path("--config"), help="JSON config file (flags override it)")
         keys[name] = set()
 
         def flag(option: str, help: str = "", **kw):
@@ -123,7 +128,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
             keys[name].add(p.add_argument(option, help=help, **kw).dest)
 
         for option in common:
-            flag(option, **shared[option])
+            flag(option, type=_path(option), **shared[option])
         return p, flag
 
     p, flag = command(
@@ -136,12 +141,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
 
     p, flag = command("preprocess", "resize + standardize a manifest into one tensor file",
                       "--manifest", "--output-dir", "--root")
-    flag("--stats", type=Path, help="stats.json to reuse (default: compute from this manifest)")
+    flag("--stats", type=_path("--stats"),
+         help="stats.json to reuse (default: compute from this manifest)")
     flag("--input-size", type=_INPUT_SIZE, default=32)
 
     p, flag = command("train", "train a model or the hierarchical bundle",
                       "--manifest", "--output-dir", "--taxonomy", "--root")
-    flag("--val-manifest", type=Path, help="held-out manifest for per-epoch accuracy")
+    flag("--val-manifest", type=_path("--val-manifest"),
+         help="held-out manifest for per-epoch accuracy")
     flag("--arch", default="hierarchical", **_one_of("--arch", tuple(ARCHES)))
     flag("--scale", help=f"hierarchical and basic-cnn block preset "
          f"(default {HierTrainConfig.scale})", **_one_of("--scale", tuple(nn.BASIC_FILTERS)))
@@ -159,13 +166,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     flag("--seed", type=_SEED, default=HierTrainConfig.seed)
 
     p, flag = command("predict", "classify images with a trained bundle")
-    flag("--bundle", type=Path, required=True, help="bundle directory from train")
+    flag("--bundle", type=_path("--bundle"), required=True, help="bundle directory from train")
     flag("--channel-order", default="RGB", **_one_of("--channel-order", CHANNEL_ORDERS))
     p.add_argument("images", nargs="+", type=Path)
 
     p, flag = command("evaluate", "score a bundle against a test manifest",
                       "--manifest", "--output-dir", "--root")
-    flag("--bundle", type=Path, required=True)
+    flag("--bundle", type=_path("--bundle"), required=True)
 
     p, flag = command("compare", "accuracy table over several trained models",
                       "--manifest", "--output-dir", "--root")
@@ -191,7 +198,7 @@ def _with_config(argv: list[str], keys: dict[str, set[str]]) -> list[str]:
         return argv
     command, rest = argv[0], argv[1:]
     pre = argparse.ArgumentParser(prog=f"wxhier {command}", add_help=False)
-    pre.add_argument("--config", type=Path)
+    pre.add_argument("--config", type=_path("--config"))
     path = pre.parse_known_args(rest)[0].config
     if path is None:
         return argv

@@ -223,25 +223,6 @@ def predict_hierarchical(
     return predict_batch(model, x[np.newaxis])[0]
 
 
-def joint_leaf_batch(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
-    """Soft-routing diagnostic: p(leaf) = sum_g p(g) * p(leaf | g), (N, 11).
-
-    The hard-routed leaf comes from a single sub-model and may differ
-    from this distribution's argmax.
-    """
-    classes = role_classes(model.taxonomy)
-    group_probs = predict(model.primary.spec, model.primary.params, x)
-    out = np.zeros((x.shape[0], len(LEAF_CLASSES)), dtype=np.float64)
-    for gi, group in enumerate(COARSE_GROUPS):
-        sub = model.sub_for_group(group)
-        leaf_probs = predict(sub.spec, sub.params, x)
-        for j, leaf in enumerate(classes[GROUP_ROLES[group]]):
-            out[:, LEAF_INDEX[leaf]] += group_probs[:, gi].astype(np.float64) * leaf_probs[
-                :, j
-            ].astype(np.float64)
-    return out
-
-
 # ------------------------------------------------------------------ training
 
 # each --arch and the model settings it reads: the one definition of the arch names

@@ -10,7 +10,6 @@ from .archs import (
     softmax_flat_spec,
     vgg_style_spec,
 )
-from .gradcheck import GradCheckReport, gradient_check, relu_margin
 from .model import (
     AvgPool,
     BatchNorm,
@@ -25,7 +24,6 @@ from .model import (
     Softmax,
     Workspace,
     backward_from_logits,
-    clone_params,
     forward_pass,
     init_params,
     predict,

@@ -3,9 +3,8 @@
 All kernels preserve the input dtype, so the same code runs in float32
 (the training default) and in float64 (used by gradient verification).
 ``conv2d_forward`` gathers patches into a matrix product (the im2col
-lowering of Chellapilla et al. 2006); the plain nested-loop
-implementation stays available as ``conv2d_forward_naive`` and is the
-reference the fast path is tested against.
+lowering of Chellapilla et al. 2006); the tests check it against a plain
+nested-loop convolution.
 
 The conv backward is split the way cuDNN splits BackwardFilter and
 BackwardData (Chetlur et al. 2014, arXiv:1410.0759):
@@ -213,32 +212,6 @@ def conv2d_forward(
         np.matmul(_columns(x[i : i + step], k, stride, pad, cols), kmat, out=block.reshape(-1, f))
         block = block.reshape(-1, ow * f)
         block += bias_row
-    return out
-
-
-def conv2d_forward_naive(
-    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1, pad: int = 0
-) -> np.ndarray:
-    """Reference nested-loop convolution; slow, for verification only."""
-    _check_conv_args(x.shape, kernels, stride, pad)
-    n, h, w, c = x.shape
-    k, f = kernels.shape[0], kernels.shape[3]
-    oh, ow = conv_output_hw(h, w, k, stride, pad)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    out = np.zeros((n, oh, ow, f), dtype=x.dtype)
-    for ni in range(n):
-        for oy in range(oh):
-            for ox in range(ow):
-                for fi in range(f):
-                    acc = 0.0
-                    for ky in range(k):
-                        for kx in range(k):
-                            for ci in range(c):
-                                acc += (
-                                    xp[ni, oy * stride + ky, ox * stride + kx, ci]
-                                    * kernels[ky, kx, ci, fi]
-                                )
-                    out[ni, oy, ox, fi] = acc + bias[fi]
     return out
 
 

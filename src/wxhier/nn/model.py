@@ -346,13 +346,6 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, dtype=np.float32) -> 
     ]
 
 
-def clone_params(params: Params, dtype=None) -> Params:
-    return [
-        {k: (v.astype(dtype) if dtype is not None else v.copy()) for k, v in entry.items()}
-        for entry in params
-    ]
-
-
 class Workspace:
     """Two grow-only buffers that inference forwards write new activations to.
 

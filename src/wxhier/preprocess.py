@@ -1,4 +1,4 @@
-"""Image preprocessing: Lanczos resize, train-set standardization, one-hot.
+"""Image preprocessing: Lanczos resize and train-set standardization.
 
 The resampler is separable (horizontal pass then vertical pass) with
 pixel-center alignment, clamp-to-edge sampling and per-output-pixel weight
@@ -164,15 +164,6 @@ def normalize(x: np.ndarray, s: NormalizationStats) -> np.ndarray:
     out -= np.float32(s.mean)
     out /= np.float32(s.std)
     return out
-
-
-def one_hot(index: int, n: int) -> np.ndarray:
-    """Length-n float vector with 1.0 at ``index`` and 0.0 elsewhere."""
-    if not 0 <= index < n:
-        raise IndexError(f"class index {index} out of range for {n} classes")
-    vec = np.zeros(n, dtype=np.float32)
-    vec[index] = 1.0
-    return vec
 
 
 def model_input(img: ImageU8, channel_order: str, out_hw: tuple[int, int]) -> np.ndarray:

@@ -17,7 +17,6 @@ from wxhier.evaluate import ConfusionMatrix, accuracy_of, evaluate_hierarchical,
 from wxhier.hierarchy import (
     HierTrainConfig,
     init_hierarchical,
-    joint_leaf_batch,
     leaf_labels,
     load_hierarchical,
     load_image_tensors,
@@ -29,13 +28,12 @@ from wxhier.nn import (
     TrainConfig,
     basic_cnn_spec,
     evaluate_accuracy,
-    gradient_check,
     init_params,
-    relu_margin,
+    one_hot_matrix,
     softmax_flat_spec,
     train,
 )
-from wxhier.nn.layers import conv2d_forward, conv2d_forward_naive, conv_output_hw
+from wxhier.nn.layers import conv2d_forward, conv_output_hw
 from wxhier.nn.model import (
     AvgPool,
     BatchNorm,
@@ -51,10 +49,11 @@ from wxhier.preprocess import (
     compute_stats,
     lanczos_kernel,
     normalize,
-    one_hot,
     resize_lanczos,
 )
 from wxhier.taxonomy import default_taxonomy, leaves_of
+
+from oracles import conv2d_forward_naive, gradient_check, joint_leaf_batch, relu_margin
 
 
 # -------------------------------------------------- 1. gradient correctness
@@ -218,8 +217,8 @@ def test_criterion_4_standardization_and_one_hot(synth_root):
     e0[0] = 1.0
     e3 = np.zeros(11, dtype=np.float32)
     e3[3] = 1.0
-    assert np.array_equal(one_hot(0, 11), e0)
-    assert np.array_equal(one_hot(3, 11), e3)
+    assert np.array_equal(one_hot_matrix(np.array([0]), 11)[0], e0)
+    assert np.array_equal(one_hot_matrix(np.array([3]), 11)[0], e3)
 
 
 # ------------------------------------------------------ 5. split contracts

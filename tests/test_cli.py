@@ -779,6 +779,30 @@ def test_any_config_document_exits_2_or_3(doc, command):
 
 
 @pytest.mark.parametrize(
+    "command, key",
+    sorted((command, key) for command, keys in cli.build_parser()[1].items() for key in keys),
+)
+def test_a_nul_in_any_config_value_exits_2(tmp_path, capsys, command, key):
+    # every path flag among them: open() and stat() raise ValueError on a NUL
+    required = {
+        "manifest": ["--manifest", tmp_path / "m.csv"],
+        "bundle": ["--bundle", tmp_path / "b"],
+        "output_dir": ["--output-dir", tmp_path / "out"],
+    }
+    keys = cli.build_parser()[1][command]
+    argv = [command, "--config", _config(tmp_path, {key: f"{tmp_path}/a\0b"})]
+    for name, flag in required.items():
+        if name in keys and name != key:
+            argv += flag
+    argv += {"predict": ["x.ppm"], "compare": ["a=x", "b=y"]}.get(command, [])
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    flag = "--" + key.replace("_", "-")
+    assert "configuration error" in err and flag in err and "\0" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize(
     "command, flag",
     [
         ("split", "--root"),

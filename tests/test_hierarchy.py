@@ -37,7 +37,6 @@ from wxhier.hierarchy import (
     SubModel,
     bundle_content_hash,
     init_hierarchical,
-    joint_leaf_batch,
     load_hierarchical,
     predict_batch,
     predict_hierarchical,
@@ -60,6 +59,8 @@ from wxhier.taxonomy import (
     leaves_of,
     safety_of,
 )
+
+from oracles import joint_leaf_batch
 
 HW = (12, 12)
 

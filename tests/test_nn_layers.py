@@ -29,7 +29,6 @@ from wxhier.nn.layers import (
     conv2d_backward,
     conv2d_backward_input,
     conv2d_forward,
-    conv2d_forward_naive,
     conv_output_hw,
     dense_backward,
     dense_forward,
@@ -41,6 +40,8 @@ from wxhier.nn.layers import (
     relu_forward,
     softmax_forward,
 )
+
+from oracles import conv2d_forward_naive
 
 
 def fd_grad(fn, arr, eps=1e-6):

@@ -20,12 +20,9 @@ from wxhier.nn import (
     Workspace,
     backward_from_logits,
     basic_cnn_spec,
-    clone_params,
     forward_pass,
-    gradient_check,
     init_params,
     predict,
-    relu_margin,
     shape_infer,
     softmax_flat_spec,
     train,
@@ -36,6 +33,8 @@ from wxhier.nn import layers as L
 from wxhier.nn import model as M
 from wxhier.nn.model import PREDICT_ROWS
 from wxhier.tensorio import DIM_LIMIT, PARAM_LIMIT
+
+from oracles import clone_params, gradient_check, relu_margin
 
 
 def small_spec(n_out=4):

@@ -12,13 +12,13 @@ from hypothesis.extra import numpy as hnp
 from wxhier import preprocess
 from wxhier.errors import DegenerateError, DimensionError, FormatError, ParseError, WxhierError
 from wxhier.imageio import ImageU8
+from wxhier.nn import one_hot_matrix
 from wxhier.preprocess import (
     DEFAULT_WINDOW,
     NormalizationStats,
     compute_stats,
     lanczos_kernel,
     normalize,
-    one_hot,
     preprocess_pipeline,
     resize_lanczos,
     stats_from_json,
@@ -349,26 +349,9 @@ def test_stats_validation():
 
 # ----------------------------------------------------------------- one-hot
 
-def test_one_hot_examples():
-    np.testing.assert_array_equal(
-        one_hot(0, 11), np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], dtype=np.float32)
-    )
-    np.testing.assert_array_equal(
-        one_hot(3, 11), np.array([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.float32)
-    )
-
-
 @given(st.integers(1, 32))
 def test_one_hot_basis_property(n):
-    vecs = np.stack([one_hot(i, n) for i in range(n)])
-    np.testing.assert_array_equal(vecs, np.eye(n, dtype=np.float32))
-
-
-def test_one_hot_range_check():
-    with pytest.raises(IndexError):
-        one_hot(11, 11)
-    with pytest.raises(IndexError):
-        one_hot(-1, 11)
+    np.testing.assert_array_equal(one_hot_matrix(np.arange(n), n), np.eye(n, dtype=np.float32))
 
 
 # ------------------------------------------------------------ persistence
