@@ -13,9 +13,11 @@ checks and a flag given on the command line wins.  A key that only other
 subcommands take is ignored, so one file can serve several of them; a
 key that no subcommand takes is an error.  Precedence is flag > config
 file > ``$WXHIER_OUTPUT_DIR`` (for ``--output-dir``) > built-in default.
+Path operands (``predict``'s images, ``compare``'s NAME=PATH) take the
+path flags' rule: a NUL byte in one is a configuration error.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O failure, 4 data
-problem (malformed/missing content), 5 internal error.
+problem (malformed/missing content, or memory ran out), 5 internal error.
 """
 
 from __future__ import annotations
@@ -93,6 +95,14 @@ def _path(flag: str):
     return _checked(Path, rule, lambda path: "\0" not in str(path))
 
 
+def _model_entry(text: str) -> tuple[str, Path]:
+    """``compare``'s NAME=PATH operand as a (name, path) pair."""
+    name, sep, path = text.partition("=")
+    if not sep or not name or not path:
+        raise ConfigError(f"model entry must look like NAME=PATH, got {text!r}")
+    return name, _path("model entry PATH")(path)
+
+
 _SEED = _number("--seed", int)
 _INPUT_SIZE = _checked(int, "--input-size must be an integer >= 4", lambda v: v >= 4)
 # library parameters named otherwise than the flag that sets them
@@ -168,7 +178,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     p, flag = command("predict", "classify images with a trained bundle")
     flag("--bundle", type=_path("--bundle"), required=True, help="bundle directory from train")
     flag("--channel-order", default="RGB", **_one_of("--channel-order", CHANNEL_ORDERS))
-    p.add_argument("images", nargs="+", type=Path)
+    p.add_argument("images", nargs="+", type=_path("IMAGE"), metavar="IMAGE")
 
     p, flag = command("evaluate", "score a bundle against a test manifest",
                       "--manifest", "--output-dir", "--root")
@@ -179,6 +189,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     p.add_argument(
         "models",
         nargs="+",
+        type=_model_entry,
         metavar="NAME=PATH",
         help="model entries; PATH is a bundle directory or a flat .wxm1 file",
     )
@@ -315,7 +326,7 @@ def cmd_predict(args) -> int:
     successes = 0
     for path in args.images:
         try:
-            image = decode_ppm(Path(path).read_bytes())
+            image = decode_ppm(path.read_bytes())
             pred = predict_hierarchical(model, image, args.channel_order)
             doc = {"path": str(path)}
             for key, value in vars(pred).items():  # arrays as lists of the same floats
@@ -373,17 +384,11 @@ def _bundle_leaf_accuracy(bundle: Path, entries, root) -> float:
 
 
 def cmd_compare(args) -> int:
-    pairs = []
-    for item in args.models:
-        name, sep, path = item.partition("=")
-        if not sep or not name or not path:
-            raise ConfigError(f"model entry must look like NAME=PATH, got {item!r}")
-        pairs.append((name, Path(path)))
-    if len(pairs) < 2:
+    if len(args.models) < 2:
         raise ConfigError("compare needs at least two models")
     entries, root = _entries_and_root(args)
     rows = []
-    for name, path in pairs:
+    for name, path in args.models:
         if path.is_dir():
             rows.append((name, _bundle_leaf_accuracy(path, entries, root)))
         else:
@@ -437,6 +442,9 @@ def main(argv=None) -> int:
         return 3
     except WxhierError as exc:  # every other package error is a data problem
         print(f"wxhier: data error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # an input too large for the memory left
+        print(f"wxhier: out of memory: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 5
         print(f"wxhier: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -3,6 +3,12 @@
 Counting is exact: matrices hold integers, accuracy is trace/total with
 one final division, and a precision or recall whose denominator is zero
 is reported as ``None`` (undefined), never as 0.
+
+Hierarchical scoring counts two leaf tables, routed and oracle.  A sub-model
+only predicts leaves of its own group (acceptance criterion 6), so the
+primary matrix is the routed table summed by group, and each group's routed
+or oracle matrix is that table's diagonal block over the group.  Safety,
+which the cold safety head decides apart from the leaf, is counted alone.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .hierarchy import (
 from .nn import Workspace, predict
 from .taxonomy import (
     COARSE_GROUPS,
-    GROUP_INDEX,
     LEAF_CLASSES,
     LEAF_INDEX,
     SAFETY_INDEX,
@@ -137,11 +142,11 @@ def compare_models(rows: list[tuple[str, float]]) -> str:
 
 @dataclass(frozen=True)
 class HierEvalReport:
-    primary: ConfusionMatrix  # 3x3 over coarse groups
+    primary: ConfusionMatrix  # 3x3 over coarse groups; `leaf` summed by group
     leaf: ConfusionMatrix  # 11x11 end-to-end, hard-routed
     safety: ConfusionMatrix  # 3x3 over safety levels
-    routed: dict[str, ConfusionMatrix]  # per group, correctly-routed samples only
-    oracle_routed: dict[str, ConfusionMatrix]  # per group, all true-group samples
+    routed: dict[str, ConfusionMatrix]  # correctly-routed samples: a diagonal block of `leaf`
+    oracle_routed: dict[str, ConfusionMatrix]  # all true-group samples: oracle table's block
 
     @property
     def primary_accuracy(self) -> float:
@@ -183,41 +188,35 @@ def evaluate_hierarchical_tensors(
     t = model.taxonomy
     workspace = Workspace()  # every forward of this call shares its activation buffers
     preds = predict_batch(model, x, workspace)
+    pred_leaves = np.array([LEAF_INDEX[p.leaf] for p in preds])
+    leaf_cm = confusion(true_leaves, pred_leaves, len(LEAF_CLASSES), LEAF_CLASSES)
+
     true_leaf_names = [LEAF_CLASSES[i] for i in np.asarray(true_leaves)]
-    _, true_groups = role_targets("primary", true_leaf_names, t)
-    pred_groups = np.array([GROUP_INDEX[p.group] for p in preds])
-    primary_cm = confusion(true_groups, pred_groups, len(COARSE_GROUPS), COARSE_GROUPS)
-
-    leaf_cm = confusion(
-        np.asarray(true_leaves),
-        np.array([LEAF_INDEX[p.leaf] for p in preds]),
-        len(LEAF_CLASSES),
-        LEAF_CLASSES,
-    )
-
     true_safety = np.array([SAFETY_INDEX[safety_of(name, t)] for name in true_leaf_names])
     pred_safety = np.array([SAFETY_INDEX[p.safety] for p in preds])
     safety_cm = confusion(true_safety, pred_safety, len(SAFETY_LEVELS), SAFETY_LEVELS)
 
     classes = role_classes(t)
-    routed: dict[str, ConfusionMatrix] = {}
-    oracle: dict[str, ConfusionMatrix] = {}
+    leaves = {g: [LEAF_INDEX[name] for name in classes[r]] for g, r in GROUP_ROLES.items()}
+    oracle_leaves = np.empty_like(pred_leaves)
     for group, role in GROUP_ROLES.items():
-        sub = model.sub_for_group(group)
-        names = classes[role]
-        rows, labels = role_targets(role, true_leaf_names, t)
-
-        # correctly-routed subset: the leaf prediction came from this sub-model
-        hit = pred_groups[rows] == GROUP_INDEX[group]
-        pred_pos = [names.index(preds[r].leaf) for r in rows[hit]]
-        routed[group] = confusion(labels[hit], pred_pos, len(names), names)
-
         # oracle routing: run the sub-model on every true-group sample
-        pred_pos = np.empty(0, dtype=np.int64)
+        rows, _ = role_targets(role, true_leaf_names, t)
         if rows.size:
-            pred_pos = predict(sub.spec, sub.params, x[rows], workspace).argmax(axis=1)
-        oracle[group] = confusion(labels, pred_pos, len(names), names)
+            sub = model.sub_for_group(group)
+            probs = predict(sub.spec, sub.params, x[rows], workspace)
+            oracle_leaves[rows] = np.take(leaves[group], probs.argmax(axis=1))
+    oracle_counts = confusion(true_leaves, oracle_leaves, len(LEAF_CLASSES)).counts
 
+    def block(counts, g, h):  # rows: true leaves of group g; columns: predicted leaves of h
+        return counts[np.ix_(leaves[g], leaves[h])]
+
+    primary = [[block(leaf_cm.counts, g, h).sum() for h in COARSE_GROUPS] for g in COARSE_GROUPS]
+    routed, oracle = (
+        {g: ConfusionMatrix(classes[r], block(counts, g, g)) for g, r in GROUP_ROLES.items()}
+        for counts in (leaf_cm.counts, oracle_counts)
+    )
+    primary_cm = ConfusionMatrix(COARSE_GROUPS, primary)
     return HierEvalReport(primary_cm, leaf_cm, safety_cm, routed, oracle)
 
 

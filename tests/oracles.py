@@ -18,6 +18,10 @@
   convolution that ``nn.layers.conv2d_forward`` is tested against.
 - ``joint_leaf_batch`` (criterion 6): the soft-routing distribution
   p(leaf) = sum_g p(g) * p(leaf | g).
+- ``evaluate_by_rows``: every matrix of ``evaluate_hierarchical_tensors``,
+  counted row by row from group names, with no use of criterion 6, which
+  lets the package read the primary and per-group matrices off two leaf
+  tables.
 
 Pytest's default import mode puts this directory on ``sys.path``, so a
 test imports these as ``from oracles import ...``.
@@ -30,7 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from wxhier.errors import ShapeError
-from wxhier.hierarchy import GROUP_ROLES, HierarchicalModel, role_classes
+from wxhier.evaluate import ConfusionMatrix, HierEvalReport, confusion
+from wxhier.hierarchy import (
+    GROUP_ROLES,
+    HierarchicalModel,
+    predict_batch,
+    role_classes,
+    role_targets,
+)
 from wxhier.nn.layers import _check_conv_args, conv_output_hw
 from wxhier.nn.model import (
     ModelSpec,
@@ -41,7 +52,15 @@ from wxhier.nn.model import (
     predict,
 )
 from wxhier.nn.train import cross_entropy, one_hot_matrix
-from wxhier.taxonomy import COARSE_GROUPS, LEAF_CLASSES, LEAF_INDEX
+from wxhier.taxonomy import (
+    COARSE_GROUPS,
+    GROUP_INDEX,
+    LEAF_CLASSES,
+    LEAF_INDEX,
+    SAFETY_INDEX,
+    SAFETY_LEVELS,
+    safety_of,
+)
 
 
 # ---------------------------------------------------------- gradient check
@@ -196,3 +215,49 @@ def joint_leaf_batch(model: HierarchicalModel, x: np.ndarray) -> np.ndarray:
                 :, j
             ].astype(np.float64)
     return out
+
+
+# --------------------------------------------------------- scoring tables
+
+def evaluate_by_rows(
+    model: HierarchicalModel, x: np.ndarray, true_leaves: np.ndarray
+) -> HierEvalReport:
+    """Each matrix of the hierarchical report, counted from per-row group names."""
+    t = model.taxonomy
+    preds = predict_batch(model, x)
+    true_leaf_names = [LEAF_CLASSES[i] for i in np.asarray(true_leaves)]
+    _, true_groups = role_targets("primary", true_leaf_names, t)
+    pred_groups = np.array([GROUP_INDEX[p.group] for p in preds])
+    primary_cm = confusion(true_groups, pred_groups, len(COARSE_GROUPS), COARSE_GROUPS)
+
+    leaf_cm = confusion(
+        np.asarray(true_leaves),
+        np.array([LEAF_INDEX[p.leaf] for p in preds]),
+        len(LEAF_CLASSES),
+        LEAF_CLASSES,
+    )
+
+    true_safety = np.array([SAFETY_INDEX[safety_of(name, t)] for name in true_leaf_names])
+    pred_safety = np.array([SAFETY_INDEX[p.safety] for p in preds])
+    safety_cm = confusion(true_safety, pred_safety, len(SAFETY_LEVELS), SAFETY_LEVELS)
+
+    classes = role_classes(t)
+    routed: dict[str, ConfusionMatrix] = {}
+    oracle: dict[str, ConfusionMatrix] = {}
+    for group, role in GROUP_ROLES.items():
+        sub = model.sub_for_group(group)
+        names = classes[role]
+        rows, labels = role_targets(role, true_leaf_names, t)
+
+        # correctly-routed subset: the leaf prediction came from this sub-model
+        hit = pred_groups[rows] == GROUP_INDEX[group]
+        pred_pos = [names.index(preds[r].leaf) for r in rows[hit]]
+        routed[group] = confusion(labels[hit], pred_pos, len(names), names)
+
+        # oracle routing: run the sub-model on every true-group sample
+        pred_pos = np.empty(0, dtype=np.int64)
+        if rows.size:
+            pred_pos = predict(sub.spec, sub.params, x[rows]).argmax(axis=1)
+        oracle[group] = confusion(labels, pred_pos, len(names), names)
+
+    return HierEvalReport(primary_cm, leaf_cm, safety_cm, routed, oracle)

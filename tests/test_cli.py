@@ -300,6 +300,18 @@ def test_predict_memory_error_is_that_images_error_line(small_bundle, small_data
     assert "MemoryError" in json.loads(capsys.readouterr().out)["error"]
 
 
+def test_running_out_of_memory_exits_4(small_data, tmp_path, monkeypatch, capsys):
+    # a stand-in loader: a real allocation this large may be granted by an overcommitting kernel
+    def load(*args):
+        raise MemoryError("Unable to allocate 1.20 TiB for an array")
+
+    monkeypatch.setattr(cli, "load_standardized", load)
+    assert run("preprocess", "--manifest", small_data / "manifest.csv",
+               "--output-dir", tmp_path / "out", "--input-size", 100000) == 4
+    assert "wxhier: out of memory: Unable to allocate 1.20 TiB" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_predict_non_finite_probabilities_exit_4(small_bundle, small_data, monkeypatch, capsys):
     def poisoned(path):
@@ -800,6 +812,22 @@ def test_a_nul_in_any_config_value_exits_2(tmp_path, capsys, command, key):
     flag = "--" + key.replace("_", "-")
     assert "configuration error" in err and flag in err and "\0" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("command, name", [("predict", "IMAGE"), ("compare", "model entry PATH")])
+def test_a_nul_in_a_path_operand_exits_2(small_bundle, small_data, tmp_path, capsys, command,
+                                         name):
+    # the operands take the flags' path rule, checked before the bundle or manifest is read
+    argv = {
+        "predict": ["predict", "--bundle", small_bundle, "a\0b"],
+        "compare": ["compare", "--manifest", small_data / "manifest.csv",
+                    "--output-dir", tmp_path / "out", "a=x\0y", "b=z"],
+    }[command]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{name} must be a path without a NUL byte" in err
+    assert "\0" not in err and "internal error" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

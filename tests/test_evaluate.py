@@ -1,5 +1,6 @@
 """Confusion-matrix arithmetic, metric reports, hierarchical scoring."""
 
+import collections
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles import evaluate_by_rows
+from wxhier.dataset import load_manifest
 from wxhier.errors import DegenerateError, EmptyMatrixError, LabelRangeError
 from wxhier.evaluate import (
     ConfusionMatrix,
@@ -19,6 +22,19 @@ from wxhier.evaluate import (
     format_percent,
     hier_report_json,
     metrics,
+)
+from wxhier.hierarchy import (
+    GROUP_ROLES,
+    MODEL_ROLES,
+    init_hierarchical,
+    leaf_labels,
+    load_hierarchical,
+    load_standardized,
+    predict_batch,
+)
+from wxhier.nn import model as nn_model
+from wxhier.taxonomy import (
+    COARSE_GROUPS, LEAF_CLASSES, LEAF_INDEX, Taxonomy, default_taxonomy, group_of
 )
 
 
@@ -181,3 +197,89 @@ def test_oracle_rejects_non_finite_probabilities():
     true = np.array([LEAF_CLASSES.index("fog_smog")] * 3 + [LEAF_CLASSES.index("rain")] * 3)
     with pytest.raises(DegenerateError):
         evaluate_hierarchical_tensors(model, x, true)
+
+
+# ------------------------------------ two leaf tables against row counting
+
+def _tables(report):
+    named = {"primary": report.primary, "leaf": report.leaf, "safety": report.safety}
+    named |= {f"routed {g}": m for g, m in report.routed.items()}
+    named |= {f"oracle {g}": m for g, m in report.oracle_routed.items()}
+    return [(name, m.labels, m.counts.tolist()) for name, m in named.items()]
+
+
+_DEFAULT = default_taxonomy()
+# groups whose leaves interleave otherwise than in the default taxonomy
+_REGROUPED = Taxonomy(
+    {**_DEFAULT.leaf_to_group, "snow": "Dusty", "hail": "Cold", "dew": "Rainy"},
+    _DEFAULT.leaf_to_safety,
+)
+_NO_DUSTY = ("hail", "rain", "dew", "snow")  # true leaves of two groups only
+_MICRO_CASES = [
+    (2, _DEFAULT, LEAF_CLASSES),
+    (4, _DEFAULT, LEAF_CLASSES),
+    (7, _DEFAULT, LEAF_CLASSES),
+    (15, _REGROUPED, LEAF_CLASSES),
+    (4, _DEFAULT, _NO_DUSTY),
+]
+
+
+def _routed_micro(seed, taxonomy, leaves):
+    """A random-weight micro bundle and 120 rows whose scales and offsets spread the routes."""
+    model = init_hierarchical(taxonomy, input_hw=(10, 10), scale="micro", seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((120, 10, 10, 3)) * rng.uniform(0.2, 5, (120, 1, 1, 3))
+    x = (x + rng.normal(0, 2, (120, 1, 1, 3))).astype(np.float32)
+    true = rng.choice([LEAF_INDEX[name] for name in leaves], size=120)
+    return model, x, true
+
+
+@pytest.mark.parametrize("seed, taxonomy, leaves", _MICRO_CASES)
+def test_tables_match_row_by_row_counting(seed, taxonomy, leaves):
+    model, x, true = _routed_micro(seed, taxonomy, leaves)
+    want = evaluate_by_rows(model, x, true)
+    # routes reach every group, and some rows are misrouted
+    assert want.primary.counts.sum(axis=0).all()
+    assert np.trace(want.primary.counts) < want.primary.total
+    if leaves == _NO_DUSTY:
+        assert want.oracle_routed["Dusty"].total == 0 and want.routed["Dusty"].total == 0
+    assert _tables(evaluate_hierarchical_tensors(model, x, true)) == _tables(want)
+
+
+def test_tables_match_row_by_row_counting_on_a_trained_bundle(small_bundle, small_data):
+    model = load_hierarchical(small_bundle)
+    entries = load_manifest((small_data / "manifest.csv").read_bytes())
+    x, _ = load_standardized(entries, model.input_hw, small_data, model.stats)
+    true = leaf_labels(entries)
+    got = evaluate_hierarchical_tensors(model, x, true)
+    assert _tables(got) == _tables(evaluate_by_rows(model, x, true))
+
+
+@pytest.mark.parametrize("seed, taxonomy, leaves", _MICRO_CASES)
+def test_evaluate_runs_the_routed_forwards_then_one_per_true_group(
+    monkeypatch, seed, taxonomy, leaves
+):
+    model, x, true = _routed_micro(seed, taxonomy, leaves)
+    assert len(x) <= nn_model.PREDICT_ROWS  # so each predict is one forward
+    routed = collections.Counter(p.group for p in predict_batch(model, x))
+    true_groups = collections.Counter(group_of(LEAF_CLASSES[i], taxonomy) for i in true)
+    want = [("primary", len(x))]
+    for group in COARSE_GROUPS:
+        if routed[group]:
+            want.append((GROUP_ROLES[group], routed[group]))
+            if group == "Cold":
+                want.append(("sub_cold_safety", routed[group]))
+    want += [(GROUP_ROLES[g], true_groups[g]) for g in COARSE_GROUPS if true_groups[g]]
+
+    role_of = {id(getattr(model, role).params): role for role in MODEL_ROLES}
+    calls, forward_pass = [], nn_model.forward_pass
+
+    def counted(spec, params, x, rng=None, workspace=None):
+        calls.append((role_of[id(params)], x.shape[0], workspace))
+        return forward_pass(spec, params, x, rng, workspace)
+
+    monkeypatch.setattr(nn_model, "forward_pass", counted)
+    evaluate_hierarchical_tensors(model, x, true)
+    assert [(role, rows) for role, rows, _ in calls] == want
+    # one workspace serves every forward
+    assert calls[0][2] is not None and {id(ws) for *_, ws in calls} == {id(calls[0][2])}
