@@ -36,7 +36,7 @@ from . import nn
 from .dataset import (
     SplitSpec, csv_text, distribution_csv, load_manifest, manifest_to_csv, stratified_split
 )
-from .errors import ConfigError, FormatError, ValidationError, WxhierError, json_object
+from .errors import ConfigError, ValidationError, WxhierError, json_object
 from .hierarchy import (
     ARCHES,
     HierTrainConfig,
@@ -364,8 +364,6 @@ def cmd_evaluate(args) -> int:
 
 def _flat_leaf_accuracy(model_path: Path, entries, root) -> float:
     spec, params, stats, labels = nn.model_from_bytes(model_path.read_bytes())
-    if stats is None or labels is None:
-        raise FormatError(f"{model_path}: model lacks stats or class names")
     pos = {name: i for i, name in enumerate(labels)}
     try:
         y = np.array([pos[e.leaf] for e in entries], dtype=np.int64)

@@ -220,7 +220,7 @@ def evaluate_hierarchical_tensors(
     return HierEvalReport(primary_cm, leaf_cm, safety_cm, routed, oracle)
 
 
-def hier_report_json(report: HierEvalReport, bundle_hash: str | None = None) -> str:
+def hier_report_json(report: HierEvalReport, bundle_hash: str) -> str:
     doc = {
         "bundle_hash": bundle_hash,
         "primary_accuracy": report.primary_accuracy,

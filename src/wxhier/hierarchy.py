@@ -448,6 +448,7 @@ def _read_bundle_manifest(dirpath: Path) -> dict:
 
 
 def load_hierarchical(dirpath: str | Path) -> HierarchicalModel:
+    """Read a bundle, verifying its layout, content hash and each member's classes and stats."""
     dirpath = Path(dirpath)
     manifest = _read_bundle_manifest(dirpath)
     if bundle_content_hash(dirpath) != manifest["content_hash"]:
@@ -460,8 +461,6 @@ def load_hierarchical(dirpath: str | Path) -> HierarchicalModel:
     subs: dict[str, SubModel] = {}
     for role, name in BUNDLE_LAYOUT["models"].items():
         spec, params, model_stats, labels = model_from_bytes((dirpath / name).read_bytes())
-        if labels is None:
-            raise FormatError(f"{role} model file lacks its class-name list")
         if tuple(labels) != classes[role]:
             raise ValidationError(f"{role} model classes {tuple(labels)} != {classes[role]}")
         if model_stats != stats:

@@ -5,8 +5,8 @@ Layout:
     bytes 0..3   magic b"WXM1"
     u32 LE       format version (currently 1)
     u32 LE       header length in bytes
-    header       a UTF-8 JSON object: input_shape, n_out, layer list, optional
-                 normalization stats, optional output label names
+    header       a UTF-8 JSON object: input_shape, n_out, layer list, the
+                 normalization stats and one name per output ("labels")
     blobs        one tensor container per parameter array, in layer
                  order and, within a layer, in the order of the layer
                  class's ``param_shapes`` (conv and dense: w, b;
@@ -18,9 +18,9 @@ parameter shape, and refuse a bad value when built; this module only
 parses, mapping kinds to classes through ``LAYER_TYPES``, with the header
 read by ``errors.json_object``.  Callers read and write the file bytes.
 Every decode fault, including a header that describes an impossible
-model, non-finite parameters and a negative batchnorm running variance,
-surfaces as ``FormatError``; the writer refuses labels and parameters
-through the reader's own checks.
+model or lacks its stats or labels, non-finite parameters and a negative
+batchnorm running variance, surfaces as ``FormatError``; the writer
+refuses labels and parameters through the reader's own checks.
 """
 
 from __future__ import annotations
@@ -79,13 +79,10 @@ def spec_from_dict(d: dict) -> M.ModelSpec:
 
 
 def model_to_bytes(
-    spec: M.ModelSpec,
-    params: M.Params,
-    stats: NormalizationStats | None = None,
-    labels: list[str] | None = None,
+    spec: M.ModelSpec, params: M.Params, stats: NormalizationStats, labels: list[str]
 ) -> bytes:
     header = spec_to_dict(spec)
-    header["stats"] = None if stats is None else stats_to_dict(stats)
+    header["stats"] = stats_to_dict(stats)
     header["labels"] = _check_labels(labels, spec.n_out)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     buf = io.BytesIO()
@@ -98,9 +95,7 @@ def model_to_bytes(
     return buf.getvalue()
 
 
-def model_from_bytes(
-    data: bytes,
-) -> tuple[M.ModelSpec, M.Params, NormalizationStats | None, list[str] | None]:
+def model_from_bytes(data: bytes) -> tuple[M.ModelSpec, M.Params, NormalizationStats, list[str]]:
     if len(data) < 12:
         raise FormatError("model file truncated before header")
     if data[:4] != MAGIC:
@@ -123,19 +118,18 @@ def model_from_bytes(
         params.append(entry)
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after parameters")
-    stats = header.get("stats")
-    stats = None if stats is None else stats_from_dict(stats)
+    stats = stats_from_dict(header.get("stats"))
     return spec, params, stats, _check_labels(header.get("labels"), spec.n_out)
 
 
-def _check_labels(labels, n_out: int) -> list[str] | None:
-    """``labels`` when they are none, or a list of one distinct name per output.
+def _check_labels(labels, n_out: int) -> list[str]:
+    """``labels`` if they are a list of one distinct name per output.
 
     The one rule for a model's output names, applied when a model is
     written and when one is read, so no writer makes a file its reader
     refuses.
     """
-    if labels is not None and not (
+    if not (
         isinstance(labels, list)
         and all(isinstance(name, str) for name in labels)
         and len(labels) == len(set(labels)) == n_out

@@ -111,7 +111,11 @@ def resize_lanczos(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Global scalar mean/std of the training samples, plus how many went in."""
+    """Global scalar mean/std of the training samples, plus how many went in.
+
+    ``normalize`` must map the model input range 0..255 to finite float32
+    values, so stats that float32 cannot apply are refused when made.
+    """
 
     mean: float
     std: float
@@ -125,6 +129,10 @@ class NormalizationStats:
             raise DegenerateError(f"need finite mean, positive std; got {self.mean}, {self.std}")
         if self.sample_count < 2:
             raise DegenerateError(f"need at least 2 samples, got {self.sample_count}")
+        with np.errstate(all="ignore"):  # the float32 steps of ``normalize``
+            ends = (np.float32([0.0, 255.0]) - np.float32(self.mean)) / np.float32(self.std)
+        if not np.isfinite(ends).all():
+            raise DegenerateError(f"mean {self.mean}, std {self.std} map 0..255 past float32")
 
 
 def compute_stats(train_images: Iterable[np.ndarray]) -> NormalizationStats:
@@ -191,6 +199,8 @@ def stats_to_dict(s: NormalizationStats) -> dict:
 
 def stats_from_dict(doc) -> NormalizationStats:
     """Inverse of ``stats_to_dict`` (integer moments read as floats); faults are ``FormatError``."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"normalization stats must be a JSON object, got {doc!r}")
     try:
         mean, std = (float(v) if type(v) is int else v for v in (doc["mean"], doc["std"]))
         return NormalizationStats(mean, std, doc["sample_count"])

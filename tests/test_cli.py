@@ -38,7 +38,7 @@ from wxhier.hierarchy import (
     train_hierarchical,
 )
 from wxhier.imageio import decode_ppm
-from wxhier.preprocess import NormalizationStats
+from wxhier.preprocess import NormalizationStats, stats_to_dict
 from wxhier.taxonomy import LEAF_CLASSES, Taxonomy, default_taxonomy, serialize_taxonomy
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -501,11 +501,13 @@ def test_compare_flat_models_on_empty_manifest_exits_4(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def _save_with_labels(path, spec, params, stats, labels):
-    """A model file whose header holds ``labels`` as given, even ones the writer refuses."""
-    blob = nn.model_to_bytes(spec, params, stats)
+def _save_with_header(path, spec, params, stats, labels):
+    """A model file whose header holds ``stats`` and ``labels`` as given, None
+    as null, even values the writer refuses."""
+    blob = nn.model_to_bytes(spec, params, _STATS, [f"c{i}" for i in range(spec.n_out)])
     (header_len,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12 : 12 + header_len])
+    header["stats"] = None if stats is None else stats_to_dict(stats)
     header["labels"] = labels
     raw = json.dumps(header, sort_keys=True).encode()
     path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])
@@ -516,8 +518,10 @@ def _save_with_labels(path, spec, params, stats, labels):
     [
         pytest.param(3, list(LEAF_CLASSES), _STATS, "3 distinct names", id="more-names"),
         pytest.param(3, ["dew", "dew", "dew"], _STATS, "3 distinct names", id="repeated-name"),
-        pytest.param(11, list(LEAF_CLASSES), None, "lacks stats or class names", id="no-stats"),
-        pytest.param(11, None, _STATS, "lacks stats or class names", id="no-names"),
+        # the reader's own refusals of a header without stats or names
+        pytest.param(11, list(LEAF_CLASSES), None, "normalization stats must be a JSON object",
+                     id="no-stats"),
+        pytest.param(11, None, _STATS, "model labels must be 11 distinct names", id="no-names"),
         pytest.param(3, ["dew", "fog_smog", "frost"], _STATS, "does not know class",
                      id="missing-leaf"),
     ],
@@ -526,7 +530,7 @@ def test_compare_unusable_flat_model_exits_4(small_data, tmp_path, capsys, n_out
                                             message):
     spec = nn.softmax_flat_spec((16, 16, 3), n_out)
     flat = tmp_path / "flat.wxm1"
-    _save_with_labels(flat, spec, nn.init_params(spec, np.random.default_rng(0)), stats, labels)
+    _save_with_header(flat, spec, nn.init_params(spec, np.random.default_rng(0)), stats, labels)
     rc = run("compare", "--manifest", small_data / "manifest.csv", "--root", small_data,
              "--output-dir", tmp_path / "out", f"a={flat}", f"b={flat}")
     assert rc == 4
@@ -568,6 +572,27 @@ def test_stats_and_preprocess_round_trip(small_data, tmp_path):
     labels = (again / "labels.csv").read_text(encoding="utf-8").strip().splitlines()
     assert labels[0] == "index,path,label"
     assert len(labels) == 89
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param('{"mean": 1e300, "std": 1.0, "sample_count": 10}', id="huge-mean"),
+        pytest.param('{"mean": 1.0, "std": 1e-300, "sample_count": 10}', id="tiny-std"),
+    ],
+)
+def test_preprocess_stats_beyond_float32_exits_4(small_data, tmp_path, capsys, doc):
+    # stats that would standardize every pixel to +-inf are refused as they are read
+    (tmp_path / "s.json").write_text(doc, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run("preprocess", "--manifest", small_data / "manifest.csv", "--root", small_data,
+                 "--output-dir", tmp_path / "out", "--input-size", 8,
+                 "--stats", tmp_path / "s.json")
+    assert rc == 4
+    assert caught == []
+    assert "map 0..255 past float32" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_preprocess_labels_csv_quotes_paths_with_commas(small_data, tmp_path):

@@ -42,7 +42,8 @@ def _stats(tmp_path, small_data, encode):
 
 def _model_header(tmp_path, small_data, encode):
     spec = softmax_flat_spec((2, 2, 3), 2)
-    blob = model_to_bytes(spec, init_params(spec, np.random.default_rng(0)))
+    blob = model_to_bytes(spec, init_params(spec, np.random.default_rng(0)),
+                          NormalizationStats(1.5, 2.25, 9), ["a", "b"])
     (size,) = struct.unpack_from("<I", blob, 8)
     header = encode(blob[12 : 12 + size].decode("utf-8"))
     return _error(model_from_bytes, blob[:8] + struct.pack("<I", len(header)) + header

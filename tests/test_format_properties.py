@@ -57,6 +57,12 @@ def _nan_params():
     return params
 
 
+def _model_bytes(spec, params):
+    """``model_to_bytes`` with fixed stats and one name per output."""
+    return model_to_bytes(spec, params, NormalizationStats(1.0, 2.0, 10),
+                          [f"c{i}" for i in range(spec.n_out)])
+
+
 # Values that a reader refuses or gives back changed: each is refused as it
 # is made or written.
 @pytest.mark.parametrize(
@@ -72,7 +78,7 @@ def _nan_params():
                      id="float-count"),
         pytest.param(lambda: NormalizationStats(1.0, 2.0, np.int64(5)), ValidationError,
                      id="numpy-count"),
-        pytest.param(lambda: model_to_bytes(_NAN_SPEC, _nan_params()), FormatError,
+        pytest.param(lambda: _model_bytes(_NAN_SPEC, _nan_params()), FormatError,
                      id="nan-parameter"),
         # layer fields and header integers of a .wxm1 model
         pytest.param(lambda: Conv(2, 3, stride=True), ShapeError, id="conv-bool-stride"),
@@ -266,10 +272,11 @@ def _poisoned(params, poison):
     st.sampled_from(range(len(_SPECS))),
     st.integers(0, 2**32),
     st.sampled_from([None, "nan", "beyond-float32", "shape"]),
-    st.none() | st.builds(NormalizationStats, st.floats(-1e3, 1e3), st.floats(1e-3, 1e3),
-                          st.integers(2, 10**6)),
-    st.none() | st.lists(st.sampled_from("abcd"), max_size=4),
+    st.builds(NormalizationStats, st.floats(-1e3, 1e3), st.floats(1e-3, 1e3),
+              st.integers(2, 10**6)),
+    st.lists(st.sampled_from("abcd"), max_size=4),
 )
+@example(0, 0, None, NormalizationStats(127.5, 64.0, 2), ["a", "b"])
 @settings(max_examples=60, deadline=None)
 def test_model_reads_back_equal(which, seed, poison, stats, labels):
     spec = _SPECS[which]
@@ -337,7 +344,7 @@ def test_spec_fields_read_back_equal(changes):
     assert {type(layer) for layer in _BASE.layers} == set(LAYER_TYPES)
     made = _made(_changed, changes)
     if made is not None:
-        assert model_from_bytes(model_to_bytes(*made))[0] == made[0]
+        assert model_from_bytes(_model_bytes(*made))[0] == made[0]
 
 
 # ------------------------------------------------------------------- .wxt1

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -298,6 +299,43 @@ def test_bundle_model_with_other_stats_rejected(random_model, tmp_path, capsys):
     (bundle / "primary.wxm1").write_bytes(blob)
     _rehash(bundle)
     _assert_refused_by_load_and_evaluate(bundle, tmp_path, capsys, "primary model stats")
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [pytest.param("stats", "normalization stats must be", id="stats"),
+     pytest.param("labels", "model labels must be", id="labels")],
+)
+@pytest.mark.parametrize("missing", [False, True], ids=["null", "missing"])
+def test_bundle_model_without_stats_or_names_refused_by_its_reader(random_model, tmp_path,
+                                                                  capsys, field, message,
+                                                                  missing):
+    # one fault, one error: the model reader's FormatError, exit 4 in every command
+    from wxhier.cli import main
+
+    bundle = tmp_path / "bundle"
+    save_hierarchical(random_model, bundle)
+    blob = (bundle / "sub_dusty.wxm1").read_bytes()
+    (size,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + size])
+    if missing:
+        del header[field]
+    else:
+        header[field] = None
+    raw = json.dumps(header, sort_keys=True).encode()
+    (bundle / "sub_dusty.wxm1").write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw
+                                           + blob[12 + size :])
+    _rehash(bundle)
+    with pytest.raises(FormatError, match=message):
+        load_hierarchical(bundle)
+    (tmp_path / "m.csv").write_text("path,label\nx.ppm,rain\n", encoding="utf-8")
+    data = ["--manifest", tmp_path / "m.csv", "--output-dir", tmp_path / "out"]
+    for argv in (["evaluate", "--bundle", bundle, *data], ["predict", "--bundle", bundle, "x.ppm"],
+                 ["compare", *data, f"a={bundle}", f"b={bundle}"]):
+        assert main([str(a) for a in argv]) == 4
+        err = capsys.readouterr().err
+        assert err.count("wxhier: ") == 1 and message in err, argv
+    assert not (tmp_path / "out").exists()
 
 
 def _negative_variance(sub):

@@ -30,6 +30,14 @@ def make_model(seed=0):
     return spec, params
 
 
+STATS = NormalizationStats(mean=1.0, std=2.0, sample_count=10)
+
+
+def to_bytes(spec, params):
+    """The model file of ``spec`` and ``params``, with ``STATS`` and one name per output."""
+    return model_to_bytes(spec, params, STATS, [f"c{i}" for i in range(spec.n_out)])
+
+
 def test_round_trip_bit_exact():
     spec, params = make_model()
     stats = NormalizationStats(mean=127.5, std=64.0, sample_count=480)
@@ -44,28 +52,21 @@ def test_round_trip_bit_exact():
             assert pa[key].tobytes() == pb[key].tobytes()
 
 
-def test_round_trip_without_optionals():
-    spec, params = make_model()
-    spec2, params2, stats2, labels2 = model_from_bytes(model_to_bytes(spec, params))
-    assert spec2 == spec
-    assert stats2 is None and labels2 is None
-
-
 def test_serialization_deterministic():
     spec, params = make_model()
-    assert model_to_bytes(spec, params) == model_to_bytes(spec, params)
+    assert to_bytes(spec, params) == to_bytes(spec, params)
 
 
 def test_loaded_model_predicts_identically():
     spec, params = make_model()
     x = np.random.default_rng(1).standard_normal((6, 4, 4, 3)).astype(np.float32)
-    spec2, params2, _, _ = model_from_bytes(model_to_bytes(spec, params))
+    spec2, params2, _, _ = model_from_bytes(to_bytes(spec, params))
     np.testing.assert_array_equal(predict(spec, params, x), predict(spec2, params2, x))
 
 
 def test_header_is_sorted_json():
     spec, params = make_model()
-    blob = model_to_bytes(spec, params)
+    blob = to_bytes(spec, params)
     (header_len,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12 : 12 + header_len])
     assert list(header) == sorted(header)
@@ -74,14 +75,14 @@ def test_header_is_sorted_json():
 
 def test_bad_magic():
     spec, params = make_model()
-    blob = b"NOPE" + model_to_bytes(spec, params)[4:]
+    blob = b"NOPE" + to_bytes(spec, params)[4:]
     with pytest.raises(FormatError):
         model_from_bytes(blob)
 
 
 def test_future_version_rejected():
     spec, params = make_model()
-    blob = bytearray(model_to_bytes(spec, params))
+    blob = bytearray(to_bytes(spec, params))
     struct.pack_into("<I", blob, 4, VERSION + 1)
     with pytest.raises(VersionError):
         model_from_bytes(bytes(blob))
@@ -89,7 +90,7 @@ def test_future_version_rejected():
 
 def test_truncation_detected():
     spec, params = make_model()
-    blob = model_to_bytes(spec, params)
+    blob = to_bytes(spec, params)
     with pytest.raises(FormatError):
         model_from_bytes(blob[: len(blob) - 3])
     with pytest.raises(FormatError):
@@ -99,7 +100,7 @@ def test_truncation_detected():
 def test_trailing_garbage_detected():
     spec, params = make_model()
     with pytest.raises(FormatError):
-        model_from_bytes(model_to_bytes(spec, params) + b"\x00\x01")
+        model_from_bytes(to_bytes(spec, params) + b"\x00\x01")
 
 
 def test_blob_shape_mismatch_detected():
@@ -108,7 +109,7 @@ def test_blob_shape_mismatch_detected():
     params_small = [dict(p) for p in params]
     params_small[1]["w"] = np.zeros((4, 5), dtype=np.float32)
     with pytest.raises(FormatError):
-        model_from_bytes(model_to_bytes(spec, params_small))
+        model_from_bytes(to_bytes(spec, params_small))
 
 
 def with_raw_header(blob, raw):
@@ -141,8 +142,7 @@ def set_field(path, value):
 def test_unknown_layer_kind_rejected():
     # every header that decodes to no valid model is a FormatError
     spec, params = make_model()
-    stats = NormalizationStats(mean=1.0, std=2.0, sample_count=10)
-    blob = model_to_bytes(spec, params, stats, ["a", "b", "c", "d", "e"])
+    blob = model_to_bytes(spec, params, STATS, ["a", "b", "c", "d", "e"])
     edits = [
         set_field(("layers", 0, "kind"), "maxpool"),
         set_field(("layers", 0, "kind"), ["flatten"]),
@@ -157,8 +157,9 @@ def test_unknown_layer_kind_rejected():
         set_field(("stats", "std"), 0),
         set_field(("stats", "mean"), float("nan")),
         set_field(("stats",), [1.0, 2.0, 10]),
+        set_field(("stats", "mean"), 1e300),  # beyond float32
         set_field(("labels",), "abcde"),
-        # one distinct name per output, or no names at all
+        # one distinct name per output
         set_field(("labels",), ["a", "b", "c", "d"]),
         set_field(("labels",), ["a", "b", "c", "d", "e", "f"]),
         set_field(("labels",), ["a", "b", "c", "d", "a"]),
@@ -171,17 +172,28 @@ def test_unknown_layer_kind_rejected():
     nan_params[1]["w"] = params[1]["w"].copy()
     nan_params[1]["w"][0, 0] = np.nan
     with pytest.raises(FormatError):
-        model_from_bytes(model_to_bytes(spec, nan_params))
+        model_from_bytes(to_bytes(spec, nan_params))
     cnn = basic_cnn_spec((8, 8, 3), 3)
-    cnn_blob = model_to_bytes(cnn, init_params(cnn, np.random.default_rng(0)))
+    cnn_blob = to_bytes(cnn, init_params(cnn, np.random.default_rng(0)))
     for epsilon in (-1.0, 10**400):  # a JSON integer beyond float range, too
         with pytest.raises(FormatError):
             model_from_bytes(patch_header(cnn_blob, set_field(("layers", 1, "epsilon"), epsilon)))
 
 
+@pytest.mark.parametrize("field", ["stats", "labels"])
+def test_header_without_stats_or_labels_is_format_error(field):
+    # every model holds both; the reader refuses a null field and a missing one
+    blob = to_bytes(*make_model())
+    without = {k: v for k, v in header_of(blob).items() if k != field}
+    for header in ({**without, field: None}, without):
+        raw = json.dumps(header, sort_keys=True).encode()
+        with pytest.raises(FormatError, match=field):
+            model_from_bytes(with_raw_header(blob, raw))
+
+
 def test_header_of_a_model_too_large_to_allocate_is_format_error():
     spec, params = make_model()
-    blob = patch_header(model_to_bytes(spec, params), set_field(("input_shape",), [8192, 8192, 3]))
+    blob = patch_header(to_bytes(spec, params), set_field(("input_shape",), [8192, 8192, 3]))
     with pytest.raises(FormatError, match="parameters exceed the limit"):
         model_from_bytes(blob)
 
@@ -196,13 +208,13 @@ def test_writer_refuses_the_labels_the_reader_refuses(labels):
     # the same rule as ``test_unknown_layer_kind_rejected``'s label edits
     spec, params = make_model()
     with pytest.raises(FormatError, match="5 distinct names"):
-        model_to_bytes(spec, params, None, labels)
+        model_to_bytes(spec, params, STATS, labels)
 
 
 def test_deeply_nested_header_is_format_error():
     spec, params = make_model()
     with pytest.raises(FormatError):
-        model_from_bytes(with_raw_header(model_to_bytes(spec, params), b"[" * 100_000))
+        model_from_bytes(with_raw_header(to_bytes(spec, params), b"[" * 100_000))
 
 
 json_values = st.recursive(
@@ -245,9 +257,9 @@ def test_fuzzed_header_raises_only_package_errors(blob):
 def test_format_bytes_pinned(tmp_path):
     # digests of the version-1 model and bundle bytes; a change here is a format change
     spec = basic_cnn_spec((16, 16, 3), 3)
-    blob = model_to_bytes(spec, init_params(spec, np.random.default_rng(0)))
+    blob = to_bytes(spec, init_params(spec, np.random.default_rng(0)))
     assert hashlib.sha256(blob).hexdigest() == (
-        "8e42c865fc41f7ed3f6f5e77623082257c5dc970dd23eb4babe711f162cb9309"
+        "3e8c99d1ee635df1a27b1561c76be63fa5a1b8c90226d996c5c294c6e14b1596"
     )
     save_hierarchical(init_hierarchical(default_taxonomy(), seed=0), tmp_path)
     assert bundle_content_hash(tmp_path) == (

@@ -341,6 +341,11 @@ def test_stats_validation():
     for mean, std in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
         with pytest.raises(DegenerateError):
             NormalizationStats(mean=mean, std=std, sample_count=10)
+    # finite moments that standardize 0 or 255 to +-inf (or divide by a
+    # float32 zero) in float32
+    for mean, std in ((1e300, 1.0), (-3.5e38, 1.0), (1.0, 1e-300), (1.0, 1e-37)):
+        with pytest.raises(DegenerateError, match="past float32"):
+            NormalizationStats(mean=mean, std=std, sample_count=10)
     with pytest.raises(DegenerateError):
         compute_stats([np.full((4, 4, 3), 9.0)])  # zero variance
     with pytest.raises(DegenerateError):
@@ -386,6 +391,9 @@ def test_stats_json_rejects_garbage():
         pytest.param(b'{"mean": 1.0, "std": 0, "sample_count": 2}', id="zero-std"),
         pytest.param(b'{"mean": 1.0, "std": -1.0, "sample_count": 2}', id="negative-std"),
         pytest.param(b'{"mean": 1.0, "std": 1.0, "sample_count": 1}', id="one-sample"),
+        pytest.param(b'{"mean": 1e300, "std": 1.0, "sample_count": 10}', id="mean-beyond-float32"),
+        pytest.param(b'{"mean": 1.0, "std": 1e-300, "sample_count": 10}', id="std-below-float32"),
+        pytest.param(b'{"mean": 1.0, "std": 1e-37, "sample_count": 10}', id="std-too-small"),
         pytest.param(b'{"mean": 1.0, "std": 1.0, "sample_count": Infinity}', id="inf-count"),
         pytest.param(b'{"mean": "x", "std": 1.0, "sample_count": 2}', id="string-mean"),
         # JSON numbers, and an integer count, are required: nothing is coerced
