@@ -36,7 +36,7 @@ from . import nn
 from .dataset import (
     SplitSpec, csv_text, distribution_csv, load_manifest, manifest_to_csv, stratified_split
 )
-from .errors import ConfigError, ValidationError, WxhierError, json_object
+from .errors import ConfigError, ValidationError, WxhierError, json_object, read_file
 from .hierarchy import (
     ARCHES,
     HierTrainConfig,
@@ -230,11 +230,11 @@ def _with_config(argv: list[str], keys: dict[str, set[str]]) -> list[str]:
 def _taxonomy_for(args):
     if args.taxonomy is None:
         return default_taxonomy()
-    return load_taxonomy(args.taxonomy.read_bytes())
+    return read_file(args.taxonomy, load_taxonomy)
 
 
 def _entries_and_root(args):
-    entries = load_manifest(args.manifest.read_bytes())
+    entries = read_file(args.manifest, load_manifest)
     root = args.root if args.root is not None else args.manifest.parent
     return entries, root
 
@@ -250,7 +250,7 @@ def cmd_split(args) -> int:
     spec = SplitSpec(
         test_fraction=args.test_fraction, val_fraction=args.val_fraction, seed=args.seed
     )
-    entries = load_manifest(args.manifest.read_bytes())
+    entries = read_file(args.manifest, load_manifest)
     taxonomy = _taxonomy_for(args)
     split = stratified_split(entries, spec)
     out = _outdir(args)
@@ -267,7 +267,7 @@ def cmd_split(args) -> int:
 
 def cmd_preprocess(args) -> int:
     entries, root = _entries_and_root(args)
-    stats = stats_from_json(args.stats.read_bytes()) if args.stats else None
+    stats = read_file(args.stats, stats_from_json) if args.stats else None
     x, stats = load_standardized(entries, (args.input_size, args.input_size), root, stats)
     out = _outdir(args)
     (out / "tensors.wxt1").write_bytes(tensor_to_bytes(x))
@@ -304,7 +304,7 @@ def cmd_train(args) -> int:
     train_entries, root = _entries_and_root(args)
     val_entries = []
     if args.val_manifest is not None:
-        val_entries = load_manifest(args.val_manifest.read_bytes())
+        val_entries = read_file(args.val_manifest, load_manifest)
     if cfg.arch != "hierarchical":
         return _train_flat(args, cfg, train_entries, val_entries, root)
 
@@ -363,7 +363,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _flat_leaf_accuracy(model_path: Path, entries, root) -> float:
-    spec, params, stats, labels = nn.model_from_bytes(model_path.read_bytes())
+    spec, params, stats, labels = read_file(model_path, nn.model_from_bytes)
     pos = {name: i for i, name in enumerate(labels)}
     try:
         y = np.array([pos[e.leaf] for e in entries], dtype=np.int64)

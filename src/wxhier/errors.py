@@ -1,9 +1,12 @@
 """Exception types shared across the package, and its one rule for each check: ``check_fields``
-for a value object's fields, ``utf8_text`` and ``json_object`` for the bytes of a file."""
+for a value object's fields, ``utf8_text`` and ``json_object`` for the bytes of a file, and
+``in_file`` and ``read_file`` for naming the file an error is in."""
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
+from pathlib import Path
 
 
 class WxhierError(Exception):
@@ -103,3 +106,18 @@ def json_object(data: bytes, what: str, error: type[WxhierError]) -> dict:
     if not isinstance(doc, dict):
         raise error(f"{what} must be a JSON object, got {type(doc).__name__}")
     return doc
+
+
+@contextmanager
+def in_file(path: Path):
+    """Re-raise a package error from the block as its own type, prefixed with ``path``."""
+    try:
+        yield
+    except WxhierError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def read_file(path: Path, parse):
+    """``parse(path.read_bytes())``, whose package errors name ``path``."""
+    with in_file(path):
+        return parse(path.read_bytes())

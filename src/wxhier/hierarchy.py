@@ -39,7 +39,9 @@ from .errors import (
     ShapeError,
     ValidationError,
     VersionError,
+    in_file,
     json_object,
+    read_file,
 )
 from .imageio import ImageU8, decode_ppm
 from .preprocess import (
@@ -275,11 +277,15 @@ class HierTrainConfig(TrainConfig):
 def load_image_tensors(
     entries: list[ManifestEntry], out_hw: tuple[int, int], root: str | Path = "."
 ) -> np.ndarray:
-    """Decode manifest images and ``model_input`` each into a raw 0..255 (N,H,W,3) batch."""
+    """Decode manifest images and ``model_input`` each into a raw 0..255 (N,H,W,3) batch.
+
+    A package error in one image names its path under ``root``.
+    """
     out = np.empty((len(entries), out_hw[0], out_hw[1], 3), dtype=np.float32)
     for i, entry in enumerate(entries):
-        img = decode_ppm((Path(root) / entry.path).read_bytes())
-        out[i] = model_input(img, entry.channel_order, out_hw)
+        path = Path(root) / entry.path
+        with in_file(path):
+            out[i] = model_input(decode_ppm(path.read_bytes()), entry.channel_order, out_hw)
     return out
 
 
@@ -448,22 +454,29 @@ def _read_bundle_manifest(dirpath: Path) -> dict:
 
 
 def load_hierarchical(dirpath: str | Path) -> HierarchicalModel:
-    """Read a bundle, verifying its layout, content hash and each member's classes and stats."""
+    """Read a bundle, verifying its layout, content hash and each member's classes and stats.
+
+    A package error in ``taxonomy.cfg``, ``stats.json`` or a member model
+    file, the member's class and stats checks included, is raised as its
+    own type with that file's path in front.
+    """
     dirpath = Path(dirpath)
     manifest = _read_bundle_manifest(dirpath)
     if bundle_content_hash(dirpath) != manifest["content_hash"]:
         raise FormatError(f"{dirpath}: bundle content does not match its recorded hash")
 
-    taxonomy = load_taxonomy((dirpath / BUNDLE_LAYOUT["taxonomy"]).read_bytes())
-    stats = stats_from_json((dirpath / BUNDLE_LAYOUT["stats"]).read_bytes())
+    taxonomy = read_file(dirpath / BUNDLE_LAYOUT["taxonomy"], load_taxonomy)
+    stats = read_file(dirpath / BUNDLE_LAYOUT["stats"], stats_from_json)
 
     classes = role_classes(taxonomy)
     subs: dict[str, SubModel] = {}
     for role, name in BUNDLE_LAYOUT["models"].items():
-        spec, params, model_stats, labels = model_from_bytes((dirpath / name).read_bytes())
-        if tuple(labels) != classes[role]:
-            raise ValidationError(f"{role} model classes {tuple(labels)} != {classes[role]}")
-        if model_stats != stats:
-            raise ValidationError(f"{role} model stats {model_stats} != stats.json's {stats}")
+        path = dirpath / name
+        with in_file(path):
+            spec, params, model_stats, labels = model_from_bytes(path.read_bytes())
+            if tuple(labels) != classes[role]:
+                raise ValidationError(f"{role} model classes {tuple(labels)} != {classes[role]}")
+            if model_stats != stats:
+                raise ValidationError(f"{role} model stats {model_stats} != stats.json's {stats}")
         subs[role] = SubModel(spec, params)
     return HierarchicalModel(**subs, taxonomy=taxonomy, stats=stats)

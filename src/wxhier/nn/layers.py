@@ -106,7 +106,10 @@ def pool_output_hw(h: int, w: int, window: int, stride: int) -> tuple[int, int]:
     return (h - window) // stride + 1, (w - window) // stride + 1
 
 
-def _check_conv_args(x_shape: tuple, kernels: np.ndarray, stride: int, pad: int) -> None:
+def _check_conv_args(
+    x_shape: tuple, kernels: np.ndarray, stride: int, pad: int, grad_out: np.ndarray | None = None
+) -> tuple[int, int, int, int, int, int, int, int]:
+    """The conv kernels' one shape rule: ``(n, h, w, c, k, f, oh, ow)``, checked."""
     if len(x_shape) != 4:
         raise ShapeError(f"conv input must be (N, H, W, C), got {tuple(x_shape)}")
     if kernels.ndim != 4 or kernels.shape[0] != kernels.shape[1]:
@@ -115,6 +118,12 @@ def _check_conv_args(x_shape: tuple, kernels: np.ndarray, stride: int, pad: int)
         raise ShapeError(f"channel mismatch: input {x_shape[3]}, kernels {kernels.shape[2]}")
     if stride < 1 or pad < 0:
         raise ShapeError(f"bad stride/pad {stride}/{pad}")
+    n, h, w, c = x_shape
+    k, f = kernels.shape[0], kernels.shape[3]
+    oh, ow = conv_output_hw(h, w, k, stride, pad)
+    if grad_out is not None and grad_out.shape != (n, oh, ow, f):
+        raise ShapeError(f"grad_out shape {grad_out.shape} != {(n, oh, ow, f)}")
+    return n, h, w, c, k, f, oh, ow
 
 
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -197,10 +206,7 @@ def conv2d_forward(
     block gathers at most ``CONV_BLOCK_BYTES`` of columns, so only one
     block of them is alive.
     """
-    _check_conv_args(x.shape, kernels, stride, pad)
-    n, h, w, c = x.shape
-    k, f = kernels.shape[0], kernels.shape[3]
-    oh, ow = conv_output_hw(h, w, k, stride, pad)
+    n, h, w, c, k, f, oh, ow = _check_conv_args(x.shape, kernels, stride, pad)
     kmat = kernels.reshape(k * k * c, f)
     bias_row = _row(bias, ow)
     out = _out_array(out, (n, oh, ow, f), np.result_type(x, kernels), "conv")
@@ -229,13 +235,7 @@ def conv2d_backward(
     The input gradient is ``conv2d_backward_input``'s, so a caller that has
     no use for it (the first layer of a model) never builds it.
     """
-    _check_conv_args(x.shape, kernels, stride, pad)
-    n, h, w, c = x.shape
-    k, f = kernels.shape[0], kernels.shape[3]
-    oh, ow = conv_output_hw(h, w, k, stride, pad)
-    if grad_out.shape != (n, oh, ow, f):
-        raise ShapeError(f"grad_out shape {grad_out.shape} != {(n, oh, ow, f)}")
-
+    n, h, w, c, k, f, oh, ow = _check_conv_args(x.shape, kernels, stride, pad, grad_out)
     g = grad_out.reshape(n * oh * ow, f)
     grad_bias = _channel_sum(g, f)
 
@@ -252,12 +252,7 @@ def conv2d_backward_input(
     pad: int = 0,
 ) -> np.ndarray:
     """Gradient w.r.t. the input of shape ``x_shape`` (the data half)."""
-    _check_conv_args(x_shape, kernels, stride, pad)
-    n, h, w, c = x_shape
-    k, f = kernels.shape[0], kernels.shape[3]
-    oh, ow = conv_output_hw(h, w, k, stride, pad)
-    if grad_out.shape != (n, oh, ow, f):
-        raise ShapeError(f"grad_out shape {grad_out.shape} != {(n, oh, ow, f)}")
+    n, h, w, c, k, f, oh, ow = _check_conv_args(x_shape, kernels, stride, pad, grad_out)
 
     # One product for all taps: a product per tap rounds differently in some
     # BLAS tail kernels. Copying each tap out contiguously, one void item of

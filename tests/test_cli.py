@@ -135,14 +135,14 @@ def test_manifest_the_csv_reader_rejects_is_data_error(tmp_path, capsys):
     manifest = tmp_path / "m.csv"
     manifest.write_bytes(b"path,label\na\rb.ppm,rain\n")  # a bare CR in an unquoted field
     assert run("split", "--manifest", manifest, "--output-dir", tmp_path / "out") == 4
-    assert "data error: line 2" in capsys.readouterr().err
+    assert f"data error: {manifest}: line 2" in capsys.readouterr().err
 
 
 def test_nul_byte_in_manifest_path_is_data_error(tmp_path, capsys):
     manifest = tmp_path / "m.csv"
     manifest.write_bytes(b"path,label\na\0b.ppm,rain\n")
     assert run("preprocess", "--manifest", manifest, "--output-dir", tmp_path / "out") == 4
-    assert "data error: line 2: NUL byte in path" in capsys.readouterr().err
+    assert f"data error: {manifest}: line 2: NUL byte in path" in capsys.readouterr().err
 
 
 def test_missing_class_is_data_error(small_data, tmp_path, capsys):
@@ -156,6 +156,58 @@ def test_missing_class_is_data_error(small_data, tmp_path, capsys):
              "--output-dir", tmp_path, "--epochs", 1, "--input-size", 8)
     assert rc == 4
     assert "dew" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, content, message",
+    [
+        pytest.param("split", "--manifest", b"path,label\nx.ppm,blizzard\n",
+                     "line 2: unknown label", id="manifest"),
+        pytest.param("train", "--val-manifest", b"path,label\nrain/000.ppm\n",
+                     "line 2: expected 2 columns", id="val-manifest"),
+        pytest.param("train", "--taxonomy", b"\xff", "taxonomy config is not UTF-8",
+                     id="taxonomy"),
+        pytest.param("preprocess", "--stats", b"[]", "stats document must be a JSON object",
+                     id="stats"),
+    ],
+)
+def test_a_bad_input_file_names_itself_once(small_data, tmp_path, capsys, command, flag,
+                                            content, message):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    data = ["--manifest", small_data / "manifest.csv", "--root", small_data, "--input-size", 8]
+    rest = {"split": [], "train": [*data, "--epochs", 1], "preprocess": data}[command]
+    assert run(command, flag, bad, "--output-dir", tmp_path / "out", *rest) == 4
+    err = capsys.readouterr().err
+    assert f"data error: {bad}: {message}" in err and err.count(str(bad)) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def truncated_image_data(small_data, tmp_path_factory):
+    """``small_data`` with its first image cut five bytes short."""
+    root = tmp_path_factory.mktemp("truncated") / "data"
+    shutil.copytree(small_data, root)
+    image = root / load_manifest((root / "manifest.csv").read_bytes())[0].path
+    image.write_bytes(image.read_bytes()[:-5])
+    return root, image
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "preprocess", "compare"])
+def test_a_truncated_image_names_itself_once(truncated_image_data, small_bundle, tmp_path,
+                                             capsys, command):
+    root, image = truncated_image_data
+    argv = [command, "--manifest", root / "manifest.csv", "--output-dir", tmp_path / "out"]
+    argv += {
+        "train": ["--input-size", 8, "--epochs", 1],
+        "evaluate": ["--bundle", small_bundle],
+        "preprocess": ["--input-size", 8],
+        "compare": [f"a={small_bundle}", f"b={small_bundle}"],
+    }[command]
+    assert run(*argv) == 4
+    err = capsys.readouterr().err
+    assert f"data error: {image}: truncated PPM payload" in err and err.count(str(image)) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_flag_exits_2(capsys):
@@ -367,6 +419,13 @@ def test_evaluate_empty_manifest_exits_4(small_bundle, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _rehash(bundle):
+    """Record ``bundle``'s content hash in its ``bundle.json`` after a payload was edited."""
+    manifest = json.loads((bundle / "bundle.json").read_text(encoding="utf-8"))
+    manifest["content_hash"] = bundle_content_hash(bundle)
+    (bundle / "bundle.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
 def test_bundle_with_a_sub_model_of_another_input_size_exits_4(small_bundle, small_data,
                                                                 tmp_path, capsys):
     # an 8x8 sub_rainy in a 16 px bundle, with the content hash recomputed
@@ -377,9 +436,7 @@ def test_bundle_with_a_sub_model_of_another_input_size_exits_4(small_bundle, sma
     names = hierarchy.role_classes(default_taxonomy())["sub_rainy"]
     blob = nn.model_to_bytes(sub.spec, sub.params, stats, list(names))
     (bundle / "sub_rainy.wxm1").write_bytes(blob)
-    manifest = json.loads((bundle / "bundle.json").read_text(encoding="utf-8"))
-    manifest["content_hash"] = bundle_content_hash(bundle)
-    (bundle / "bundle.json").write_text(json.dumps(manifest), encoding="utf-8")
+    _rehash(bundle)
     assert run("predict", "--bundle", bundle, small_data / "rain" / "000.ppm") == 4
     assert "sub_rainy model input (8, 8, 3) != primary's (16, 16, 3)" in capsys.readouterr().err
     rc = run("evaluate", "--bundle", bundle, "--manifest", small_data / "manifest.csv",
@@ -402,15 +459,45 @@ def test_predict_negative_running_variance_exits_4_at_load(small_bundle, small_d
     with monkeypatch.context() as m:  # a writer without the shared parameter check
         m.setattr(nn.modelio, "_check_param", lambda layer, key, arr, want: arr)
         (bundle / "primary.wxm1").write_bytes(nn.model_to_bytes(spec, params, stats, names))
-    manifest = json.loads((bundle / "bundle.json").read_text(encoding="utf-8"))
-    manifest["content_hash"] = bundle_content_hash(bundle)
-    (bundle / "bundle.json").write_text(json.dumps(manifest), encoding="utf-8")
+    _rehash(bundle)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run("predict", "--bundle", bundle, small_data / "rain" / "000.ppm") == 4
     out, err = capsys.readouterr()
     assert out == "" and "running_var holds negative values" in err
     assert caught == [] and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        pytest.param("taxonomy.cfg", lambda path: path.write_bytes(b"\xff"),
+                     "taxonomy config is not UTF-8", id="taxonomy"),
+        pytest.param("stats.json", lambda path: path.write_bytes(b"[]"),
+                     "stats document must be a JSON object", id="stats"),
+        pytest.param("sub_dusty.wxm1",
+                     lambda path: _write_with_header(path, path.read_bytes(), labels=None),
+                     "model labels must be 2 distinct names, got None", id="member-labels"),
+        pytest.param("sub_cold_fine.wxm1",
+                     lambda path: _write_with_header(path, path.read_bytes(),
+                                                     stats=stats_to_dict(_STATS)),
+                     "sub_cold_fine model stats", id="member-stats"),
+    ],
+)
+def test_a_bad_bundle_file_names_itself_once(small_bundle, small_data, tmp_path, capsys, name,
+                                             edit, message):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(small_bundle, bundle)
+    edit(bundle / name)
+    _rehash(bundle)
+    assert run("predict", "--bundle", bundle, small_data / "rain" / "000.ppm") == 4
+    rc = run("evaluate", "--bundle", bundle, "--manifest", small_data / "manifest.csv",
+             "--root", small_data, "--output-dir", tmp_path / "out")
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count(f"data error: {bundle / name}: {message}") == 2
+    assert err.count(str(bundle / name)) == 2
+    assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------------- compare
@@ -501,16 +588,20 @@ def test_compare_flat_models_on_empty_manifest_exits_4(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def _save_with_header(path, spec, params, stats, labels):
-    """A model file whose header holds ``stats`` and ``labels`` as given, None
-    as null, even values the writer refuses."""
-    blob = nn.model_to_bytes(spec, params, _STATS, [f"c{i}" for i in range(spec.n_out)])
+def _write_with_header(path, blob, **fields):
+    """Model file ``blob`` written to ``path`` with the header ``fields`` given,
+    None as null, even values the writer refuses."""
     (header_len,) = struct.unpack_from("<I", blob, 8)
-    header = json.loads(blob[12 : 12 + header_len])
-    header["stats"] = None if stats is None else stats_to_dict(stats)
-    header["labels"] = labels
+    header = {**json.loads(blob[12 : 12 + header_len]), **fields}
     raw = json.dumps(header, sort_keys=True).encode()
     path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])
+
+
+def _save_with_header(path, spec, params, stats, labels):
+    """A model file whose header holds ``stats`` and ``labels`` as given."""
+    blob = nn.model_to_bytes(spec, params, _STATS, [f"c{i}" for i in range(spec.n_out)])
+    _write_with_header(path, blob, stats=None if stats is None else stats_to_dict(stats),
+                       labels=labels)
 
 
 @pytest.mark.parametrize(
@@ -534,7 +625,8 @@ def test_compare_unusable_flat_model_exits_4(small_data, tmp_path, capsys, n_out
     rc = run("compare", "--manifest", small_data / "manifest.csv", "--root", small_data,
              "--output-dir", tmp_path / "out", f"a={flat}", f"b={flat}")
     assert rc == 4
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count(str(flat)) == 1
     assert not (tmp_path / "out").exists()
 
 
